@@ -30,7 +30,6 @@ _CONFIG_KEYS = {
     "clip_norm": float,
     "augment": lambda s: s.lower() in ("1", "true", "yes", "on"),
     "eval_every": int,
-    "phase": str,
 }
 
 _DEFAULTS = {
@@ -47,7 +46,6 @@ _DEFAULTS = {
     "clip_norm": 1.0,
     "augment": True,
     "eval_every": 100,
-    "phase": "pretrain",
 }
 
 
@@ -154,7 +152,6 @@ def _cmd_train(args):
     init = None
     if args.init_checkpoint:
         model_config, init, vocab, scheme = mdl.load_model(args.init_checkpoint)
-        cfg["phase"] = "finetune"
     else:
         vocab = dt.Vocabulary.from_corpus(corpus, min_freq=cfg["min_freq"])
         model_config = mdl.ModelConfig(
@@ -175,8 +172,6 @@ def _cmd_train(args):
         clip_norm=cfg["clip_norm"],
         seed=args.seed,
         augment=cfg["augment"],
-        phase=cfg["phase"],
-        init_checkpoint=args.init_checkpoint,
         eval_every=cfg["eval_every"],
     )
     result = tr.train(corpus, train_config, model_config, vocab, scheme,

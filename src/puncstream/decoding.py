@@ -65,9 +65,6 @@ class StreamState:
     revision_log: list = field(default_factory=list)  # (buffer_end, changed_pos)
     finished: bool = False
 
-    def total_consumed(self):
-        return self.offset + len(self.buffer_words)
-
 
 def _retag(state, tagger):
     """Re-run inference on the buffer; log the earliest changed punctuation.

@@ -135,6 +135,16 @@ def position_change_histogram(revision_logs):
     return LatencyReport(histogram=hist)
 
 
+def _median_report(times, n_words):
+    """LatencyReport of the median (upper median for even counts) run time."""
+    median = sorted(times)[len(times) // 2]
+    return LatencyReport(
+        histogram={},
+        total_seconds=median,
+        words_per_second=n_words / median if median > 0 else 0.0,
+    )
+
+
 def bench_streaming(tagger, words, policy, runs=5):
     """Median-of-runs wall time for streaming decode; warm-up pass first.
 
@@ -149,14 +159,7 @@ def bench_streaming(tagger, words, policy, runs=5):
         t0 = time.perf_counter()
         _, state = stream_decode(words, tagger, policy)
         times.append(time.perf_counter() - t0)
-    times.sort()
-    median = times[len(times) // 2]
-    report = LatencyReport(
-        histogram={},
-        total_seconds=median,
-        words_per_second=len(words) / median if median > 0 else 0.0,
-    )
-    return report, state.revision_log
+    return _median_report(times, len(words)), state.revision_log
 
 
 def bench_rescore(tagger, words, frame_rate, runs=5, budget_seconds=None):
@@ -175,11 +178,4 @@ def bench_rescore(tagger, words, frame_rate, runs=5, budget_seconds=None):
         _, done = rescore_decode(words, tagger, frame_rate, deadline=deadline)
         times.append(time.perf_counter() - t0)
         completed = completed and done
-    times.sort()
-    median = times[len(times) // 2]
-    report = LatencyReport(
-        histogram={},
-        total_seconds=median,
-        words_per_second=len(words) / median if median > 0 else 0.0,
-    )
-    return report, completed
+    return _median_report(times, len(words)), completed

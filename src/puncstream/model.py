@@ -8,7 +8,8 @@ one for punctuation labels and one for disfluency labels.
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,9 +37,12 @@ class ModelConfig:
     punct_label_count: int
     disf_label_count: int
     max_positions: int = 512
-    dropout: float = 0.0  # hook for parity experiments; 0 keeps runs deterministic
 
     def __post_init__(self):
+        for name in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff",
+                     "punct_label_count", "disf_label_count", "max_positions"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
@@ -76,12 +80,10 @@ class ModelParams:
 
 def param_shapes(config):
     """The full name -> shape map for a config (checkpoint validation)."""
-    d, dk, dff = config.d_model, config.d_k, config.d_ff
+    d, dff = config.d_model, config.d_ff
     shapes = {"embed": (config.vocab_size, d)}
     for i in range(config.n_layers):
-        for h in range(config.n_heads):
-            for proj in ("wq", "wk", "wv"):
-                shapes[f"layer{i}.head{h}.{proj}"] = (d, dk)
+        shapes[f"layer{i}.wqkv"] = (d, 3 * d)
         shapes[f"layer{i}.wo"] = (d, d)
         shapes[f"layer{i}.ff.w1"] = (d, dff)
         shapes[f"layer{i}.ff.b1"] = (dff,)
@@ -98,13 +100,36 @@ def param_shapes(config):
     return shapes
 
 
+def param_blocks(name, array, n_heads):
+    """Views of parameter `name`'s array as CTT1 stored it: a `wqkv` as its
+    (d, d_k) blocks, head by head and q, k, v within a head; any other
+    parameter whole."""
+    if not name.endswith(".wqkv"):
+        return [array]
+    d = array.shape[0]
+    dk = d // n_heads
+    return [array[:, (c * n_heads + h) * dk:(c * n_heads + h + 1) * dk]
+            for h in range(n_heads) for c in range(3)]
+
+
 def init_params(config, rng):
-    """Random init: embeddings uniform +-d_model^-0.5, Glorot elsewhere."""
+    """Random init: embeddings uniform +-d_model^-0.5, Glorot elsewhere.
+
+    Each head's q, k and v projection is drawn as its own Glorot (d, d_k)
+    block, head by head in the order q, k, v, straight into its place in
+    `wqkv` (param_blocks).
+    """
     tensors = {}
     bound_embed = config.d_model ** -0.5
+    bound_qkv = math.sqrt(6.0 / (config.d_model + config.d_k))
     for name, shape in param_shapes(config).items():
         if name == "embed":
             tensors[name] = Tensor(rng.uniform(-bound_embed, bound_embed, shape))
+        elif name.endswith(".wqkv"):
+            w = np.empty(shape)
+            for block in param_blocks(name, w, config.n_heads):
+                block[...] = rng.uniform(-bound_qkv, bound_qkv, block.shape)
+            tensors[name] = Tensor(w)
         elif name.endswith(".gain"):
             tensors[name] = Tensor(np.ones(shape))
         elif name.endswith((".bias", ".b1", ".b2")) or name in ("punct.b", "disf.b"):
@@ -116,21 +141,38 @@ def init_params(config, rng):
     return ModelParams(tensors)
 
 
-def sinusoidal_positions(n, d_model, max_positions=512):
-    """Sine/cosine position encoding: even channels sin, odd channels cos."""
-    if n > max_positions:
-        raise LengthError(f"sequence length {n} exceeds max_positions {max_positions}")
-    pos = np.arange(n)[:, None].astype(np.float64)
+@lru_cache(maxsize=64)
+def _position_table(rows, d_model):
+    pos = np.arange(rows)[:, None].astype(np.float64)
     chan = np.arange(d_model)[None, :]
     angle = pos / np.power(10000.0, (2 * (chan // 2)) / d_model)
-    enc = np.empty((n, d_model))
-    enc[:, 0::2] = np.sin(angle[:, 0::2])
-    enc[:, 1::2] = np.cos(angle[:, 1::2])
-    return Tensor(enc)
+    table = np.empty((rows, d_model))
+    table[:, 0::2] = np.sin(angle[:, 0::2])
+    table[:, 1::2] = np.cos(angle[:, 1::2])
+    table.setflags(write=False)
+    return table
+
+
+def sinusoidal_positions(n, d_model, max_positions=512):
+    """Sine/cosine position encoding: even channels sin, odd channels cos.
+
+    Returns a read-only view of the first n rows of a cached table. The
+    table has the next power of two >= n rows, not max_positions rows, so a
+    checkpoint's max_positions never sets the size of an allocation.
+    """
+    if n > max_positions:
+        raise LengthError(f"sequence length {n} exceeds max_positions {max_positions}")
+    rows = 1 << max(n - 1, 0).bit_length()
+    return nc._wrap(_position_table(rows, d_model)[:n])
 
 
 def encoder_forward(token_ids, config, params, tape=None):
-    """Run the masked-attention encoder; returns hidden states (n, d_model)."""
+    """Run the masked-attention encoder; returns hidden states (n, d_model).
+
+    Per layer: all heads' attention, with its fused q/k/v projection, in one
+    op; output projection, residual + layer norm, feed-forward, residual +
+    layer norm.
+    """
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.size and ids.max() >= config.vocab_size:
         raise nc.ContractError(
@@ -138,19 +180,11 @@ def encoder_forward(token_ids, config, params, tape=None):
     n = len(ids)
     x = nc.add(nc.embedding_lookup(params["embed"], ids, tape),
                sinusoidal_positions(n, config.d_model, config.max_positions), tape)
-    inv_sqrt_dk = 1.0 / math.sqrt(config.d_k)
     for i, lookahead in enumerate(config.mask_spec.per_layer_lookahead):
-        mask = Tensor(build_ct_mask(n, min(lookahead, n)).entries)
-        heads = []
-        for h in range(config.n_heads):
-            q = nc.matmul(x, params[f"layer{i}.head{h}.wq"], tape)
-            k = nc.matmul(x, params[f"layer{i}.head{h}.wk"], tape)
-            v = nc.matmul(x, params[f"layer{i}.head{h}.wv"], tape)
-            scores = nc.scale(nc.matmul(q, nc.transpose(k, tape), tape),
-                              inv_sqrt_dk, tape)
-            probs = nc.masked_softmax_rows(scores, mask, tape)
-            heads.append(nc.matmul(probs, v, tape))
-        attn = nc.matmul(nc.concat_cols(heads, tape), params[f"layer{i}.wo"], tape)
+        mask = build_ct_mask(n, min(lookahead, n)).entries
+        heads = nc.multi_head_attention(x, params[f"layer{i}.wqkv"], mask,
+                                        config.n_heads, tape)
+        attn = nc.matmul(heads, params[f"layer{i}.wo"], tape)
         x = nc.layer_norm(nc.add(x, attn, tape),
                           params[f"layer{i}.norm1.gain"],
                           params[f"layer{i}.norm1.bias"], tape)
@@ -187,11 +221,16 @@ def predict(token_ids, config, params):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: magic "CTT1", key=value config block, then named tensors
+# Checkpoint format: magic "CTT2", key=value config block, then named tensors
 # (name length + name + shape + row-major little-endian float64 values).
+# Each layer's attention projections are one tensor `layer{i}.wqkv` of shape
+# (d_model, 3 * d_model), columns [q_0 .. q_{H-1} | k_0 .. | v_0 ..], each
+# block d_model / n_heads wide. "CTT1" files held one tensor per head and
+# projection, `layer{i}.head{h}.{wq,wk,wv}`; they are refused.
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"CTT1"
+_MAGIC = b"CTT2"
+_OLD_MAGIC = b"CTT1"
 
 
 def _config_block(config, extras):
@@ -247,8 +286,13 @@ def load_checkpoint(path):
         off += n
         return chunk
 
-    if take(4) != _MAGIC:
-        raise CheckpointError(f"{path} is not a CTT1 checkpoint")
+    magic = take(4)
+    if magic == _OLD_MAGIC:
+        raise CheckpointError(
+            f"{path} is a CTT1 checkpoint, which uses the old per-head "
+            "wq/wk/wv layout; retrain to get a CTT2 checkpoint")
+    if magic != _MAGIC:
+        raise CheckpointError(f"{path} is not a CTT2 checkpoint")
     (block_len,) = struct.unpack("<I", take(4))
     kv = {}
     for line in take(block_len).decode("utf-8").splitlines():
@@ -269,6 +313,8 @@ def load_checkpoint(path):
         )
     except KeyError as e:
         raise CheckpointError(f"checkpoint {path} missing config key {e}") from None
+    except ValueError as e:
+        raise CheckpointError(f"checkpoint {path} has a bad config: {e}") from None
     extras = {k: v for k, v in kv.items()
               if k not in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff",
                            "lookahead", "punct_label_count", "disf_label_count",

@@ -30,10 +30,6 @@ class Tensor:
     def shape(self):
         return tuple(self.data.shape)
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data)
 
@@ -106,13 +102,6 @@ def matmul(a, b, tape=None):
     return out
 
 
-def transpose(a, tape=None):
-    out = _wrap(a.data.T)
-    if tape is not None:
-        tape.record(out, (a,), lambda g: (g.T,))
-    return out
-
-
 def _unbroadcast(g, shape):
     """Sum gradient g down to `shape` (inverse of numpy broadcasting)."""
     while g.ndim > len(shape):
@@ -143,14 +132,6 @@ def mul(a, b, tape=None):
     return out
 
 
-def scale(a, c, tape=None):
-    """Multiply by a python scalar constant."""
-    out = _wrap(a.data * c)
-    if tape is not None:
-        tape.record(out, (a,), lambda g: (g * c,))
-    return out
-
-
 def relu(a, tape=None):
     out = _wrap(np.maximum(a.data, 0.0))
     if tape is not None:
@@ -167,35 +148,54 @@ def total(a, tape=None):
     return out
 
 
-def masked_softmax_rows(scores, mask, tape=None):
-    """Row-wise softmax of (scores + mask); -inf mask entries give exactly 0.
+def multi_head_attention(x, wqkv, mask, n_heads, tape=None):
+    """Masked scaled dot-product self-attention of all heads at once.
 
-    The mask is additive with entries in {0, -inf} and is not differentiated.
-    A fully masked row cannot be normalized and raises ContractError.
+    `x` (n, d) is projected by `wqkv` (d, 3d), whose columns are
+    [q_0 .. q_{H-1} | k_0 .. | v_0 ..], each block d/H wide. `mask` is an
+    additive (n, n) array with entries in {0, -inf}, shared by every head and
+    not differentiated; a fully masked row cannot be normalized and raises
+    ContractError. Returns the heads' outputs side by side, (n, d).
+
+    The backward hands x's gradient to the tape one (head, projection) block
+    at a time: last head first, v then k then q. That is the order in which
+    separate per-head projections (the CTT1 layout) add up, so training gives
+    the same bits as with them.
     """
-    if scores.shape != mask.shape:
+    d = wqkv.shape[0]
+    if n_heads < 1 or d % n_heads or wqkv.shape != (d, 3 * d) \
+            or x.data.ndim != 2 or x.shape[1] != d:
         raise ShapeMismatchError(
-            f"scores shape {scores.shape} != mask shape {mask.shape}")
-    m = mask.data
-    if m.ndim >= 1 and bool(np.isneginf(m).all(axis=-1).any()):
-        raise ContractError("masked_softmax_rows: fully masked row")
-    z = scores.data + m
-    zmax = np.max(z, axis=-1, keepdims=True)
-    e = np.exp(z - zmax)  # exp(-inf) == 0 exactly
+            f"x {x.shape} and wqkv {wqkv.shape} do not split into "
+            f"3 x {n_heads} heads")
+    n = x.shape[0]
+    if mask.shape != (n, n):
+        raise ShapeMismatchError(f"mask shape {mask.shape} != ({n}, {n})")
+    if bool(np.isneginf(mask).all(axis=-1).any()):
+        raise ContractError("fully masked row cannot be normalized")
+    dk = d // n_heads
+    scale = 1.0 / np.sqrt(dk)
+    qkv = x.data @ wqkv.data
+    q, k, v = qkv.reshape(n, 3, n_heads, dk).transpose(1, 2, 0, 3)
+    z = (q @ k.transpose(0, 2, 1)) * scale + mask
+    e = np.exp(z - z.max(axis=-1, keepdims=True))  # exp(-inf) == 0 exactly
     p = e / e.sum(axis=-1, keepdims=True)
-    out = _wrap(p)
+    out = _wrap((p @ v).transpose(1, 0, 2).reshape(n, d))
     if tape is not None:
+        w = wqkv.data.reshape(d, 3, n_heads, dk)
+
         def bwd(g):
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            return p * (g - dot), None
-        tape.record(out, (scores, mask), bwd)
+            g = g.reshape(n, n_heads, dk).transpose(1, 0, 2)
+            gp = g @ v.transpose(0, 2, 1)
+            gz = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+            gqkv = np.stack((gz @ k, gz.transpose(0, 2, 1) @ q,
+                             p.transpose(0, 2, 1) @ g))  # (3, H, n, dk)
+            gx = [gqkv[c, h] @ w[:, c, h].T
+                  for h in reversed(range(n_heads)) for c in (2, 1, 0)]
+            gw = x.data.T @ gqkv.transpose(2, 0, 1, 3).reshape(n, 3 * d)
+            return (*gx, gw)
+        tape.record(out, (x,) * (3 * n_heads) + (wqkv,), bwd)
     return out
-
-
-def softmax_rows(x, tape=None):
-    """Plain row-wise softmax."""
-    zero = _wrap(np.zeros(x.shape))
-    return masked_softmax_rows(x, zero, tape)
 
 
 def layer_norm(x, gain, bias, tape=None, eps=1e-6):
@@ -204,16 +204,16 @@ def layer_norm(x, gain, bias, tape=None, eps=1e-6):
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeMismatchError(
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
+    # sum / d is what ndarray.mean computes, without its Python wrapper
+    centred = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / d + eps)
+    xhat = centred * inv
     out = _wrap(xhat * gain.data + bias.data)
     if tape is not None:
         def bwd(g):
             dxhat = g * gain.data
-            dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+            dx = inv * (dxhat - dxhat.sum(axis=-1, keepdims=True) / d
+                        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d)
             axes = tuple(range(g.ndim - 1))
             return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
         tape.record(out, (x, gain, bias), bwd)
@@ -233,17 +233,6 @@ def embedding_lookup(table, ids, tape=None):
             np.add.at(gt, idx, g)
             return (gt,)
         tape.record(out, (table,), bwd)
-    return out
-
-
-def concat_cols(parts, tape=None):
-    """Concatenate 2-d tensors along the last axis."""
-    out = _wrap(np.concatenate([p.data for p in parts], axis=-1))
-    if tape is not None:
-        widths = [p.shape[-1] for p in parts]
-        splits = np.cumsum(widths)[:-1]
-        tape.record(out, tuple(parts),
-                    lambda g: tuple(np.split(g, splits, axis=-1)))
     return out
 
 

@@ -28,8 +28,6 @@ class TrainConfig:
     clip_norm: float = 1.0
     seed: int = 0
     augment: bool = True
-    phase: str = "pretrain"  # pretrain | finetune
-    init_checkpoint: str = None
     eval_every: int = 100
 
     def __post_init__(self):
@@ -54,13 +52,19 @@ def lr_schedule(step, d_model, warmup_steps):
     return d_model ** -0.5 * min(step ** -0.5, step * warmup_steps ** -1.5)
 
 
-def clip_gradients(grads, clip_norm):
-    """Scale the whole gradient set so its global L2 norm is <= clip_norm."""
+def clip_gradients(grads, clip_norm, n_heads=1):
+    """Scale the whole gradient set so its global L2 norm is <= clip_norm.
+
+    The squares are summed over each parameter's CTT1 blocks in turn
+    (model.param_blocks, `n_heads` heads), so the norm, and with it training,
+    has the same bits as with one tensor per head and projection.
+    """
     sq = 0.0
-    for g in grads.values():
+    for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise TrainingError("non-finite gradient; aborting")
-        sq += float((g * g).sum())
+        for part in mdl.param_blocks(name, g, n_heads):
+            sq += float((part * part).sum())
     norm = math.sqrt(sq)
     if norm <= clip_norm:
         return grads
@@ -174,7 +178,7 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
         if initial_loss is None:
             initial_loss = loss
         final_loss = loss
-        grads = clip_gradients(grads, config.clip_norm)
+        grads = clip_gradients(grads, config.clip_norm, model_config.n_heads)
         lr = lr_schedule(step, model_config.d_model, config.warmup_steps)
         opt.step(params, grads, lr)
 

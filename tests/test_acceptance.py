@@ -166,8 +166,7 @@ def test_criterion_5_transfer_effect():
                           config, vocab, scheme)
     stop = (0.90, 0.90)
     finetune = tr.train(ft_corpus,
-                        tr.TrainConfig(max_steps=2000, eval_every=25, seed=3,
-                                       phase="finetune"),
+                        tr.TrainConfig(max_steps=2000, eval_every=25, seed=3),
                         config, vocab, scheme, dev=ft_dev,
                         init_params=pretrained.params, stop_dev_f1=stop)
     scratch = tr.train(ft_corpus,

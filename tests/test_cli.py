@@ -160,3 +160,20 @@ def test_missing_file_exits_1(capsys):
                         "--input", "/nonexistent.tsv"], capsys)
     assert code == 1
     assert "error:" in err
+
+
+def test_tag_with_zero_head_checkpoint_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    ckpt = tmp_path / "m.ctt"
+    run(["synth", "--seed", "12", "--count", "20", "--out", str(corpus)], capsys)
+    run(["train", "--corpus", str(corpus), "--out", str(ckpt),
+         "--set", "max_steps=1", "--set", "d_model=8", "--set", "n_layers=1",
+         "--set", "d_ff=16", "--set", "lookahead=9"], capsys)
+    raw = ckpt.read_bytes()
+    assert raw.count(b"\nn_heads=2\n") == 1
+    ckpt.write_bytes(raw.replace(b"\nn_heads=2\n", b"\nn_heads=0\n"))
+    code, out, err = run(["tag", "--checkpoint", str(ckpt),
+                          "--input", str(corpus)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "n_heads must be positive" in err
+    assert "Traceback" not in err and out == ""

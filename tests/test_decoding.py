@@ -90,7 +90,7 @@ def test_stream_conserves_words_and_order():
     emitted, state = dec.stream_decode(words, FifthWordStub(),
                                        dec.DecodePolicy(3, 6))
     assert [w for w, _, _ in emitted] == words
-    assert state.total_consumed() == len(words)
+    assert state.offset + len(state.buffer_words) == len(words)
     assert state.finished
 
 

@@ -29,6 +29,30 @@ def test_sinusoidal_channel_pairs_unit_norm():
 def test_sinusoidal_length_cap():
     with pytest.raises(mdl.LengthError):
         mdl.sinusoidal_positions(11, 4, max_positions=10)
+    with pytest.raises(mdl.LengthError):
+        mdl.sinusoidal_positions(513, 32)
+
+
+def _fresh_positions(n, d_model):
+    """The position encoding computed for exactly n rows, uncached."""
+    pos = np.arange(n)[:, None].astype(np.float64)
+    chan = np.arange(d_model)[None, :]
+    angle = pos / np.power(10000.0, (2 * (chan // 2)) / d_model)
+    enc = np.empty((n, d_model))
+    enc[:, 0::2] = np.sin(angle[:, 0::2])
+    enc[:, 1::2] = np.cos(angle[:, 1::2])
+    return enc
+
+
+@pytest.mark.parametrize("n", [1, 7, 512])
+def test_sinusoidal_cached_equals_fresh_and_is_read_only(n):
+    for _ in range(2):  # the second call is served from the cache
+        enc = mdl.sinusoidal_positions(n, 32).data
+        assert enc.shape == (n, 32)
+        assert np.array_equal(enc, _fresh_positions(n, 32))
+        assert not enc.flags.writeable
+        with pytest.raises(ValueError):
+            enc[0, 0] = 5.0
 
 
 def test_config_validation():
@@ -36,6 +60,13 @@ def test_config_validation():
         small_config(d_model=10, n_heads=4)
     with pytest.raises(ValueError, match="budgets"):
         small_config(lookahead=(0, 0, 9))
+    for name in ("vocab_size", "d_model", "n_heads", "d_ff", "punct", "disf",
+                  "max_positions"):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="must be positive"):
+                small_config(**{name: bad})
+    with pytest.raises(ValueError, match="n_layers must be positive"):
+        mdl.ModelConfig(12, 8, 0, 2, 16, MaskSpec(()), 4, 5)
 
 
 def test_single_token_ignores_mask_spec():
@@ -78,10 +109,12 @@ def _reference_forward(ids, config, params):
     x = params["embed"].data[np.asarray(ids)] + pos
     for layer, budget in enumerate(config.mask_spec.per_layer_lookahead):
         heads = []
+        wqkv = params[f"layer{layer}.wqkv"].data
         for h in range(config.n_heads):
-            q = x @ params[f"layer{layer}.head{h}.wq"].data
-            k = x @ params[f"layer{layer}.head{h}.wk"].data
-            v = x @ params[f"layer{layer}.head{h}.wv"].data
+            cols = slice(h * config.d_k, (h + 1) * config.d_k)
+            q = x @ wqkv[:, :d][:, cols]
+            k = x @ wqkv[:, d:2 * d][:, cols]
+            v = x @ wqkv[:, 2 * d:][:, cols]
             out = np.zeros((n, config.d_k))
             for i in range(n):
                 allowed = [j for j in range(n) if i + budget >= j]
@@ -103,12 +136,34 @@ def _reference_forward(ids, config, params):
 
 
 def test_encoder_matches_independent_reference():
-    bundle = random_bundle(small_config(d_model=4, n_heads=1, d_ff=8,
-                                        lookahead=(1, 2)), seed=5)
-    tokens = [2, 9, 4]
-    ours = mdl.encoder_forward(tokens, bundle.config, bundle.params)
-    ref = _reference_forward(tokens, bundle.config, bundle.params)
-    assert np.abs(ours.data - ref).max() < 1e-10
+    for n_heads in (1, 2):
+        bundle = random_bundle(small_config(d_model=4, n_heads=n_heads, d_ff=8,
+                                            lookahead=(1, 2)), seed=5)
+        tokens = [2, 9, 4, 7, 1]
+        ours = mdl.encoder_forward(tokens, bundle.config, bundle.params)
+        ref = _reference_forward(tokens, bundle.config, bundle.params)
+        assert np.abs(ours.data - ref).max() < 1e-10
+
+
+def test_init_draws_glorot_blocks_head_by_head():
+    config = small_config(d_model=8, n_heads=2)
+    params = mdl.init_params(config, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    rng.uniform(size=params["embed"].shape)  # embed is drawn first
+    d, dk = config.d_model, config.d_k
+    bound = np.sqrt(6.0 / (d + dk))
+    wqkv = params["layer0.wqkv"].data
+    assert wqkv.shape == (d, 3 * d)
+    for h in range(config.n_heads):
+        for which in range(3):  # q, k, v
+            block = rng.uniform(-bound, bound, (d, dk))
+            col = which * d + h * dk
+            assert np.array_equal(wqkv[:, col:col + dk], block)
+
+
+def _softmax(logits):
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    return np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
 
 
 def test_head_probability_rows_sum_to_one():
@@ -116,7 +171,7 @@ def test_head_probability_rows_sum_to_one():
     hidden = mdl.encoder_forward([1, 2, 3, 4], bundle.config, bundle.params)
     punct, disf = mdl.heads_forward(hidden, bundle.params)
     for logits in (punct, disf):
-        probs = nc.softmax_rows(logits).data
+        probs = _softmax(logits)
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
 
@@ -126,14 +181,14 @@ def test_zero_hidden_zero_weights_gives_uniform_heads():
     for name in ("punct.w", "punct.b", "disf.w", "disf.b"):
         bundle.params[name] = nc.Tensor(np.zeros(bundle.params[name].shape))
     punct, disf = mdl.heads_forward(nc.Tensor(np.zeros((3, d))), bundle.params)
-    assert np.allclose(nc.softmax_rows(punct).data, 1 / punct.shape[1])
-    assert np.allclose(nc.softmax_rows(disf).data, 1 / disf.shape[1])
+    assert np.allclose(_softmax(punct), 1 / punct.shape[1])
+    assert np.allclose(_softmax(disf), 1 / disf.shape[1])
 
 
 def test_argmax_of_logits_equals_argmax_of_probs():
     rng = np.random.default_rng(8)
     logits = nc.Tensor(rng.normal(size=(10, 5)))
-    probs = nc.softmax_rows(logits).data
+    probs = _softmax(logits)
     assert np.array_equal(np.argmax(logits.data, axis=1),
                           np.argmax(probs, axis=1))
 
@@ -209,7 +264,7 @@ def test_checkpoint_magic_and_shape_validation(tmp_path):
                    bundle.scheme)
     with open(path, "r+b") as f:
         f.write(b"XXXX")
-    with pytest.raises(mdl.CheckpointError, match="CTT1"):
+    with pytest.raises(mdl.CheckpointError, match="CTT2"):
         mdl.load_checkpoint(path)
 
     # tensor with a wrong shape must be listed by name
@@ -219,3 +274,30 @@ def test_checkpoint_magic_and_shape_validation(tmp_path):
     mdl.save_checkpoint(path2, bundle.config, bad)
     with pytest.raises(mdl.CheckpointError, match="punct.w"):
         mdl.load_checkpoint(path2)
+
+
+def _saved(tmp_path, seed):
+    bundle = random_bundle(small_config(), seed=seed)
+    path = os.fspath(tmp_path / "model.ctt")
+    mdl.save_model(path, bundle.config, bundle.params, bundle.vocab,
+                   bundle.scheme)
+    return path
+
+
+def test_ctt1_checkpoint_refused(tmp_path):
+    path = _saved(tmp_path, 17)
+    with open(path, "r+b") as f:
+        f.write(b"CTT1")
+    with pytest.raises(mdl.CheckpointError, match="old per-head"):
+        mdl.load_checkpoint(path)
+
+
+def test_checkpoint_with_zero_heads_refused(tmp_path):
+    path = _saved(tmp_path, 18)
+    with open(path, "rb") as f:
+        raw = f.read()
+    assert raw.count(b"\nn_heads=2\n") == 1
+    with open(path, "wb") as f:
+        f.write(raw.replace(b"\nn_heads=2\n", b"\nn_heads=0\n"))
+    with pytest.raises(mdl.CheckpointError, match="n_heads must be positive"):
+        mdl.load_model(path)

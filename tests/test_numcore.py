@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from puncstream import numcore as nc
+from puncstream.masks import build_ct_mask
 from puncstream.numcore import Tape, Tensor
 
 
@@ -34,17 +35,30 @@ def test_matmul_shape_mismatch_names_both_shapes():
         nc.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+def _attention_probs(scores, mask):
+    """The attention weights multi_head_attention gives one head for (n, n)
+    scores, n <= 16. With d_k = 16 the scale is exactly 1/4; x = [I | 0] and
+    wqkv make q = 4 * scores and k = v = [I | 0], so the output is p itself."""
+    n, dk = len(scores), 16
+    wqkv = np.zeros((dk, 3 * dk))
+    wqkv[:n, :n] = 4.0 * np.asarray(scores)
+    wqkv[:n, dk:dk + n] = np.eye(n)
+    wqkv[:n, 2 * dk:2 * dk + n] = np.eye(n)
+    out = nc.multi_head_attention(Tensor(np.eye(n, dk)), Tensor(wqkv),
+                                  np.asarray(mask, dtype=np.float64), 1)
+    return out.data[:, :n]
+
+
 def test_masked_softmax_uniform_over_allowed():
-    out = nc.masked_softmax_rows(Tensor([[0.0, 0.0, 0.0]]),
-                                 Tensor([[0.0, 0.0, -np.inf]]))
-    assert out.data.tolist() == [[0.5, 0.5, 0.0]]
+    out = _attention_probs(np.zeros((2, 2)), [[0.0, -np.inf], [0.0, 0.0]])
+    assert out.tolist() == [[1.0, 0.0], [0.5, 0.5]]
 
 
 def test_masked_softmax_zero_mask_is_plain_softmax():
-    x = np.array([[1.3, -0.7]])
-    out = nc.masked_softmax_rows(Tensor(x), Tensor(np.zeros((1, 2))))
-    e = np.exp(x - x.max())
-    assert np.allclose(out.data, e / e.sum(), atol=1e-12)
+    x = np.array([[1.3, -0.7], [0.2, 2.1]])
+    out = _attention_probs(x, np.zeros((2, 2)))
+    e = np.exp(x - x.max(axis=1, keepdims=True))
+    assert np.allclose(out, e / e.sum(axis=1, keepdims=True), atol=1e-12)
 
 
 def test_masked_softmax_random_against_exp_sum_oracle():
@@ -52,38 +66,38 @@ def test_masked_softmax_random_against_exp_sum_oracle():
     scores = rng.normal(size=(6, 6))
     mask = np.where(rng.random((6, 6)) < 0.4, -np.inf, 0.0)
     mask[np.arange(6), np.arange(6)] = 0.0  # keep every row normalizable
-    out = nc.masked_softmax_rows(Tensor(scores), Tensor(mask))
+    out = _attention_probs(scores, mask)
     expected = np.zeros((6, 6))
     for i in range(6):
         allowed = [j for j in range(6) if mask[i, j] == 0.0]
         z = np.exp([scores[i, j] for j in allowed])
         for j, v in zip(allowed, z / z.sum()):
             expected[i, j] = v
-    assert np.abs(out.data - expected).max() < 1e-12
-    assert np.abs(out.data.sum(axis=1) - 1.0).max() < 1e-9
+    assert np.abs(out - expected).max() < 1e-12
+    assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-9
 
 
 def test_masked_softmax_fully_masked_row_rejected():
     with pytest.raises(nc.ContractError, match="fully masked"):
-        nc.masked_softmax_rows(Tensor([[1.0, 2.0]]),
-                               Tensor([[-np.inf, -np.inf]]))
+        _attention_probs([[1.0, 2.0], [3.0, 4.0]],
+                         [[0.0, 0.0], [-np.inf, -np.inf]])
 
 
 def test_masked_softmax_masked_entries_exactly_zero():
-    out = nc.masked_softmax_rows(Tensor([[50.0, -60.0, 3.0]]),
-                                 Tensor([[0.0, -np.inf, 0.0]]))
-    assert out.data[0, 1] == 0.0
-    assert np.all(np.isfinite(out.data))
+    out = _attention_probs([[50.0, -60.0, 3.0]] * 3,
+                           [[0.0, -np.inf, 0.0]] * 3)
+    assert np.all(out[:, 1] == 0.0)
+    assert np.all(np.isfinite(out))
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-50, 50), min_size=2, max_size=8),
        st.floats(-30, 30))
 def test_masked_softmax_shift_invariance(row, shift):
-    x = np.array([row])
-    mask = Tensor(np.zeros_like(x))
-    a = nc.masked_softmax_rows(Tensor(x), mask).data
-    b = nc.masked_softmax_rows(Tensor(x + shift), mask).data
+    x = np.array([row] * len(row))
+    mask = np.zeros_like(x)
+    a = _attention_probs(x, mask)
+    b = _attention_probs(x + shift, mask)
     assert np.abs(a - b).max() < 1e-9
 
 
@@ -172,17 +186,113 @@ def test_gradient_check_composed_ops():
         "w": Tensor(rng.normal(size=(4, 4))),
         "gain": Tensor(rng.normal(size=4)),
         "bias": Tensor(rng.normal(size=4)),
+        "wqkv": Tensor(rng.normal(size=(4, 12))),
     }
-    mask = Tensor(np.triu(np.full((3, 3), -np.inf), k=2))
+    mask = np.triu(np.full((3, 3), -np.inf), k=2)
 
     def build(ts, tape):
         h = nc.matmul(ts["x"], ts["w"], tape)
         h = nc.layer_norm(nc.relu(h, tape), ts["gain"], ts["bias"], tape)
-        att = nc.masked_softmax_rows(
-            nc.matmul(h, nc.transpose(h, tape), tape), mask, tape)
-        return nc.total(nc.matmul(att, h, tape), tape)
+        att = nc.multi_head_attention(h, ts["wqkv"], mask, 1, tape)
+        return nc.total(nc.mul(att, nc.add(h, att, tape), tape), tape)
 
     _fd_check(build, tensors)
+
+
+def _attention_inputs(n, n_heads, dk, lookahead, seed):
+    rng = np.random.default_rng(seed)
+    d = n_heads * dk
+    x = Tensor(rng.normal(size=(n, d)))
+    wqkv = Tensor(rng.normal(size=(d, 3 * d)))
+    return x, wqkv, build_ct_mask(n, lookahead).entries
+
+
+@pytest.mark.parametrize("n_heads,lookahead", [(1, 0), (1, 2), (2, 0), (2, 2)])
+def test_gradient_check_multi_head_attention(n_heads, lookahead):
+    x, wqkv, mask = _attention_inputs(4, n_heads, 3, lookahead, seed=5)
+    weights = Tensor(np.random.default_rng(6).normal(size=(4, 3 * n_heads)))
+
+    def build(ts, tape):
+        out = nc.multi_head_attention(ts["x"], ts["wqkv"], mask, n_heads, tape)
+        return nc.total(nc.mul(out, weights, tape), tape)
+
+    _fd_check(build, {"x": x, "wqkv": wqkv})
+
+
+def _per_head(x, wqkv, n_heads):
+    """Each head's (wq, wk, wv) as contiguous copies, as CTT1 stored them."""
+    d = x.shape[1]
+    dk = d // n_heads
+    return [[np.ascontiguousarray(wqkv[:, (c * n_heads + h) * dk:
+                                       (c * n_heads + h + 1) * dk])
+             for c in range(3)] for h in range(n_heads)]
+
+
+def test_multi_head_attention_matches_per_head_loop():
+    n, n_heads, dk = 5, 2, 3
+    x, wqkv, mask = _attention_inputs(n, n_heads, dk, 1, seed=7)
+    out = nc.multi_head_attention(x, wqkv, mask, n_heads).data
+    for h, (wq, wk, wv) in enumerate(_per_head(x.data, wqkv.data, n_heads)):
+        q, k, v = x.data @ wq, x.data @ wk, x.data @ wv
+        cols = slice(h * dk, (h + 1) * dk)
+        for i in range(n):
+            allowed = [j for j in range(n) if j <= i + 1]
+            z = np.array([q[i] @ k[j] for j in allowed]) / np.sqrt(dk)
+            w = np.exp(z - z.max())
+            w /= w.sum()
+            expected = sum(wj * v[j] for wj, j in zip(w, allowed))
+            assert np.abs(out[i, cols] - expected).max() < 1e-12
+
+
+def test_multi_head_attention_gradients_have_per_head_bits():
+    # The old per-head ops in numpy: scores, softmax and their backward one
+    # head at a time, x's gradient added up residual first, then last head
+    # first and v, k, q within a head. The fused op must give the same bits.
+    n, n_heads, dk = 6, 2, 4
+    x, wqkv, mask = _attention_inputs(n, n_heads, dk, 2, seed=11)
+    weights = np.random.default_rng(12).normal(size=(n, n_heads * dk))
+    tape = Tape()
+    out = nc.multi_head_attention(x, wqkv, mask, n_heads, tape)
+    loss = nc.total(nc.mul(nc.add(x, out, tape), Tensor(weights), tape), tape)
+    grads = nc.backward(loss, tape, wrt=[x, wqkv])
+
+    gx, gw = weights, []
+    for h, (wq, wk, wv) in reversed(list(enumerate(
+            _per_head(x.data, wqkv.data, n_heads)))):
+        q, k, v = x.data @ wq, x.data @ wk, x.data @ wv
+        z = (q @ k.T) * (1.0 / np.sqrt(dk)) + mask
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        g = weights[:, h * dk:(h + 1) * dk]
+        gp = g @ v.T
+        gz = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * (1.0 / np.sqrt(dk))
+        gq, gk, gv = gz @ k, (q.T @ gz).T, p.T @ g
+        for gproj, wproj in ((gv, wv), (gk, wk), (gq, wq)):
+            gx = gx + gproj @ wproj.T
+        gw.append((h, [x.data.T @ gq, x.data.T @ gk, x.data.T @ gv]))
+    assert np.array_equal(grads[x], gx)
+    for h, blocks in gw:
+        for c, block in enumerate(blocks):
+            cols = slice((c * n_heads + h) * dk, (c * n_heads + h + 1) * dk)
+            assert np.array_equal(grads[wqkv][:, cols], block)
+
+
+def test_multi_head_attention_fully_masked_row_rejected():
+    x, wqkv, mask = _attention_inputs(3, 2, 2, 0, seed=8)
+    mask = mask.copy()
+    mask[1, :] = -np.inf
+    with pytest.raises(nc.ContractError, match="fully masked"):
+        nc.multi_head_attention(x, wqkv, mask, 2)
+
+
+def test_multi_head_attention_shape_checks():
+    x, wqkv, mask = _attention_inputs(3, 2, 2, 0, seed=9)
+    with pytest.raises(nc.ShapeMismatchError, match="heads"):
+        nc.multi_head_attention(x, wqkv, mask, 3)
+    with pytest.raises(nc.ShapeMismatchError, match="heads"):
+        nc.multi_head_attention(Tensor(np.zeros((3, 5))), wqkv, mask, 2)
+    with pytest.raises(nc.ShapeMismatchError, match="mask"):
+        nc.multi_head_attention(x, wqkv, build_ct_mask(4, 0).entries, 2)
 
 
 def test_forward_determinism():

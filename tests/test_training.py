@@ -105,6 +105,28 @@ def test_clip_scales_to_exactly_the_threshold():
     assert abs(dot / (5.0 * norm) - 1.0) < 1e-12
 
 
+def test_clip_sums_wqkv_block_by_block():
+    # head by head, q, k, v within a head, each block a contiguous copy: the
+    # norm of one tensor per head and projection, to the bit
+    rng = np.random.default_rng(2)  # data on which the two orders differ
+    grads = {"embed": rng.normal(size=(5, 8)),
+             "layer0.wqkv": rng.normal(size=(8, 24)),
+             "layer0.wo": rng.normal(size=(8, 8))}
+    out = tr.clip_gradients(grads, 1.0, n_heads=2)
+    sq = float((grads["embed"] ** 2).sum())
+    for h in range(2):
+        for c in range(3):
+            block = np.ascontiguousarray(
+                grads["layer0.wqkv"][:, (2 * c + h) * 4:(2 * c + h + 1) * 4])
+            sq += float((block * block).sum())
+    sq += float((grads["layer0.wo"] ** 2).sum())
+    factor = 1.0 / math.sqrt(sq)
+    whole = sum(float((g * g).sum()) for g in grads.values())
+    assert 1.0 / math.sqrt(whole) != factor
+    for name, g in grads.items():
+        assert np.array_equal(out[name], g * factor)
+
+
 def test_clip_rejects_non_finite():
     with pytest.raises(tr.TrainingError):
         tr.clip_gradients({"a": np.array([np.nan])}, 1.0)
