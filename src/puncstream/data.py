@@ -33,10 +33,9 @@ class EncodeError(ValueError):
 class LabelScheme:
     punct_labels: tuple = ("O", "COMMA", "PERIOD", "QUESTION")
     disf_labels: tuple = ("O", "B-RM", "I-RM", "B-IM", "I-IM")
-    eos_labels: tuple = ("PERIOD", "QUESTION")
 
     def __post_init__(self):
-        if self.punct_labels[0] != "O" or self.disf_labels[0] != "O":
+        if self.punct_labels[:1] != ("O",) or self.disf_labels[:1] != ("O",):
             raise ValueError("label O must have index 0 in both schemes")
 
     def punct_id(self, label):
@@ -107,9 +106,6 @@ class Vocabulary:
     def id_of(self, word):
         return self._ids.get(word, self.unk_id)
 
-    def word_of(self, idx):
-        return self.words[idx]
-
     def __len__(self):
         return len(self.words)
 
@@ -154,18 +150,20 @@ def parse_corpus(path, strict_bio=True):
                 start_line = line_no + 1
                 continue
             cols = line.split("\t")
-            if len(cols) == 1:
-                words.append(cols[0].lower())
-                punct.append(None)
-                disf.append(None)
-            elif len(cols) == 3:
-                words.append(cols[0].lower())
-                punct.append(cols[1])
-                disf.append(cols[2])
-            else:
+            if len(cols) not in (1, 3):
                 raise ParseError(
                     f"{path}:{line_no}: expected 1 or 3 tab-separated columns, "
                     f"got {len(cols)}")
+            # a checkpoint stores the vocabulary space-separated, and streams
+            # split their input on whitespace
+            word = cols[0].lower()
+            if word.split() != [word]:
+                raise ParseError(
+                    f"{path}:{line_no}: word {cols[0]!r} is empty or "
+                    "contains whitespace")
+            words.append(word)
+            punct.append(cols[1] if len(cols) == 3 else None)
+            disf.append(cols[2] if len(cols) == 3 else None)
             if (punct[-1] is None) != (punct[0] is None):
                 raise ParseError(
                     f"{path}:{line_no}: mixed labeled and unlabeled lines")
@@ -240,10 +238,12 @@ class GrammarConfig:
     p_filler: float = 0.0
     p_repetition: float = 0.0
     p_repair: float = 0.0
-    p_join: float = 0.3      # two statement clauses joined by "then"
-    p_question: float = 0.25
-    max_sentences: int = 2
-    p_late_question: float = 0.3  # late-question domain only
+
+
+_P_JOIN = 0.3  # two statement clauses joined by "then"
+_P_QUESTION = 0.25
+_MAX_SENTENCES = 2
+_P_LATE_QUESTION = 0.3  # late-question domain only
 
 
 def _fill(template, rng, objects, cities):
@@ -251,16 +251,16 @@ def _fill(template, rng, objects, cities):
             for w in template]
 
 
-def _travel_sentence(rng, cfg, statements, questions, objects, cities):
+def _travel_sentence(rng, statements, questions, objects, cities):
     """One fluent sentence: (words, punct). COMMA joins clauses via "then"."""
-    if rng.random() < cfg.p_join:
+    if rng.random() < _P_JOIN:
         a = _fill(rng.choice(statements), rng, objects, cities)
         b = _fill(rng.choice(statements), rng, objects, cities)
         words = a + ["then"] + b
         punct = ["O"] * len(words)
         punct[len(a) - 1] = "COMMA"
         punct[-1] = "PERIOD"
-    elif rng.random() < cfg.p_question:
+    elif rng.random() < _P_QUESTION:
         words = _fill(rng.choice(questions), rng, objects, cities)
         punct = ["O"] * len(words)
         punct[-1] = "QUESTION"
@@ -271,14 +271,14 @@ def _travel_sentence(rng, cfg, statements, questions, objects, cities):
     return words, punct
 
 
-def _late_question_utterance(rng, cfg):
+def _late_question_utterance(rng):
     objects, cities = _OBJECTS, _CITIES
     clauses = []
     for _ in range(2):
         clause = _fill(rng.choice(_LATE_Q_CLAUSES), rng, objects, cities)
         clause += list(rng.choice(_LATE_Q_TAILS))
         clauses.append(clause)
-    is_question = rng.random() < cfg.p_late_question
+    is_question = rng.random() < _P_LATE_QUESTION
     words, punct = [], []
     for clause in clauses:
         words += clause
@@ -360,16 +360,16 @@ def synth_generate(seed, n_utterances, grammar=None, event_log=None):
         statements, questions = _STATEMENTS_SHIFTED, _QUESTIONS_SHIFTED
         objects, cities = _OBJECTS_SHIFTED, _CITIES_SHIFTED
     elif cfg.domain == "late-question":
-        return [_late_question_utterance(rng, cfg) for _ in range(n_utterances)]
+        return [_late_question_utterance(rng) for _ in range(n_utterances)]
     else:
         raise ValueError(f"unknown grammar domain {cfg.domain!r}")
 
     out = []
     for _ in range(n_utterances):
         words, punct = [], []
-        for _ in range(rng.randint(1, cfg.max_sentences)):
-            sw, sp = _travel_sentence(rng, cfg, statements, questions,
-                                      objects, cities)
+        for _ in range(rng.randint(1, _MAX_SENTENCES)):
+            sw, sp = _travel_sentence(rng, statements, questions, objects,
+                                      cities)
             words += sw
             punct += sp
         disf = ["O"] * len(words)
@@ -423,12 +423,3 @@ def encode(seq, vocab, scheme):
     return (ids,
             [scheme.punct_id(p) for p in seq.punct],
             [scheme.disf_id(d) for d in seq.disf])
-
-
-def decode(ids, punct_ids, disf_ids, vocab, scheme):
-    """Inverse of encode: labels restore exactly, words up to UNK."""
-    return TokenSequence(
-        [vocab.word_of(i) for i in ids],
-        [scheme.punct_labels[i] for i in punct_ids],
-        [scheme.disf_labels[i] for i in disf_ids],
-    )

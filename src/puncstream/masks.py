@@ -1,4 +1,4 @@
-"""Additive attention masks: controllable look-ahead, forward, local, full.
+"""Additive attention masks with a controllable look-ahead budget.
 
 A mask entry is 0 where attention is allowed and -inf where it is blocked.
 The look-ahead mask permits all history plus at most L future positions.
@@ -48,62 +48,20 @@ def effective_lookahead(spec):
     return sum(spec.per_layer_lookahead)
 
 
-@dataclass(frozen=True, eq=False)
-class AttentionMask:
-    """n x n additive matrix with entries in {0, -inf}; diagonal always 0."""
-
-    n: int
-    entries: np.ndarray
-
-
-def _freeze(m):
-    m.setflags(write=False)
-    return m
-
-
-def _check_n(n):
-    if n < 1:
-        raise EmptyInputError(f"mask length must be >= 1, got {n}")
-
-
 @lru_cache(maxsize=512)
 def build_ct_mask(n, lookahead):
     """Mask allowing all history plus at most `lookahead` future positions.
 
-    Entry (i, j) is 0 iff i + lookahead >= j (0-based), else -inf.
+    Returns a read-only (n, n) array, shared by every caller: entry (i, j)
+    is 0 iff i + lookahead >= j (0-based), else -inf. A budget of 0 gives
+    the causal mask, a budget of n - 1 or more unrestricted attention.
     """
-    _check_n(n)
+    if n < 1:
+        raise EmptyInputError(f"mask length must be >= 1, got {n}")
     if lookahead < 0:
         raise ValueError(f"lookahead must be >= 0, got {lookahead}")
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
     m = np.where(i + lookahead >= j, 0.0, -np.inf)
-    return AttentionMask(n, _freeze(m))
-
-
-@lru_cache(maxsize=512)
-def build_forward_mask(n):
-    """Causal mask: (i, j) unmasked iff j <= i."""
-    _check_n(n)
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    return AttentionMask(n, _freeze(np.where(j <= i, 0.0, -np.inf)))
-
-
-@lru_cache(maxsize=512)
-def build_local_mask(n, history):
-    """Local mask: (i, j) unmasked iff i - history <= j <= i."""
-    _check_n(n)
-    if history < 0:
-        raise ValueError(f"history must be >= 0, got {history}")
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    keep = (j <= i) & (j >= i - history)
-    return AttentionMask(n, _freeze(np.where(keep, 0.0, -np.inf)))
-
-
-@lru_cache(maxsize=512)
-def build_full_mask(n):
-    """All-zero mask: unrestricted attention."""
-    _check_n(n)
-    return AttentionMask(n, _freeze(np.zeros((n, n))))
+    m.setflags(write=False)
+    return m

@@ -8,7 +8,7 @@ one for punctuation labels and one for disfluency labels.
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -181,7 +181,7 @@ def encoder_forward(token_ids, config, params, tape=None):
     x = nc.add(nc.embedding_lookup(params["embed"], ids, tape),
                sinusoidal_positions(n, config.d_model, config.max_positions), tape)
     for i, lookahead in enumerate(config.mask_spec.per_layer_lookahead):
-        mask = build_ct_mask(n, min(lookahead, n)).entries
+        mask = build_ct_mask(n, min(lookahead, n))
         heads = nc.multi_head_attention(x, params[f"layer{i}.wqkv"], mask,
                                         config.n_heads, tape)
         attn = nc.matmul(heads, params[f"layer{i}.wo"], tape)
@@ -233,26 +233,23 @@ _MAGIC = b"CTT2"
 _OLD_MAGIC = b"CTT1"
 
 
-def _config_block(config, extras):
-    kv = {
-        "vocab_size": config.vocab_size,
-        "d_model": config.d_model,
-        "n_layers": config.n_layers,
-        "n_heads": config.n_heads,
-        "d_ff": config.d_ff,
-        "lookahead": config.mask_spec.to_string(),
-        "punct_label_count": config.punct_label_count,
-        "disf_label_count": config.disf_label_count,
-        "max_positions": config.max_positions,
-    }
-    kv.update(extras)
-    return "".join(f"{k}={v}\n" for k, v in kv.items()).encode("utf-8")
+def _block_key(field):
+    """The config block's key for a ModelConfig field."""
+    return "lookahead" if field == "mask_spec" else field
 
 
-def save_checkpoint(path, config, params, extras=None):
-    """Write config plus all tensors. `extras` adds flat key=value entries
-    (vocabulary and label names live there)."""
-    block = _config_block(config, extras or {})
+def save_model(path, config, params, vocab, scheme):
+    """Write the config, the vocabulary, the label names and every tensor.
+
+    The config block holds ModelConfig's fields in declaration order, then
+    the vocabulary without PAD/UNK, which are implicit, and the label names.
+    """
+    kv = {_block_key(f.name): getattr(config, f.name) for f in fields(config)}
+    kv["lookahead"] = config.mask_spec.to_string()
+    kv["vocab"] = " ".join(vocab.words[2:])
+    kv["punct_labels"] = " ".join(scheme.punct_labels)
+    kv["disf_labels"] = " ".join(scheme.disf_labels)
+    block = "".join(f"{k}={v}\n" for k, v in kv.items()).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", len(block)))
@@ -268,19 +265,21 @@ def save_checkpoint(path, config, params, extras=None):
             f.write(data.tobytes())
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; returns (config, params, extras dict).
+def load_model(path):
+    """Inverse of save_model: (config, params, vocab, scheme).
 
-    Every tensor shape is validated against the config; any mismatch or
-    missing/unknown tensor is rejected.
+    The label names must match the config's label counts, the vocabulary
+    its size, and every tensor shape the config. Any malformed file raises
+    CheckpointError.
     """
+    from .data import LabelScheme, Vocabulary
     with open(path, "rb") as f:
         raw = f.read()
     off = 0
 
     def take(n):
         nonlocal off
-        if off + n > len(raw):
+        if n < 0 or off + n > len(raw):
             raise CheckpointError(f"truncated checkpoint {path}")
         chunk = raw[off:off + n]
         off += n
@@ -294,81 +293,57 @@ def load_checkpoint(path):
     if magic != _MAGIC:
         raise CheckpointError(f"{path} is not a CTT2 checkpoint")
     (block_len,) = struct.unpack("<I", take(4))
+    block = take(block_len)
     kv = {}
-    for line in take(block_len).decode("utf-8").splitlines():
-        if line:
-            key, _, value = line.partition("=")
-            kv[key] = value
     try:
-        config = ModelConfig(
-            vocab_size=int(kv["vocab_size"]),
-            d_model=int(kv["d_model"]),
-            n_layers=int(kv["n_layers"]),
-            n_heads=int(kv["n_heads"]),
-            d_ff=int(kv["d_ff"]),
-            mask_spec=MaskSpec.from_string(kv["lookahead"]),
-            punct_label_count=int(kv["punct_label_count"]),
-            disf_label_count=int(kv["disf_label_count"]),
-            max_positions=int(kv["max_positions"]),
-        )
+        for line in block.decode("utf-8").splitlines():
+            if line:
+                key, _, value = line.partition("=")
+                kv[key] = value
+        args = {f.name: kv[_block_key(f.name)] for f in fields(ModelConfig)}
+        config = ModelConfig(**{
+            name: MaskSpec.from_string(v) if name == "mask_spec" else int(v)
+            for name, v in args.items()})
+        vocab = Vocabulary(kv["vocab"].split())
+        scheme = LabelScheme(tuple(kv["punct_labels"].split()),
+                             tuple(kv["disf_labels"].split()))
     except KeyError as e:
         raise CheckpointError(f"checkpoint {path} missing config key {e}") from None
     except ValueError as e:
         raise CheckpointError(f"checkpoint {path} has a bad config: {e}") from None
-    extras = {k: v for k, v in kv.items()
-              if k not in ("vocab_size", "d_model", "n_layers", "n_heads", "d_ff",
-                           "lookahead", "punct_label_count", "disf_label_count",
-                           "max_positions")}
+    if len(vocab) != config.vocab_size:
+        raise CheckpointError(
+            f"checkpoint {path}: vocabulary has {len(vocab)} entries but "
+            f"config says {config.vocab_size}")
+    if (len(scheme.punct_labels), len(scheme.disf_labels)) != \
+            (config.punct_label_count, config.disf_label_count):
+        raise CheckpointError(
+            f"checkpoint {path}: {len(scheme.punct_labels)} punct and "
+            f"{len(scheme.disf_labels)} disf label names but config says "
+            f"{config.punct_label_count} and {config.disf_label_count}")
 
     expected = param_shapes(config)
     (count,) = struct.unpack("<I", take(4))
-    tensors = {}
+    found = {}  # name -> (shape, flat values); reshaped once shapes check out
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
+        # a name that is not UTF-8 fails validation below as unexpected
+        name = take(name_len).decode("utf-8", "replace")
         (ndim,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        size = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape)
-        tensors[name] = Tensor(data.astype(np.float64))
+        found[name] = shape, np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
     mismatches = []
     for name, shape in expected.items():
-        if name not in tensors:
+        if name not in found:
             mismatches.append(f"missing tensor {name}")
-        elif tensors[name].shape != shape:
-            mismatches.append(
-                f"{name}: expected {shape}, found {tensors[name].shape}")
-    for name in tensors:
+        elif found[name][0] != shape:
+            mismatches.append(f"{name}: expected {shape}, found {found[name][0]}")
+    for name in found:
         if name not in expected:
             mismatches.append(f"unexpected tensor {name}")
     if mismatches:
         raise CheckpointError(
             f"checkpoint {path} fails shape validation: " + "; ".join(mismatches))
-    return config, ModelParams(tensors), extras
-
-
-def save_model(path, config, params, vocab, scheme):
-    """Checkpoint plus the vocabulary and label names needed to run it."""
-    extras = {
-        "vocab": " ".join(vocab.words[2:]),  # PAD/UNK are implicit
-        "punct_labels": " ".join(scheme.punct_labels),
-        "disf_labels": " ".join(scheme.disf_labels),
-    }
-    save_checkpoint(path, config, params, extras)
-
-
-def load_model(path):
-    """Inverse of save_model: (config, params, vocab, scheme)."""
-    from .data import LabelScheme, Vocabulary
-    config, params, extras = load_checkpoint(path)
-    try:
-        vocab = Vocabulary(extras["vocab"].split())
-        scheme = LabelScheme(tuple(extras["punct_labels"].split()),
-                             tuple(extras["disf_labels"].split()))
-    except KeyError as e:
-        raise CheckpointError(f"checkpoint {path} missing {e}") from None
-    if len(vocab) != config.vocab_size:
-        raise CheckpointError(
-            f"checkpoint {path}: vocabulary has {len(vocab)} entries but "
-            f"config says {config.vocab_size}")
+    params = ModelParams({name: Tensor(data.reshape(shape))
+                          for name, (shape, data) in found.items()})
     return config, params, vocab, scheme

@@ -1,11 +1,14 @@
 """Dense numeric core: tensors, forward ops, and tape-based reverse-mode autodiff.
 
-Everything is float64 by default so gradient checks against central finite
-differences are robust. Ops take an optional Tape; with tape=None they run
+Everything is float64 so gradient checks against central finite differences
+are robust. Ops take an optional Tape; with tape=None they run
 pure forward (inference).
 """
 
 import numpy as np
+
+
+_EPS = 1e-6
 
 
 class ShapeMismatchError(ValueError):
@@ -21,8 +24,8 @@ class Tensor:
 
     __slots__ = ("data",)
 
-    def __init__(self, data, dtype=np.float64):
-        arr = np.array(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.array(data, dtype=np.float64)
         arr.setflags(write=False)
         self.data = arr
 
@@ -61,12 +64,11 @@ class Tape:
         return len(self._entries)
 
 
-def backward(loss, tape, wrt=None):
-    """Accumulate gradients of a scalar loss over the tape.
+def backward(loss, tape, wrt):
+    """Gradients of a scalar loss with respect to the tensors in `wrt`.
 
-    Returns a dict keyed by Tensor (identity). If `wrt` is given, the result
-    contains exactly those tensors, with exact-zero gradients for any that
-    did not influence the loss.
+    Returns a dict keyed by Tensor (identity) holding exactly those tensors,
+    with exact-zero gradients for any that did not influence the loss.
     """
     if loss.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -80,8 +82,6 @@ def backward(loss, tape, wrt=None):
                 continue
             acc = grads.get(inp)
             grads[inp] = gi if acc is None else acc + gi
-    if wrt is None:
-        return grads
     return {t: grads.get(t, np.zeros(t.shape)) for t in wrt}
 
 
@@ -122,29 +122,11 @@ def add(a, b, tape=None):
     return out
 
 
-def mul(a, b, tape=None):
-    """Elementwise product with numpy broadcasting."""
-    out = _wrap(a.data * b.data)
-    if tape is not None:
-        def bwd(g):
-            return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-        tape.record(out, (a, b), bwd)
-    return out
-
-
 def relu(a, tape=None):
     out = _wrap(np.maximum(a.data, 0.0))
     if tape is not None:
         keep = a.data > 0.0
         tape.record(out, (a,), lambda g: (g * keep,))
-    return out
-
-
-def total(a, tape=None):
-    """Sum of all entries, as a scalar tensor."""
-    out = _wrap(np.array(a.data.sum()))
-    if tape is not None:
-        tape.record(out, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
     return out
 
 
@@ -198,7 +180,7 @@ def multi_head_attention(x, wqkv, mask, n_heads, tape=None):
     return out
 
 
-def layer_norm(x, gain, bias, tape=None, eps=1e-6):
+def layer_norm(x, gain, bias, tape=None):
     """Normalize the last axis to mean 0 / variance 1, then affine."""
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
@@ -206,7 +188,7 @@ def layer_norm(x, gain, bias, tape=None, eps=1e-6):
             f"layer_norm gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}")
     # sum / d is what ndarray.mean computes, without its Python wrapper
     centred = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / d + _EPS)
     xhat = centred * inv
     out = _wrap(xhat * gain.data + bias.data)
     if tape is not None:

@@ -72,27 +72,30 @@ def clip_gradients(grads, clip_norm, n_heads=1):
     return {name: g * factor for name, g in grads.items()}
 
 
-class Adam:
-    """Adam with external learning rate (beta1=0.9, beta2=0.98, eps=1e-9)."""
+_BETA1 = 0.9
+_BETA2 = 0.98
+_EPS = 1e-9
 
-    def __init__(self, param_names, beta1=0.9, beta2=0.98, eps=1e-9):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+
+class Adam:
+    """Adam with external learning rate and fixed betas and epsilon."""
+
+    def __init__(self, param_names):
         self.m = {n: None for n in param_names}
         self.v = {n: None for n in param_names}
         self.t = 0
 
     def step(self, params, grads, lr):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
         for name, g in grads.items():
             if self.m[name] is None:
                 self.m[name] = np.zeros_like(g)
                 self.v[name] = np.zeros_like(g)
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            mhat = self.m[name] / (1 - b1 ** self.t)
-            vhat = self.v[name] / (1 - b2 ** self.t)
-            update = lr * mhat / (np.sqrt(vhat) + self.eps)
+            self.m[name] = _BETA1 * self.m[name] + (1 - _BETA1) * g
+            self.v[name] = _BETA2 * self.v[name] + (1 - _BETA2) * g * g
+            mhat = self.m[name] / (1 - _BETA1 ** self.t)
+            vhat = self.v[name] / (1 - _BETA2 ** self.t)
+            update = lr * mhat / (np.sqrt(vhat) + _EPS)
             params[name] = nc.Tensor(params[name].data - update)
 
 

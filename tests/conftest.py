@@ -4,6 +4,7 @@ The trained fixtures run real (toy-scale) training once per session and are
 shared between the unit tests and the acceptance suite.
 """
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,32 @@ def small_config(vocab_size=12, d_model=8, n_layers=2, n_heads=2, d_ff=16,
     return mdl.ModelConfig(vocab_size, d_model, n_layers, n_heads, d_ff,
                            MaskSpec(lookahead), punct, disf,
                            max_positions=max_positions)
+
+
+def forward_mask(n):
+    """Reference causal mask: (i, j) unmasked iff j <= i."""
+    i = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    return np.where(j <= i, 0.0, -np.inf)
+
+
+def full_mask(n):
+    """Reference unrestricted mask: all zeros."""
+    return np.zeros((n, n))
+
+
+def rewrite_config_line(path, key, value):
+    """Set the `key=` line of a checkpoint's config block to `value` (bytes),
+    keeping the block length field in step."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    (n,) = struct.unpack_from("<I", raw, 4)
+    lines = raw[8:8 + n].split(b"\n")
+    assert sum(line.startswith(key + b"=") for line in lines) == 1
+    block = b"\n".join(key + b"=" + value if line.startswith(key + b"=") else line
+                       for line in lines)
+    with open(path, "wb") as f:
+        f.write(raw[:4] + struct.pack("<I", len(block)) + block + raw[8 + n:])
 
 
 def random_bundle(config, seed=0):

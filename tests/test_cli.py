@@ -1,7 +1,9 @@
 import io
+import os
 
 import pytest
 
+from conftest import rewrite_config_line
 from puncstream import cli
 from puncstream import data as dt
 
@@ -177,3 +179,28 @@ def test_tag_with_zero_head_checkpoint_exits_1(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and "n_heads must be positive" in err
     assert "Traceback" not in err and out == ""
+
+
+def test_tag_with_empty_label_names_exits_1(tmp_path, capsys):
+    ckpt = tmp_path / "m.ctt"
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("i\nwant\n\n")
+    golden = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt2.ctt")
+    with open(golden, "rb") as f:
+        ckpt.write_bytes(f.read())
+    rewrite_config_line(ckpt, b"punct_labels", b"")
+    code, out, err = run(["tag", "--checkpoint", str(ckpt),
+                          "--input", str(corpus)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "label O" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_train_on_word_with_whitespace_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("i\tO\tO\nnew york\tPERIOD\tO\n\n")
+    code, out, err = run(["train", "--corpus", str(corpus),
+                          "--out", str(tmp_path / "m.ctt")], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "c.tsv:2" in err
+    assert not (tmp_path / "m.ctt").exists()

@@ -45,6 +45,16 @@ def test_wrong_column_count_reports_line(tmp_path):
         dt.parse_corpus(path)
 
 
+@pytest.mark.parametrize("word", ["new york", "", "new\u00a0york"])
+def test_word_that_is_empty_or_holds_whitespace_rejected(tmp_path, word):
+    # the vocabulary is saved space-separated; such a word would give a
+    # checkpoint that cannot be loaded
+    path = tmp_path / "words.tsv"
+    path.write_text(f"i\tO\tO\n{word}\tO\tO\n", encoding="utf-8")
+    with pytest.raises(dt.ParseError, match="words.tsv:2"):
+        dt.parse_corpus(path)
+
+
 def test_unlabeled_corpus(tmp_path):
     path = tmp_path / "words.tsv"
     path.write_text("hello\nworld\n\nagain\n\n")
@@ -71,6 +81,8 @@ def test_bio_validation():
 def test_scheme_requires_o_first():
     with pytest.raises(ValueError):
         dt.LabelScheme(punct_labels=("COMMA", "O"))
+    with pytest.raises(ValueError):
+        dt.LabelScheme(disf_labels=())
 
 
 def test_synth_zero_probabilities_is_fluent():
@@ -165,10 +177,9 @@ def test_encode_decode_round_trip():
     for seq in seqs:
         ids, p_ids, d_ids = dt.encode(seq, vocab, scheme)
         assert vocab.unk_id not in ids  # min_freq=1: everything known
-        back = dt.decode(ids, p_ids, d_ids, vocab, scheme)
-        assert back.words == seq.words
-        assert back.punct == seq.punct
-        assert back.disf == seq.disf
+        assert [vocab.words[i] for i in ids] == seq.words
+        assert [scheme.punct_labels[i] for i in p_ids] == seq.punct
+        assert [scheme.disf_labels[i] for i in d_ids] == seq.disf
 
 
 def test_encode_maps_oov_to_unk():

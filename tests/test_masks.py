@@ -3,71 +3,53 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import forward_mask, full_mask
 from puncstream import masks as mk
 
 
 def test_ct_mask_n3_l1():
     m = mk.build_ct_mask(3, 1)
     ninf = -np.inf
-    assert m.entries.tolist() == [[0, 0, ninf], [0, 0, 0], [0, 0, 0]]
+    assert m.tolist() == [[0, 0, ninf], [0, 0, 0], [0, 0, 0]]
 
 
 def test_ct_mask_zero_budget_is_forward_mask():
-    assert np.array_equal(mk.build_ct_mask(4, 0).entries,
-                          mk.build_forward_mask(4).entries)
+    assert np.array_equal(mk.build_ct_mask(4, 0), forward_mask(4))
 
 
 def test_ct_mask_saturated_budget_is_full_mask():
     for budget in (3, 7, 100):
-        assert np.array_equal(mk.build_ct_mask(4, budget).entries,
-                              mk.build_full_mask(4).entries)
+        assert np.array_equal(mk.build_ct_mask(4, budget), full_mask(4))
 
 
 def test_forward_mask_n2():
-    assert mk.build_forward_mask(2).entries.tolist() == [[0, -np.inf], [0, 0]]
-
-
-def test_local_mask_zero_history_keeps_only_diagonal():
-    m = mk.build_local_mask(3, 0).entries
-    assert np.isneginf(m[~np.eye(3, dtype=bool)]).all()
-    assert (np.diag(m) == 0).all()
-
-
-def test_local_mask_saturated_history_is_forward_mask():
-    assert np.array_equal(mk.build_local_mask(5, 100).entries,
-                          mk.build_forward_mask(5).entries)
+    assert mk.build_ct_mask(2, 0).tolist() == [[0, -np.inf], [0, 0]]
 
 
 def test_empty_input_rejected():
-    for build in (mk.build_forward_mask, mk.build_full_mask):
+    for budget in (0, 1):
         with pytest.raises(mk.EmptyInputError):
-            build(0)
-    with pytest.raises(mk.EmptyInputError):
-        mk.build_ct_mask(0, 1)
-    with pytest.raises(mk.EmptyInputError):
-        mk.build_local_mask(0, 1)
+            mk.build_ct_mask(0, budget)
 
 
 def test_diagonal_always_unmasked():
     for n in (1, 2, 9):
         for budget in (0, 1, 5):
-            assert (np.diag(mk.build_ct_mask(n, budget).entries) == 0).all()
+            assert (np.diag(mk.build_ct_mask(n, budget)) == 0).all()
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 40), st.integers(1, 40))
 def test_ct_mask_monotone_in_budget(n, budget):
-    wider = mk.build_ct_mask(n, budget).entries == 0
-    narrower = mk.build_ct_mask(n, budget - 1).entries == 0
+    wider = mk.build_ct_mask(n, budget) == 0
+    narrower = mk.build_ct_mask(n, budget - 1) == 0
     assert (wider | ~narrower).all()  # unmasked set grows with the budget
 
 
 def test_degeneracy_across_lengths():
     for n in range(1, 65):
-        assert np.array_equal(mk.build_ct_mask(n, 0).entries,
-                              mk.build_forward_mask(n).entries)
-        assert np.array_equal(mk.build_ct_mask(n, n - 1).entries,
-                              mk.build_full_mask(n).entries)
+        assert np.array_equal(mk.build_ct_mask(n, 0), forward_mask(n))
+        assert np.array_equal(mk.build_ct_mask(n, n - 1), full_mask(n))
 
 
 def test_effective_lookahead():
@@ -93,4 +75,4 @@ def test_masks_are_cached_and_immutable():
     m = mk.build_ct_mask(6, 2)
     assert mk.build_ct_mask(6, 2) is m
     with pytest.raises(ValueError):
-        m.entries[0, 0] = 1.0
+        m[0, 0] = 1.0

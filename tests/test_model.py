@@ -1,12 +1,22 @@
+import math
 import os
+import shutil
+import struct
 
 import numpy as np
 import pytest
 
-from conftest import random_bundle, small_config
+from conftest import random_bundle, rewrite_config_line, small_config
 from puncstream import model as mdl
 from puncstream import numcore as nc
+from puncstream.data import LabelScheme
 from puncstream.masks import MaskSpec, effective_lookahead
+
+# Written by the CTT2 writer as it was before the checkpoint code was merged
+# into save_model/load_model: init_params(config, default_rng(0)) for the
+# config and vocabulary test_golden_checkpoint_reads_and_rewrites_same_bytes
+# expects.
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt2.ctt")
 
 
 def test_sinusoidal_position_zero_alternates():
@@ -265,15 +275,15 @@ def test_checkpoint_magic_and_shape_validation(tmp_path):
     with open(path, "r+b") as f:
         f.write(b"XXXX")
     with pytest.raises(mdl.CheckpointError, match="CTT2"):
-        mdl.load_checkpoint(path)
+        mdl.load_model(path)
 
     # tensor with a wrong shape must be listed by name
     bad = bundle.params.copy()
     bad["punct.w"] = nc.Tensor(np.zeros((2, 2)))
     path2 = os.fspath(tmp_path / "bad.ctt")
-    mdl.save_checkpoint(path2, bundle.config, bad)
+    mdl.save_model(path2, bundle.config, bad, bundle.vocab, bundle.scheme)
     with pytest.raises(mdl.CheckpointError, match="punct.w"):
-        mdl.load_checkpoint(path2)
+        mdl.load_model(path2)
 
 
 def _saved(tmp_path, seed):
@@ -289,7 +299,7 @@ def test_ctt1_checkpoint_refused(tmp_path):
     with open(path, "r+b") as f:
         f.write(b"CTT1")
     with pytest.raises(mdl.CheckpointError, match="old per-head"):
-        mdl.load_checkpoint(path)
+        mdl.load_model(path)
 
 
 def test_checkpoint_with_zero_heads_refused(tmp_path):
@@ -301,3 +311,95 @@ def test_checkpoint_with_zero_heads_refused(tmp_path):
         f.write(raw.replace(b"\nn_heads=2\n", b"\nn_heads=0\n"))
     with pytest.raises(mdl.CheckpointError, match="n_heads must be positive"):
         mdl.load_model(path)
+
+
+def test_golden_checkpoint_reads_and_rewrites_same_bytes(tmp_path):
+    config, params, vocab, scheme = mdl.load_model(GOLDEN)
+    assert config == mdl.ModelConfig(6, 4, 1, 2, 8, MaskSpec((2,)), 4, 5,
+                                     max_positions=16)
+    assert vocab.words == ["<pad>", "<unk>", "boston", "flight", "to", "um"]
+    assert scheme == LabelScheme()
+    path = tmp_path / "again.ctt"
+    mdl.save_model(path, config, params, vocab, scheme)
+    with open(GOLDEN, "rb") as f:
+        assert path.read_bytes() == f.read()
+
+
+def _golden_copy(tmp_path):
+    path = os.fspath(tmp_path / "model.ctt")
+    shutil.copyfile(GOLDEN, path)
+    return path
+
+
+@pytest.mark.parametrize("key,value,message", [
+    (b"punct_labels", b"", "label O"),
+    (b"punct_labels", b"COMMA O PERIOD QUESTION", "label O"),
+    (b"punct_labels", b"O COMMA PERIOD", "3 punct and 5 disf label names"),
+    (b"disf_labels", b"O B-RM I-RM B-IM I-IM X", "4 punct and 6 disf label names"),
+    (b"vocab", b"boston \xff to um", "bad config"),
+])
+def test_config_block_must_be_utf8_and_match_the_label_counts(
+        tmp_path, key, value, message):
+    path = _golden_copy(tmp_path)
+    rewrite_config_line(path, key, value)
+    with pytest.raises(mdl.CheckpointError, match=message):
+        mdl.load_model(path)
+
+
+def _non_payload_offsets(raw):
+    """Offsets of every byte that is not a tensor value: magic, lengths,
+    config block, tensor count, and each tensor's name, ndim and shape."""
+    (block_len,) = struct.unpack_from("<I", raw, 4)
+    off = 8 + block_len + 4
+    offsets = list(range(off))
+    for _ in range(struct.unpack_from("<I", raw, off - 4)[0]):
+        (name_len,) = struct.unpack_from("<I", raw, off)
+        (ndim,) = struct.unpack_from("<I", raw, off + 4 + name_len)
+        shape = struct.unpack_from(f"<{ndim}I", raw, off + 8 + name_len)
+        end = off + 8 + name_len + 4 * ndim
+        offsets += range(off, end)
+        off = end + 8 * math.prod(shape)
+    assert off == len(raw)
+    return offsets
+
+
+def test_tensor_size_past_int64_is_truncation(tmp_path):
+    # (2**32 - 1)**2 floats wrap to a negative int64 count
+    path = _golden_copy(tmp_path)
+    with open(path, "rb") as f:
+        raw = bytearray(f.read())
+    name = b"embed"
+    at = raw.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
+    assert struct.unpack_from("<3I", raw, at) == (2, 6, 4)
+    struct.pack_into("<2I", raw, at + 4, 2**32 - 1, 2**32 - 1)
+    with open(path, "wb") as f:
+        f.write(raw)
+    with pytest.raises(mdl.CheckpointError, match="truncated"):
+        mdl.load_model(path)
+
+
+def test_loader_fuzz_truncations_and_header_bytes(tmp_path):
+    """Every truncation and every one-byte change outside the tensor values
+    either loads or raises CheckpointError, never another exception."""
+    with open(GOLDEN, "rb") as f:
+        raw = f.read()
+    path = os.fspath(tmp_path / "fuzz.ctt")
+
+    def outcome(data):
+        with open(path, "wb") as f:
+            f.write(data)
+        try:
+            mdl.load_model(path)
+        except mdl.CheckpointError:
+            return "refused"
+        return "loaded"
+
+    for n in range(len(raw)):
+        assert outcome(raw[:n]) == "refused", n
+    outcomes = []
+    for i in _non_payload_offsets(raw):
+        for flip in (0x01, 0x20, 0x80, 0xFF):
+            data = bytearray(raw)
+            data[i] ^= flip
+            outcomes.append(outcome(bytes(data)))
+    assert "refused" in outcomes and "loaded" in outcomes
