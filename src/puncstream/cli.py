@@ -6,6 +6,7 @@ inputs, seed, and config. Exit codes: 0 success, 1 runtime error, 2 usage.
 
 import argparse
 import sys
+from dataclasses import fields
 
 from . import data as dt
 from . import decoding as dec
@@ -14,39 +15,23 @@ from . import model as mdl
 from . import training as tr
 from .masks import MaskSpec
 
-# Config file keys (flat key=value) and their parsers. Command-line --set
-# overrides file values; unknown keys are rejected.
-_CONFIG_KEYS = {
-    "d_model": int,
-    "n_layers": int,
-    "n_heads": int,
-    "d_ff": int,
-    "lookahead": str,
-    "max_positions": int,
-    "min_freq": int,
-    "batch_size": int,
-    "warmup_steps": int,
-    "max_steps": int,
-    "clip_norm": float,
-    "augment": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "eval_every": int,
-}
-
+# Config file keys (flat key=value) with their defaults: every TrainConfig
+# field but `seed` (a flag), ModelConfig's `max_positions`, and the sizes and
+# vocabulary cut-off of a new model. A value is parsed by its default's type.
+# Command-line --set overrides file values; unknown keys are rejected.
 _DEFAULTS = {
-    "d_model": 32,
-    "n_layers": 4,
-    "n_heads": 2,
-    "d_ff": 64,
-    "lookahead": "0,0,0,9",
-    "max_positions": 512,
-    "min_freq": 2,
-    "batch_size": 8,
-    "warmup_steps": 400,
-    "max_steps": 2000,
-    "clip_norm": 1.0,
-    "augment": True,
-    "eval_every": 100,
+    "d_model": 32, "n_layers": 4, "n_heads": 2, "d_ff": 64,
+    "lookahead": "0,0,0,9", "min_freq": 2,
+    "max_positions": mdl.ModelConfig.max_positions,
+    **{f.name: f.default for f in fields(tr.TrainConfig) if f.name != "seed"},
 }
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+
+
+def _fields_of(cls, cfg):
+    """The entries of `cfg` that name fields of the dataclass `cls`."""
+    return {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
 
 
 class ConfigError(ValueError):
@@ -58,11 +43,13 @@ def load_run_config(path=None, overrides=()):
     cfg = dict(_DEFAULTS)
 
     def apply(key, value, where):
-        if key not in _CONFIG_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"{where}: unknown config key {key!r}")
+        default = _DEFAULTS[key]
         try:
-            cfg[key] = _CONFIG_KEYS[key](value)
-        except ValueError:
+            cfg[key] = (_BOOLS[value.lower()] if isinstance(default, bool)
+                        else type(default)(value))
+        except (KeyError, ValueError):
             raise ConfigError(f"{where}: bad value for {key}: {value!r}") from None
 
     if path:
@@ -114,10 +101,8 @@ def _build_parser():
     s.add_argument("--input", required=True)
     s.add_argument("--out")
 
-    s = sub.add_parser("stream", help="tag a word stream from stdin")
-    s.add_argument("--checkpoint", required=True)
-    s.add_argument("--frame-rate", type=int, default=3)
-    s.add_argument("--lookahead-words", type=int, default=6)
+    stream = sub.add_parser("stream", help="tag a word stream from stdin")
+    stream.add_argument("--checkpoint", required=True)
 
     s = sub.add_parser("eval", help="score predictions against gold labels")
     s.add_argument("--pred", required=True)
@@ -125,12 +110,15 @@ def _build_parser():
     s.add_argument("--dump", action="store_true",
                    help="also print machine-readable key=value lines")
 
-    s = sub.add_parser("bench", help="report throughput and revision histogram")
-    s.add_argument("--checkpoint", required=True)
-    s.add_argument("--corpus", required=True)
-    s.add_argument("--frame-rate", type=int, default=3)
-    s.add_argument("--lookahead-words", type=int, default=6)
-    s.add_argument("--runs", type=int, default=5)
+    bench = sub.add_parser("bench", help="report throughput and revision histogram")
+    bench.add_argument("--checkpoint", required=True)
+    bench.add_argument("--corpus", required=True)
+    bench.add_argument("--runs", type=int, default=5)
+    for s in (stream, bench):
+        s.add_argument("--frame-rate", type=int,
+                       default=dec.DecodePolicy.frame_rate)
+        s.add_argument("--lookahead-words", type=int,
+                       default=dec.DecodePolicy.lookahead_words)
     return p
 
 
@@ -156,24 +144,13 @@ def _cmd_train(args):
         vocab = dt.Vocabulary.from_corpus(corpus, min_freq=cfg["min_freq"])
         model_config = mdl.ModelConfig(
             vocab_size=len(vocab),
-            d_model=cfg["d_model"],
-            n_layers=cfg["n_layers"],
-            n_heads=cfg["n_heads"],
-            d_ff=cfg["d_ff"],
             mask_spec=MaskSpec.from_string(cfg["lookahead"]),
             punct_label_count=len(scheme.punct_labels),
             disf_label_count=len(scheme.disf_labels),
-            max_positions=cfg["max_positions"],
+            **_fields_of(mdl.ModelConfig, cfg),
         )
-    train_config = tr.TrainConfig(
-        batch_size=cfg["batch_size"],
-        warmup_steps=cfg["warmup_steps"],
-        max_steps=cfg["max_steps"],
-        clip_norm=cfg["clip_norm"],
-        seed=args.seed,
-        augment=cfg["augment"],
-        eval_every=cfg["eval_every"],
-    )
+    train_config = tr.TrainConfig(seed=args.seed,
+                                  **_fields_of(tr.TrainConfig, cfg))
     result = tr.train(corpus, train_config, model_config, vocab, scheme,
                       dev=dev, init_params=init)
     mdl.save_model(args.out, model_config, result.params, vocab, scheme)
@@ -204,26 +181,13 @@ def _cmd_tag(args):
 
 def _cmd_stream(args):
     tagger = _load_tagger(args.checkpoint)
-    policy = dec.DecodePolicy(frame_rate=args.frame_rate,
-                              lookahead_words=args.lookahead_words)
-    state = dec.StreamState()
-    pending = []
-
-    def push(triples):
+    policy = dec.DecodePolicy(args.frame_rate, args.lookahead_words)
+    words = (w.lower() for line in sys.stdin for w in line.split())
+    for triples in dec.stream_frames(dec.StreamState(), words, tagger, policy):
         for w, p, d in triples:
             sys.stdout.write(f"{w}\t{p}\t{d}\n")
         if triples:
             sys.stdout.flush()
-
-    for line in sys.stdin:
-        for word in line.split():
-            pending.append(word.lower())
-            if len(pending) == policy.frame_rate:
-                push(dec.stream_step(state, pending, tagger, policy))
-                pending = []
-    if pending:
-        push(dec.stream_step(state, pending, tagger, policy))
-    push(dec.finish(state, tagger))
     return 0
 
 
@@ -240,8 +204,7 @@ def _cmd_eval(args):
 
 def _cmd_bench(args):
     tagger = _load_tagger(args.checkpoint)
-    policy = dec.DecodePolicy(frame_rate=args.frame_rate,
-                              lookahead_words=args.lookahead_words)
+    policy = dec.DecodePolicy(args.frame_rate, args.lookahead_words)
     seqs = dt.parse_corpus(args.corpus)
     words = [w for seq in seqs for w in seq.words]
     report, revision_log = ev.bench_streaming(tagger, words, policy,

@@ -6,9 +6,12 @@ of up to `frame_rate` new words, and freezes a sentence once at least
 Emitted triples are final and never revised.
 """
 
+import time
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .data import TokenSequence
+from .model import predict
 
 
 class StreamError(RuntimeError):
@@ -19,7 +22,7 @@ class StreamError(RuntimeError):
 class DecodePolicy:
     frame_rate: int = 3
     lookahead_words: int = 6
-    eos_labels: tuple = ("PERIOD", "QUESTION")
+    eos_labels = ("PERIOD", "QUESTION")  # class constant, not a field
 
     def __post_init__(self):
         if self.frame_rate < 1:
@@ -38,7 +41,6 @@ class ModelTagger:
         self.scheme = scheme
 
     def tag(self, words):
-        from .model import predict
         ids = [self.vocab.id_of(w) for w in words]
         punct_ids, disf_ids = predict(ids, self.config, self.params)
         return ([self.scheme.punct_labels[i] for i in punct_ids],
@@ -134,15 +136,24 @@ def finish(state, tagger):
     return _emit(state, len(state.buffer_words))
 
 
+def stream_frames(state, words, tagger, policy):
+    """Feed any iterable of words to stream_step in frames of frame_rate
+    words (the last may be shorter), then finish; yields each call's newly
+    frozen triples as soon as it returns."""
+    words = iter(words)
+    while frame := list(islice(words, policy.frame_rate)):
+        yield stream_step(state, frame, tagger, policy)
+    yield finish(state, tagger)
+
+
 def stream_decode(words, tagger, policy):
     """Run a whole word list through the streaming decoder.
 
     Returns (emitted triples, state) with the complete revision log.
     """
     state = StreamState()
-    for i in range(0, len(words), policy.frame_rate):
-        stream_step(state, words[i:i + policy.frame_rate], tagger, policy)
-    finish(state, tagger)
+    for _ in stream_frames(state, words, tagger, policy):
+        pass
     return state.emitted, state
 
 
@@ -154,7 +165,6 @@ def rescore_decode(words, tagger, frame_rate, deadline=None):
     decided; used by benchmarks since the quadratic buffer growth makes long
     streams impractical to finish.
     """
-    import time
     buffer = []
     punct = disf = []
     for i in range(0, len(words), frame_rate):

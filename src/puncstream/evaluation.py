@@ -7,7 +7,9 @@ derived from the BIO tags.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .decoding import rescore_decode, stream_decode
 
 
 class EvalError(ValueError):
@@ -93,31 +95,29 @@ def score(pred, gold, scheme):
     return EvalReport(punct, overall, disf)
 
 
+def _report_rows(report):
+    """(table name, dump key, Scores): punct classes, OVERALL, disf kinds."""
+    for lab, s in report.punct.items():
+        yield lab, f"punct.{lab}", s
+    yield "OVERALL", "punct.overall", report.punct_overall
+    for kind, s in report.disf.items():
+        yield kind, f"disf.{kind}", s
+
+
 def format_report(report):
     lines = ["class           P       R       F1"]
-    for lab, s in report.punct.items():
-        lines.append(f"{lab:<12}{s.precision:8.4f}{s.recall:8.4f}{s.f1:8.4f}")
-    s = report.punct_overall
-    lines.append(f"{'OVERALL':<12}{s.precision:8.4f}{s.recall:8.4f}{s.f1:8.4f}")
-    for kind, s in report.disf.items():
-        lines.append(f"{kind:<12}{s.precision:8.4f}{s.recall:8.4f}{s.f1:8.4f}")
+    for name, _, s in _report_rows(report):
+        lines.append(f"{name:<12}{s.precision:8.4f}{s.recall:8.4f}{s.f1:8.4f}")
     return "\n".join(lines)
 
 
 def report_keyvalues(report):
     """Flat machine-readable key=value dump."""
     kv = {}
-    for lab, s in report.punct.items():
-        kv[f"punct.{lab}.p"] = s.precision
-        kv[f"punct.{lab}.r"] = s.recall
-        kv[f"punct.{lab}.f1"] = s.f1
-    kv["punct.overall.p"] = report.punct_overall.precision
-    kv["punct.overall.r"] = report.punct_overall.recall
-    kv["punct.overall.f1"] = report.punct_overall.f1
-    for kind, s in report.disf.items():
-        kv[f"disf.{kind}.p"] = s.precision
-        kv[f"disf.{kind}.r"] = s.recall
-        kv[f"disf.{kind}.f1"] = s.f1
+    for _, key, s in _report_rows(report):
+        kv[f"{key}.p"] = s.precision
+        kv[f"{key}.r"] = s.recall
+        kv[f"{key}.f1"] = s.f1
     return kv
 
 
@@ -145,16 +145,16 @@ def _median_report(times, n_words):
     )
 
 
-def bench_streaming(tagger, words, policy, runs=5):
+def bench_streaming(tagger, words, policy, runs):
     """Median-of-runs wall time for streaming decode; warm-up pass first.
 
     Returns (LatencyReport, revision log of the last run). Timing covers
     inference only; the input is already in memory.
     """
-    from .decoding import stream_decode
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     stream_decode(words[:min(len(words), 50)], tagger, policy)  # warm-up
     times = []
-    state = None
     for _ in range(runs):
         t0 = time.perf_counter()
         _, state = stream_decode(words, tagger, policy)
@@ -162,14 +162,15 @@ def bench_streaming(tagger, words, policy, runs=5):
     return _median_report(times, len(words)), state.revision_log
 
 
-def bench_rescore(tagger, words, frame_rate, runs=5, budget_seconds=None):
+def bench_rescore(tagger, words, frame_rate, runs, budget_seconds=None):
     """Median-of-runs wall time for the no-truncation rescoring baseline.
 
     Each run may be aborted once it exceeds `budget_seconds`; an aborted
     run's time is a strict lower bound on its true cost, so comparisons that
     the baseline loses are still decided correctly.
     """
-    from .decoding import rescore_decode
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
     times = []
     completed = True
     for _ in range(runs):

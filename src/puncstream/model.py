@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numcore as nc
+from .data import LabelScheme, Vocabulary
 from .masks import MaskSpec, build_ct_mask
 from .numcore import Tensor
 
@@ -272,7 +273,6 @@ def load_model(path):
     its size, and every tensor shape the config. Any malformed file raises
     CheckpointError.
     """
-    from .data import LabelScheme, Vocabulary
     with open(path, "rb") as f:
         raw = f.read()
     off = 0

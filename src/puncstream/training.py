@@ -14,6 +14,8 @@ import numpy as np
 from . import model as mdl
 from . import numcore as nc
 from .data import encode, truncation_augment
+from .decoding import ModelTagger, tag_offline
+from .evaluation import score
 
 
 class TrainingError(RuntimeError):
@@ -31,8 +33,9 @@ class TrainConfig:
     eval_every: int = 100
 
     def __post_init__(self):
-        if self.warmup_steps < 1:
-            raise ValueError("warmup_steps must be >= 1")
+        for name in ("batch_size", "warmup_steps", "max_steps", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be > 0")
 
@@ -130,9 +133,6 @@ class TrainResult:
 
 
 def _dev_f1(dev_corpus, model_config, params, vocab, scheme):
-    # local import: decoding/evaluation depend on model, not on training
-    from .decoding import ModelTagger, tag_offline
-    from .evaluation import score
     tagger = ModelTagger(model_config, params, vocab, scheme)
     preds = [tag_offline(seq.words, tagger) for seq in dev_corpus]
     report = score(preds, dev_corpus, scheme)

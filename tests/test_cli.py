@@ -6,6 +6,8 @@ import pytest
 from conftest import rewrite_config_line
 from puncstream import cli
 from puncstream import data as dt
+from puncstream import decoding as dec
+from puncstream import training as tr
 
 
 def run(argv, capsys):
@@ -204,3 +206,188 @@ def test_train_on_word_with_whitespace_exits_1(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and "c.tsv:2" in err
     assert not (tmp_path / "m.ctt").exists()
+
+
+# Every --set/config-file key and its default, as the CLI has always had them.
+_KEYS_AND_DEFAULTS = {
+    "d_model": 32, "n_layers": 4, "n_heads": 2, "d_ff": 64,
+    "lookahead": "0,0,0,9", "max_positions": 512, "min_freq": 2,
+    "batch_size": 8, "warmup_steps": 400, "max_steps": 2000,
+    "clip_norm": 1.0, "augment": True, "eval_every": 100,
+}
+
+
+def test_config_keys_and_defaults_unchanged():
+    cfg = cli.load_run_config()
+    assert cfg == _KEYS_AND_DEFAULTS
+    assert [type(cfg[k]) for k in _KEYS_AND_DEFAULTS] == \
+        [type(v) for v in _KEYS_AND_DEFAULTS.values()]
+
+
+def test_config_values_parse_by_default_type():
+    cfg = cli.load_run_config(None, ["clip_norm=2", "augment=OFF",
+                                     "lookahead=1,2", "max_positions=64"])
+    assert cfg["clip_norm"] == 2.0 and isinstance(cfg["clip_norm"], float)
+    assert cfg["augment"] is False
+    assert cfg["lookahead"] == "1,2"
+    assert cfg["max_positions"] == 64
+    for text in ("1", "true", "Yes", "on"):
+        assert cli.load_run_config(None, [f"augment={text}"])["augment"] is True
+    for text in ("0", "false", "No", "off"):
+        assert cli.load_run_config(None, [f"augment={text}"])["augment"] is False
+    with pytest.raises(cli.ConfigError, match="bad value for batch_size"):
+        cli.load_run_config(None, ["batch_size=8.0"])
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_train_defaults_reach_the_library(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "c.tsv"
+    run(["synth", "--seed", "13", "--count", "10", "--out", str(corpus)],
+        capsys)
+    calls = []
+
+    def fake_train(corpus, config, model_config, vocab, scheme, **kw):
+        calls.append((config, model_config, kw))
+        raise _Captured
+
+    monkeypatch.setattr(tr, "train", fake_train)
+    with pytest.raises(_Captured):
+        cli.main(["train", "--corpus", str(corpus),
+                  "--out", str(tmp_path / "m.ctt")])
+    (config, model_config, kw), = calls
+    assert config == tr.TrainConfig(seed=0)
+    assert (model_config.d_model, model_config.n_layers, model_config.n_heads,
+            model_config.d_ff) == (32, 4, 2, 64)
+    assert model_config.mask_spec.to_string() == "0,0,0,9"
+    assert model_config.max_positions == 512
+    assert kw == {"dev": None, "init_params": None}
+
+
+def test_seed_is_a_flag_not_a_config_key(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    run(["synth", "--seed", "14", "--count", "10", "--out", str(corpus)],
+        capsys)
+    code, _, err = run(["train", "--corpus", str(corpus),
+                        "--out", str(tmp_path / "m.ctt"),
+                        "--set", "seed=1"], capsys)
+    assert code == 1
+    assert "unknown config key 'seed'" in err
+
+
+@pytest.mark.parametrize("sets, dev, message", [
+    (["max_steps=0"], False, "max_steps must be >= 1"),
+    (["eval_every=0"], True, "eval_every must be >= 1"),
+    (["batch_size=0", "augment=0"], False, "batch_size must be >= 1"),
+    (["augment=ture"], False, "bad value for augment: 'ture'"),
+])
+def test_train_rejects_bad_settings(tmp_path, capsys, sets, dev, message):
+    corpus = tmp_path / "c.tsv"
+    ckpt = tmp_path / "m.ctt"
+    run(["synth", "--seed", "15", "--count", "10", "--out", str(corpus)],
+        capsys)
+    argv = ["train", "--corpus", str(corpus), "--out", str(ckpt),
+            "--set", "max_steps=2", "--set", "d_model=8", "--set", "n_layers=1",
+            "--set", "d_ff=16", "--set", "lookahead=9"]
+    if dev:
+        argv += ["--dev", str(corpus)]
+    for item in sets:
+        argv += ["--set", item]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err and out == ""
+    assert not ckpt.exists()
+
+
+class _EveryCityEndsASentence:
+    def tag(self, words):
+        return (["PERIOD" if w in ("boston", "denver") else "O" for w in words],
+                ["O"] * len(words))
+
+
+@pytest.mark.parametrize("flags, policy", [
+    ([], dec.DecodePolicy()),
+    (["--frame-rate", "2", "--lookahead-words", "1"], dec.DecodePolicy(2, 1)),
+])
+def test_stream_prints_the_triples_of_stream_decode(capsys, monkeypatch,
+                                                    flags, policy):
+    text = ("i want a Flight to\nBOSTON um\n\ni need a car to denver "
+            "and a hotel please")
+    monkeypatch.setattr(cli, "_load_tagger",
+                        lambda path: _EveryCityEndsASentence())
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run(["stream", "--checkpoint", "unused.ctt"] + flags,
+                         capsys)
+    assert code == 0, err
+    words = text.lower().split()
+    assert len(words) % policy.frame_rate != 0     # ends in a partial frame
+    triples, _ = dec.stream_decode(words, _EveryCityEndsASentence(), policy)
+    assert out == "".join(f"{w}\t{p}\t{d}\n" for w, p, d in triples)
+    assert [t[0] for t in triples] == words
+
+
+def test_bench_with_zero_runs_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("i\tO\tO\nwant\tPERIOD\tO\n\n")
+    golden = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt2.ctt")
+    code, out, err = run(["bench", "--checkpoint", golden,
+                          "--corpus", str(corpus), "--runs", "0"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "runs must be >= 1" in err
+    assert "Traceback" not in err and out == ""
+
+
+_GOLD = ("i\tO\tO\nwant\tO\tB-RM\nwant\tO\tO\num\tCOMMA\tB-IM\na\tO\tO\n"
+         "flight\tPERIOD\tO\n\nis\tO\tB-RM\nis\tO\tO\nit\tO\tO\n"
+         "far\tQUESTION\tO\n\n")
+_PRED = ("i\tO\tO\nwant\tCOMMA\tB-RM\nwant\tO\tB-IM\num\tCOMMA\tB-IM\na\tO\tO\n"
+         "flight\tPERIOD\tO\n\nis\tO\tO\nis\tO\tO\nit\tPERIOD\tO\n"
+         "far\tO\tB-RM\n\n")
+_EVAL_DUMP = """\
+class           P       R       F1
+COMMA         0.5000  1.0000  0.6667
+PERIOD        0.5000  1.0000  0.6667
+QUESTION      0.0000  0.0000  0.0000
+OVERALL       0.5000  0.6667  0.5714
+interregnum   0.5000  1.0000  0.6667
+reparandum    0.5000  0.5000  0.5000
+either        0.5000  0.6667  0.5714
+punct.COMMA.p=0.500000
+punct.COMMA.r=1.000000
+punct.COMMA.f1=0.666667
+punct.PERIOD.p=0.500000
+punct.PERIOD.r=1.000000
+punct.PERIOD.f1=0.666667
+punct.QUESTION.p=0.000000
+punct.QUESTION.r=0.000000
+punct.QUESTION.f1=0.000000
+punct.overall.p=0.500000
+punct.overall.r=0.666667
+punct.overall.f1=0.571429
+disf.interregnum.p=0.500000
+disf.interregnum.r=1.000000
+disf.interregnum.f1=0.666667
+disf.reparandum.p=0.500000
+disf.reparandum.r=0.500000
+disf.reparandum.f1=0.500000
+disf.either.p=0.500000
+disf.either.r=0.666667
+disf.either.f1=0.571429
+"""
+
+
+def test_eval_dump_output_is_pinned(tmp_path, capsys):
+    gold, pred = tmp_path / "gold.tsv", tmp_path / "pred.tsv"
+    gold.write_text(_GOLD)
+    pred.write_text(_PRED)
+    code, out, err = run(["eval", "--pred", str(pred), "--gold", str(gold),
+                          "--dump"], capsys)
+    assert code == 0, err
+    assert out == _EVAL_DUMP
+    code, out, _ = run(["eval", "--pred", str(pred), "--gold", str(gold)],
+                       capsys)
+    assert code == 0
+    assert out == _EVAL_DUMP[:_EVAL_DUMP.index("punct.COMMA.p")]

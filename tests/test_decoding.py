@@ -1,4 +1,5 @@
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -121,6 +122,43 @@ def test_stream_step_contract_violations():
         dec.stream_step(state, ["a"], tagger, policy)
     with pytest.raises(dec.StreamError, match="twice"):
         dec.finish(state, tagger)
+
+
+def test_stream_frames_matches_step_by_step_calls():
+    words = [f"w{i + 1}" for i in range(12)]
+    policy = dec.DecodePolicy(frame_rate=5, lookahead_words=1)
+    tagger = FifthWordStub()
+    ref = dec.StreamState()
+    expected = [dec.stream_step(ref, words[i:i + 5], tagger, policy)
+                for i in range(0, len(words), 5)]
+    expected.append(dec.finish(ref, tagger))
+    state = dec.StreamState()
+    assert list(dec.stream_frames(state, iter(words), tagger, policy)) == expected
+    assert state.emitted == ref.emitted
+    assert state.revision_log == ref.revision_log
+    assert state.finished
+
+
+def test_stream_frames_steps_before_the_input_ends():
+    drawn = []
+
+    def live_words():
+        for i in range(100):
+            drawn.append(i)
+            yield f"w{i + 1}"
+
+    policy = dec.DecodePolicy(frame_rate=3, lookahead_words=0)
+    frames = dec.stream_frames(dec.StreamState(), live_words(),
+                               FifthWordStub(), policy)
+    assert next(frames) == []
+    assert len(drawn) == 3
+    assert [w for w, _, _ in next(frames)] == ["w1", "w2", "w3", "w4", "w5"]
+    assert len(drawn) == 6
+
+
+def test_eos_labels_is_a_class_constant():
+    assert "eos_labels" not in {f.name for f in fields(dec.DecodePolicy)}
+    assert dec.DecodePolicy(2, 1).eos_labels == ("PERIOD", "QUESTION")
 
 
 def test_policy_validation():

@@ -169,3 +169,15 @@ def test_bench_rescore_reports_incomplete_on_tiny_budget():
                                          runs=1, budget_seconds=0.001)
     assert not completed
     assert report.total_seconds >= 0.001
+
+
+@pytest.mark.parametrize("runs", [0, -1])
+def test_bench_rejects_fewer_than_one_run(runs):
+    class NeverCalled:
+        def tag(self, words):
+            raise AssertionError("bench ran before checking runs")
+
+    with pytest.raises(ValueError, match="runs must be >= 1"):
+        ev.bench_streaming(NeverCalled(), ["w"] * 3, DecodePolicy(), runs=runs)
+    with pytest.raises(ValueError, match="runs must be >= 1"):
+        ev.bench_rescore(NeverCalled(), ["w"] * 3, frame_rate=1, runs=runs)
