@@ -81,8 +81,7 @@ def _build_parser():
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.add_argument("--count", type=int, default=1000)
-    s.add_argument("--domain", default="travel",
-                   choices=["travel", "travel-shifted", "late-question"])
+    s.add_argument("--domain", default="travel", choices=dt.GRAMMAR_DOMAINS)
     s.add_argument("--p-filler", type=float, default=0.15)
     s.add_argument("--p-repetition", type=float, default=0.10)
     s.add_argument("--p-repair", type=float, default=0.0)

@@ -99,6 +99,8 @@ class Vocabulary:
 
     @classmethod
     def from_corpus(cls, seqs, min_freq=2):
+        if min_freq < 1:
+            raise ValueError(f"min_freq must be >= 1, got {min_freq}")
         counts = Counter(w for seq in seqs for w in seq.words)
         kept = sorted(w for w, c in counts.items() if c >= min_freq)
         return cls(kept)
@@ -232,12 +234,23 @@ _LATE_Q_TAILS = [
 ]
 
 
+GRAMMAR_DOMAINS = ("travel", "travel-shifted", "late-question")
+
+
 @dataclass
 class GrammarConfig:
-    domain: str = "travel"  # travel | travel-shifted | late-question
+    domain: str = "travel"  # one of GRAMMAR_DOMAINS
     p_filler: float = 0.0
     p_repetition: float = 0.0
     p_repair: float = 0.0
+
+    def __post_init__(self):
+        if self.domain not in GRAMMAR_DOMAINS:
+            raise ValueError(f"unknown grammar domain {self.domain!r}")
+        for name in ("p_filler", "p_repetition", "p_repair"):
+            p = getattr(self, name)
+            if not 0.0 <= p <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {p}")
 
 
 _P_JOIN = 0.3  # two statement clauses joined by "then"

@@ -10,6 +10,7 @@ import math
 import struct
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -167,35 +168,43 @@ def sinusoidal_positions(n, d_model, max_positions=512):
     return nc._wrap(_position_table(rows, d_model)[:n])
 
 
+# Each layer's parameters, in the order its four ops take them.
+_LAYER_PARAMS = ("wqkv", "wo", "norm1.gain", "norm1.bias", "ff.w1", "ff.b1",
+                 "ff.w2", "ff.b2", "norm2.gain", "norm2.bias")
+
+
+@lru_cache(maxsize=16)
+def _layer_getters(n_layers):
+    """Per layer, a getter of its _LAYER_PARAMS tensors from a name map."""
+    return tuple(itemgetter(*(f"layer{i}.{p}" for p in _LAYER_PARAMS))
+                 for i in range(n_layers))
+
+
 def encoder_forward(token_ids, config, params, tape=None):
     """Run the masked-attention encoder; returns hidden states (n, d_model).
 
-    Per layer: all heads' attention, with its fused q/k/v projection, in one
-    op; output projection, residual + layer norm, feed-forward, residual +
-    layer norm.
+    Four numcore ops per layer: `attention` (fused q/k/v projection, every
+    head's masked softmax, output projection), `add_layer_norm` (residual +
+    norm1), `feed_forward` (both projections and the ReLU) and
+    `add_layer_norm` (residual + norm2). On a tape that is 4 entries per
+    layer, plus the embedding lookup and the position add. Each op's
+    backward hands the tape x's gradients in the order one op per product,
+    sum, ReLU and norm did: the residual's first, then the attention blocks,
+    last head first and v, k, q within a head. The tape adds them up in that
+    order, so gradients and trained weights keep their bits.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.size and ids.max() >= config.vocab_size:
-        raise nc.ContractError(
-            f"token id {ids.max()} outside vocabulary of {config.vocab_size}")
     n = len(ids)
     x = nc.add(nc.embedding_lookup(params["embed"], ids, tape),
                sinusoidal_positions(n, config.d_model, config.max_positions), tape)
-    for i, lookahead in enumerate(config.mask_spec.per_layer_lookahead):
+    for lookahead, layer in zip(config.mask_spec.per_layer_lookahead,
+                                _layer_getters(config.n_layers)):
+        wqkv, wo, g1, b1, w1, fb1, w2, fb2, g2, b2 = layer(params.tensors)
         mask = build_ct_mask(n, min(lookahead, n))
-        heads = nc.multi_head_attention(x, params[f"layer{i}.wqkv"], mask,
-                                        config.n_heads, tape)
-        attn = nc.matmul(heads, params[f"layer{i}.wo"], tape)
-        x = nc.layer_norm(nc.add(x, attn, tape),
-                          params[f"layer{i}.norm1.gain"],
-                          params[f"layer{i}.norm1.bias"], tape)
-        inner = nc.relu(nc.add(nc.matmul(x, params[f"layer{i}.ff.w1"], tape),
-                               params[f"layer{i}.ff.b1"], tape), tape)
-        ff = nc.add(nc.matmul(inner, params[f"layer{i}.ff.w2"], tape),
-                    params[f"layer{i}.ff.b2"], tape)
-        x = nc.layer_norm(nc.add(x, ff, tape),
-                          params[f"layer{i}.norm2.gain"],
-                          params[f"layer{i}.norm2.bias"], tape)
+        x = nc.add_layer_norm(
+            x, nc.attention(x, wqkv, wo, mask, config.n_heads, tape), g1, b1, tape)
+        x = nc.add_layer_norm(
+            x, nc.feed_forward(x, w1, fb1, w2, fb2, tape), g2, b2, tape)
     return x
 
 

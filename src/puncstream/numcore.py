@@ -2,7 +2,15 @@
 
 Everything is float64 so gradient checks against central finite differences
 are robust. Ops take an optional Tape; with tape=None they run
-pure forward (inference).
+pure forward (inference). Training and inference run the same ops.
+
+An encoder layer is four ops, each a whole sublayer, so that a forward at
+streaming sizes (about ten words) makes few Python-level calls: `attention`
+(the fused q/k/v projection, every head's masked softmax and the output
+projection), `add_layer_norm` (residual sum and layer norm), `feed_forward`
+(both projections and the ReLU) and `add_layer_norm` again. `embedding_lookup`,
+`add`, `matmul` and `cross_entropy_mean` serve the input, the tagging heads
+and the loss.
 """
 
 import numpy as np
@@ -31,7 +39,7 @@ class Tensor:
 
     @property
     def shape(self):
-        return tuple(self.data.shape)
+        return self.data.shape
 
     def item(self):
         return float(self.data)
@@ -87,6 +95,13 @@ def backward(loss, tape, wrt):
 
 # ---------------------------------------------------------------------------
 # Forward ops (each optionally recorded on a tape)
+#
+# A fused op computes what a chain of one op per product, sum, ReLU and norm
+# would, with the same numpy expressions in the same order, and its backward
+# hands the tape its partial gradients in the order that chain did, so
+# `backward` adds them up to the same bits. An op updates in place only the
+# arrays it allocated itself; it never writes to an incoming gradient `g`,
+# which the tape may also hold for another input.
 # ---------------------------------------------------------------------------
 
 
@@ -122,83 +137,123 @@ def add(a, b, tape=None):
     return out
 
 
-def relu(a, tape=None):
-    out = _wrap(np.maximum(a.data, 0.0))
+def feed_forward(x, w1, b1, w2, b2, tape=None):
+    """Position-wise feed-forward network, relu(x @ w1 + b1) @ w2 + b2, for
+    x (n, d), w1 (d, f), b1 (f,), w2 (f, d) and b2 (d,)."""
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    if xd.ndim != 2 or w1d.ndim != 2 or xd.shape[1] != w1d.shape[0] \
+            or b1.data.shape != w1d.shape[1:] or w2d.shape != w1d.shape[::-1] \
+            or b2.data.shape != xd.shape[1:]:
+        raise ShapeMismatchError(
+            f"feed_forward shapes do not agree: x {xd.shape}, w1 {w1d.shape}, "
+            f"b1 {b1.data.shape}, w2 {w2d.shape}, b2 {b2.data.shape}")
+    inner = xd @ w1d
+    inner += b1.data
+    keep = inner > 0.0 if tape is not None else None
+    np.maximum(inner, 0.0, out=inner)
+    out = inner @ w2d
+    out += b2.data
+    out = _wrap(out)
     if tape is not None:
-        keep = a.data > 0.0
-        tape.record(out, (a,), lambda g: (g * keep,))
+        def bwd(g):
+            gin = g @ w2d.T
+            gin *= keep
+            return (gin @ w1d.T, xd.T @ gin, np.add.reduce(gin, axis=0),
+                    inner.T @ g, np.add.reduce(g, axis=0))
+        tape.record(out, (x, w1, b1, w2, b2), bwd)
     return out
 
 
-def multi_head_attention(x, wqkv, mask, n_heads, tape=None):
-    """Masked scaled dot-product self-attention of all heads at once.
+def add_layer_norm(x, y, gain, bias, tape=None):
+    """Layer norm of the residual sum x + y over the last axis: mean 0 and
+    variance 1 per row, times `gain` (d,), plus `bias` (d,)."""
+    xd, gd = x.data, gain.data
+    d = xd.shape[-1]
+    if y.data.shape != xd.shape or gd.shape != (d,) or bias.data.shape != (d,):
+        raise ShapeMismatchError(
+            f"add_layer_norm shapes do not agree: x {xd.shape}, y {y.data.shape}, "
+            f"gain {gd.shape}, bias {bias.data.shape}")
+    xhat = xd + y.data
+    # sum / d is what ndarray.mean computes, without its Python wrapper
+    xhat -= np.add.reduce(xhat, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d + _EPS)
+    xhat *= inv
+    out = xhat * gd
+    out += bias.data
+    out = _wrap(out)
+    if tape is not None:
+        def bwd(g):
+            dx = g * gd
+            mean = np.add.reduce(dx, axis=-1, keepdims=True) / d
+            proj = xhat * np.add.reduce(dx * xhat, axis=-1, keepdims=True)
+            proj /= d
+            dx -= mean
+            dx -= proj
+            dx *= inv
+            return dx, dx, np.add.reduce(g * xhat, axis=0), np.add.reduce(g, axis=0)
+        tape.record(out, (x, y, gain, bias), bwd)
+    return out
+
+
+def attention(x, wqkv, wo, mask, n_heads, tape=None):
+    """Masked scaled dot-product self-attention of all heads, then the output
+    projection: the attention sublayer but its residual, in one op.
 
     `x` (n, d) is projected by `wqkv` (d, 3d), whose columns are
     [q_0 .. q_{H-1} | k_0 .. | v_0 ..], each block d/H wide. `mask` is an
     additive (n, n) array with entries in {0, -inf}, shared by every head and
     not differentiated; a fully masked row cannot be normalized and raises
-    ContractError. Returns the heads' outputs side by side, (n, d).
+    ContractError. The heads' outputs, side by side, are multiplied by `wo`
+    (d, d); returns (n, d).
 
     The backward hands x's gradient to the tape one (head, projection) block
     at a time: last head first, v then k then q. That is the order in which
     separate per-head projections (the CTT1 layout) add up, so training gives
     the same bits as with them.
     """
-    d = wqkv.shape[0]
-    if n_heads < 1 or d % n_heads or wqkv.shape != (d, 3 * d) \
-            or x.data.ndim != 2 or x.shape[1] != d:
+    xd, wd, wod = x.data, wqkv.data, wo.data
+    d = wd.shape[0]
+    if n_heads < 1 or d % n_heads or wd.shape != (d, 3 * d) \
+            or wod.shape != (d, d) or xd.ndim != 2 or xd.shape[1] != d:
         raise ShapeMismatchError(
-            f"x {x.shape} and wqkv {wqkv.shape} do not split into "
-            f"3 x {n_heads} heads")
-    n = x.shape[0]
+            f"x {xd.shape}, wqkv {wd.shape} and wo {wod.shape} do not split "
+            f"into 3 x {n_heads} heads")
+    n = xd.shape[0]
     if mask.shape != (n, n):
         raise ShapeMismatchError(f"mask shape {mask.shape} != ({n}, {n})")
-    if bool(np.isneginf(mask).all(axis=-1).any()):
-        raise ContractError("fully masked row cannot be normalized")
     dk = d // n_heads
     scale = 1.0 / np.sqrt(dk)
-    qkv = x.data @ wqkv.data
-    q, k, v = qkv.reshape(n, 3, n_heads, dk).transpose(1, 2, 0, 3)
-    z = (q @ k.transpose(0, 2, 1)) * scale + mask
-    e = np.exp(z - z.max(axis=-1, keepdims=True))  # exp(-inf) == 0 exactly
-    p = e / e.sum(axis=-1, keepdims=True)
-    out = _wrap((p @ v).transpose(1, 0, 2).reshape(n, d))
+    q, k, v = (xd @ wd).reshape(n, 3, n_heads, dk).transpose(1, 2, 0, 3)
+    p = q @ k.transpose(0, 2, 1)
+    p *= scale
+    p += mask
+    zmax = np.maximum.reduce(p, axis=-1, keepdims=True)
+    # scores are finite, so a row's max is -inf only where the mask blocks
+    # the whole row
+    if np.minimum.reduce(zmax, axis=None) == -np.inf:
+        raise ContractError("fully masked row cannot be normalized")
+    p -= zmax
+    np.exp(p, out=p)  # exp(-inf) == 0 exactly
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    heads = (p @ v).transpose(1, 0, 2).reshape(n, d)
+    out = _wrap(heads @ wod)
     if tape is not None:
-        w = wqkv.data.reshape(d, 3, n_heads, dk)
+        w = wd.reshape(d, 3, n_heads, dk)
 
         def bwd(g):
-            g = g.reshape(n, n_heads, dk).transpose(1, 0, 2)
-            gp = g @ v.transpose(0, 2, 1)
-            gz = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+            gwo = heads.T @ g
+            g = (g @ wod.T).reshape(n, n_heads, dk).transpose(1, 0, 2)
+            gz = g @ v.transpose(0, 2, 1)
+            gz -= np.add.reduce(gz * p, axis=-1, keepdims=True)
+            gz *= p
+            gz *= scale
             gqkv = np.stack((gz @ k, gz.transpose(0, 2, 1) @ q,
                              p.transpose(0, 2, 1) @ g))  # (3, H, n, dk)
             gx = [gqkv[c, h] @ w[:, c, h].T
                   for h in reversed(range(n_heads)) for c in (2, 1, 0)]
-            gw = x.data.T @ gqkv.transpose(2, 0, 1, 3).reshape(n, 3 * d)
-            return (*gx, gw)
-        tape.record(out, (x,) * (3 * n_heads) + (wqkv,), bwd)
-    return out
-
-
-def layer_norm(x, gain, bias, tape=None):
-    """Normalize the last axis to mean 0 / variance 1, then affine."""
-    d = x.shape[-1]
-    if gain.shape != (d,) or bias.shape != (d,):
-        raise ShapeMismatchError(
-            f"layer_norm gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}")
-    # sum / d is what ndarray.mean computes, without its Python wrapper
-    centred = x.data - x.data.sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / d + _EPS)
-    xhat = centred * inv
-    out = _wrap(xhat * gain.data + bias.data)
-    if tape is not None:
-        def bwd(g):
-            dxhat = g * gain.data
-            dx = inv * (dxhat - dxhat.sum(axis=-1, keepdims=True) / d
-                        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d)
-            axes = tuple(range(g.ndim - 1))
-            return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
-        tape.record(out, (x, gain, bias), bwd)
+            gw = xd.T @ gqkv.transpose(2, 0, 1, 3).reshape(n, 3 * d)
+            return (*gx, gw, gwo)
+        tape.record(out, (x,) * (3 * n_heads) + (wqkv, wo), bwd)
     return out
 
 
@@ -206,8 +261,9 @@ def embedding_lookup(table, ids, tape=None):
     """Gather rows of `table` by integer id."""
     idx = np.asarray(ids, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        bad = idx[(idx < 0) | (idx >= table.shape[0])][0]
         raise ContractError(
-            f"embedding id out of range for table with {table.shape[0]} rows")
+            f"token id {bad} outside vocabulary of {table.shape[0]}")
     out = _wrap(table.data[idx])
     if tape is not None:
         def bwd(g):

@@ -36,8 +36,9 @@ class TrainConfig:
         for name in ("batch_size", "warmup_steps", "max_steps", "eval_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be > 0")
+        if not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ValueError(
+                f"clip_norm must be finite and > 0, got {self.clip_norm}")
 
 
 def joint_loss(punct_logits, disf_logits, punct_ids, disf_ids, tape=None):
@@ -55,24 +56,42 @@ def lr_schedule(step, d_model, warmup_steps):
     return d_model ** -0.5 * min(step ** -0.5, step * warmup_steps ** -1.5)
 
 
+def _flat(arrays):
+    """The arrays laid end to end in one new float64 vector."""
+    return np.concatenate(list(arrays), axis=None)
+
+
+def _views(flat, shapes):
+    """{name: view of `flat`}: consecutive pieces with the given shapes."""
+    views, start = {}, 0
+    for name, shape in shapes.items():
+        stop = start + math.prod(shape)
+        views[name] = flat[start:stop].reshape(shape)
+        start = stop
+    return views
+
+
 def clip_gradients(grads, clip_norm, n_heads=1):
     """Scale the whole gradient set so its global L2 norm is <= clip_norm.
 
     The squares are summed over each parameter's CTT1 blocks in turn
     (model.param_blocks, `n_heads` heads), so the norm, and with it training,
-    has the same bits as with one tensor per head and projection.
+    has the same bits as with one tensor per head and projection. The finite
+    check and the scaling run once over all gradients laid end to end, and
+    the scaled gradients are views of that one vector.
     """
+    flat = _flat(grads.values())
+    if not np.isfinite(flat).all():
+        raise TrainingError("non-finite gradient; aborting")
     sq = 0.0
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingError("non-finite gradient; aborting")
         for part in mdl.param_blocks(name, g, n_heads):
             sq += float((part * part).sum())
     norm = math.sqrt(sq)
     if norm <= clip_norm:
         return grads
-    factor = clip_norm / norm
-    return {name: g * factor for name, g in grads.items()}
+    flat *= clip_norm / norm
+    return _views(flat, {name: g.shape for name, g in grads.items()})
 
 
 _BETA1 = 0.9
@@ -81,32 +100,44 @@ _EPS = 1e-9
 
 
 class Adam:
-    """Adam with external learning rate and fixed betas and epsilon."""
+    """Adam with external learning rate and fixed betas and epsilon.
+
+    The moments and each update are one float64 vector over the parameters
+    in `param_names` order, and the stepped parameters are views of one new
+    vector.
+    """
 
     def __init__(self, param_names):
-        self.m = {n: None for n in param_names}
-        self.v = {n: None for n in param_names}
+        self.names = list(param_names)
+        self.m = self.v = None
         self.t = 0
 
     def step(self, params, grads, lr):
         self.t += 1
-        for name, g in grads.items():
-            if self.m[name] is None:
-                self.m[name] = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-            self.m[name] = _BETA1 * self.m[name] + (1 - _BETA1) * g
-            self.v[name] = _BETA2 * self.v[name] + (1 - _BETA2) * g * g
-            mhat = self.m[name] / (1 - _BETA1 ** self.t)
-            vhat = self.v[name] / (1 - _BETA2 ** self.t)
-            update = lr * mhat / (np.sqrt(vhat) + _EPS)
-            params[name] = nc.Tensor(params[name].data - update)
+        g = _flat(grads[n] for n in self.names)
+        if self.m is None:
+            self.m = np.zeros_like(g)
+            self.v = np.zeros_like(g)
+        self.m = _BETA1 * self.m + (1 - _BETA1) * g
+        self.v = _BETA2 * self.v + (1 - _BETA2) * g * g
+        mhat = self.m / (1 - _BETA1 ** self.t)
+        vhat = self.v / (1 - _BETA2 ** self.t)
+        stepped = _flat(params[n].data for n in self.names)
+        stepped -= lr * mhat / (np.sqrt(vhat) + _EPS)
+        shapes = {n: params[n].shape for n in self.names}
+        for name, view in _views(stepped, shapes).items():
+            params[name] = nc._wrap(view)
 
 
 def batch_gradients(batch, model_config, params, vocab, scheme):
     """Mean joint loss over a batch of sequences plus summed-then-averaged
-    gradients keyed by parameter name."""
-    names = list(params.tensors)
-    acc = {n: None for n in names}
+    gradients keyed by parameter name.
+
+    Each sequence's gradients are laid end to end and summed as one vector;
+    the returned arrays are views of it.
+    """
+    wrt = list(params.tensors.values())
+    acc = None
     total_loss = 0.0
     for seq in batch:
         ids, punct_ids, disf_ids = encode(seq, vocab, scheme)
@@ -114,12 +145,15 @@ def batch_gradients(batch, model_config, params, vocab, scheme):
         punct_logits, disf_logits = mdl.forward(ids, model_config, params, tape)
         loss = joint_loss(punct_logits, disf_logits, punct_ids, disf_ids, tape)
         total_loss += loss.item()
-        grads = nc.backward(loss, tape, wrt=[params[n] for n in names])
-        for n in names:
-            g = grads[params[n]]
-            acc[n] = g if acc[n] is None else acc[n] + g
+        grads = nc.backward(loss, tape, wrt=wrt)
+        flat = _flat(grads[t] for t in wrt)
+        if acc is None:
+            acc = flat
+        else:
+            acc += flat
     k = len(batch)
-    return total_loss / k, {n: g / k for n, g in acc.items()}
+    acc /= k
+    return total_loss / k, _views(acc, {n: t.shape for n, t in params.items()})
 
 
 @dataclass

@@ -282,6 +282,9 @@ def test_seed_is_a_flag_not_a_config_key(tmp_path, capsys):
     (["eval_every=0"], True, "eval_every must be >= 1"),
     (["batch_size=0", "augment=0"], False, "batch_size must be >= 1"),
     (["augment=ture"], False, "bad value for augment: 'ture'"),
+    (["clip_norm=nan"], False, "clip_norm must be finite and > 0, got nan"),
+    (["clip_norm=inf"], False, "clip_norm must be finite and > 0, got inf"),
+    (["min_freq=0"], False, "min_freq must be >= 1, got 0"),
 ])
 def test_train_rejects_bad_settings(tmp_path, capsys, sets, dev, message):
     corpus = tmp_path / "c.tsv"
@@ -391,3 +394,12 @@ def test_eval_dump_output_is_pinned(tmp_path, capsys):
                        capsys)
     assert code == 0
     assert out == _EVAL_DUMP[:_EVAL_DUMP.index("punct.COMMA.p")]
+
+
+def test_synth_rejects_a_probability_above_one(tmp_path, capsys):
+    out_path = tmp_path / "c.tsv"
+    code, out, err = run(["synth", "--p-filler", "5", "--out", str(out_path)],
+                         capsys)
+    assert code == 1
+    assert err.startswith("error:") and "p_filler must be in [0, 1], got 5.0" in err
+    assert out == "" and not out_path.exists()

@@ -202,3 +202,25 @@ def test_generate_write_parse_round_trip(seed, count):
         parsed = dt.parse_corpus(path)
     assert [(s.words, s.punct, s.disf) for s in parsed] == \
         [(s.words, s.punct, s.disf) for s in seqs]
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"p_filler": 1.5}, "p_filler must be in"),
+    ({"p_repetition": -0.1}, "p_repetition must be in"),
+    ({"p_repair": float("nan")}, "p_repair must be in"),
+    ({"domain": "mars"}, "unknown grammar domain 'mars'"),
+])
+def test_grammar_config_rejects_out_of_range_settings(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        dt.GrammarConfig(**kwargs)
+
+
+def test_grammar_config_accepts_the_closed_unit_interval():
+    dt.GrammarConfig(p_filler=0.0, p_repetition=1.0, p_repair=1.0)
+
+
+@pytest.mark.parametrize("min_freq", [0, -5])
+def test_vocabulary_rejects_min_freq_below_one(min_freq):
+    seqs = dt.synth_generate(3, 5, dt.GrammarConfig())
+    with pytest.raises(ValueError, match="min_freq must be >= 1"):
+        dt.Vocabulary.from_corpus(seqs, min_freq=min_freq)

@@ -9,6 +9,7 @@ import pytest
 from conftest import random_bundle, rewrite_config_line, small_config
 from puncstream import model as mdl
 from puncstream import numcore as nc
+from puncstream import training as tr
 from puncstream.data import LabelScheme
 from puncstream.masks import MaskSpec, effective_lookahead
 
@@ -245,6 +246,24 @@ def test_head_independence():
     bundle.params["disf.b"] = nc.Tensor(rng.normal(size=bundle.params["disf.b"].shape))
     punct_after, _ = mdl.forward(tokens, bundle.config, bundle.params)
     assert np.array_equal(punct_before.data, punct_after.data)
+
+
+def test_taped_forward_records_four_entries_per_layer():
+    # the CLI-default model: each layer is attention, add_layer_norm,
+    # feed_forward and add_layer_norm; the fixed rest is the embedding lookup,
+    # the position add, two ops per tagging head and the loss's three
+    config = mdl.ModelConfig(50, 32, 4, 2, 64, MaskSpec((0, 0, 0, 9)), 4, 5)
+    params = mdl.init_params(config, np.random.default_rng(0))
+    tape = nc.Tape()
+    punct, disf = mdl.forward(list(range(2, 14)), config, params, tape)
+    tr.joint_loss(punct, disf, [0] * 12, [0] * 12, tape)
+    assert len(tape) <= 4 * config.n_layers + 9
+
+
+def test_negative_token_id_rejected():
+    bundle = random_bundle(small_config(vocab_size=10))
+    with pytest.raises(nc.ContractError, match="token id -1 outside vocabulary"):
+        mdl.encoder_forward([3, -1], bundle.config, bundle.params)
 
 
 def test_unknown_token_id_rejected():

@@ -27,6 +27,85 @@ def total(a, tape=None):
     return out
 
 
+# The op chain an encoder layer ran before its sublayers became one op each:
+# reference ops for the fused ones, which must give the same bits.
+
+def relu(a, tape=None):
+    out = nc._wrap(np.maximum(a.data, 0.0))
+    if tape is not None:
+        keep = a.data > 0.0
+        tape.record(out, (a,), lambda g: (g * keep,))
+    return out
+
+
+def multi_head_attention(x, wqkv, mask, n_heads, tape=None):
+    """All heads' masked attention without the output projection; x's
+    gradient goes to the tape per (head, projection) block, last head first,
+    v then k then q."""
+    d = wqkv.shape[0]
+    n = x.shape[0]
+    dk = d // n_heads
+    scale = 1.0 / np.sqrt(dk)
+    qkv = x.data @ wqkv.data
+    q, k, v = qkv.reshape(n, 3, n_heads, dk).transpose(1, 2, 0, 3)
+    z = (q @ k.transpose(0, 2, 1)) * scale + mask
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = nc._wrap((p @ v).transpose(1, 0, 2).reshape(n, d))
+    if tape is not None:
+        w = wqkv.data.reshape(d, 3, n_heads, dk)
+
+        def bwd(g):
+            g = g.reshape(n, n_heads, dk).transpose(1, 0, 2)
+            gp = g @ v.transpose(0, 2, 1)
+            gz = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * scale
+            gqkv = np.stack((gz @ k, gz.transpose(0, 2, 1) @ q,
+                             p.transpose(0, 2, 1) @ g))
+            gx = [gqkv[c, h] @ w[:, c, h].T
+                  for h in reversed(range(n_heads)) for c in (2, 1, 0)]
+            gw = x.data.T @ gqkv.transpose(2, 0, 1, 3).reshape(n, 3 * d)
+            return (*gx, gw)
+        tape.record(out, (x,) * (3 * n_heads) + (wqkv,), bwd)
+    return out
+
+
+def layer_norm(x, gain, bias, tape=None):
+    d = x.shape[-1]
+    centred = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / d + 1e-6)
+    xhat = centred * inv
+    out = nc._wrap(xhat * gain.data + bias.data)
+    if tape is not None:
+        def bwd(g):
+            dxhat = g * gain.data
+            dx = inv * (dxhat - dxhat.sum(axis=-1, keepdims=True) / d
+                        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d)
+            axes = tuple(range(g.ndim - 1))
+            return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        tape.record(out, (x, gain, bias), bwd)
+    return out
+
+
+def chain_layer(x, ps, mask, n_heads, tape=None):
+    """One encoder layer as the chain of 11 ops."""
+    attn = nc.matmul(multi_head_attention(x, ps["wqkv"], mask, n_heads, tape),
+                     ps["wo"], tape)
+    x = layer_norm(nc.add(x, attn, tape), ps["g1"], ps["b1"], tape)
+    inner = relu(nc.add(nc.matmul(x, ps["w1"], tape), ps["fb1"], tape), tape)
+    ff = nc.add(nc.matmul(inner, ps["w2"], tape), ps["fb2"], tape)
+    return layer_norm(nc.add(x, ff, tape), ps["g2"], ps["b2"], tape)
+
+
+def fused_layer(x, ps, mask, n_heads, tape=None):
+    """One encoder layer as the four fused ops."""
+    x = nc.add_layer_norm(
+        x, nc.attention(x, ps["wqkv"], ps["wo"], mask, n_heads, tape),
+        ps["g1"], ps["b1"], tape)
+    return nc.add_layer_norm(
+        x, nc.feed_forward(x, ps["w1"], ps["fb1"], ps["w2"], ps["fb2"], tape),
+        ps["g2"], ps["b2"], tape)
+
+
 def test_matmul_identity():
     out = nc.matmul(Tensor([[1, 0], [0, 1]]), Tensor([[3, 4], [5, 6]]))
     assert out.data.tolist() == [[3, 4], [5, 6]]
@@ -55,16 +134,17 @@ def test_matmul_shape_mismatch_names_both_shapes():
 
 
 def _attention_probs(scores, mask):
-    """The attention weights multi_head_attention gives one head for (n, n)
-    scores, n <= 16. With d_k = 16 the scale is exactly 1/4; x = [I | 0] and
-    wqkv make q = 4 * scores and k = v = [I | 0], so the output is p itself."""
+    """The attention weights `attention` gives one head for (n, n) scores,
+    n <= 16. With d_k = 16 the scale is exactly 1/4; x = [I | 0] and wqkv
+    make q = 4 * scores and k = v = [I | 0], and wo = I, so the output is p
+    itself."""
     n, dk = len(scores), 16
     wqkv = np.zeros((dk, 3 * dk))
     wqkv[:n, :n] = 4.0 * np.asarray(scores)
     wqkv[:n, dk:dk + n] = np.eye(n)
     wqkv[:n, 2 * dk:2 * dk + n] = np.eye(n)
-    out = nc.multi_head_attention(Tensor(np.eye(n, dk)), Tensor(wqkv),
-                                  np.asarray(mask, dtype=np.float64), 1)
+    out = nc.attention(Tensor(np.eye(n, dk)), Tensor(wqkv), Tensor(np.eye(dk)),
+                       np.asarray(mask, dtype=np.float64), 1)
     return out.data[:, :n]
 
 
@@ -120,15 +200,20 @@ def test_masked_softmax_shift_invariance(row, shift):
     assert np.abs(a - b).max() < 1e-9
 
 
+def _layer_norm(x, gain, bias):
+    """The library's layer norm: add_layer_norm with a zero residual."""
+    x = np.asarray(x, dtype=np.float64)
+    return nc.add_layer_norm(Tensor(x), Tensor(np.zeros_like(x)),
+                             Tensor(gain), Tensor(bias))
+
+
 def test_layer_norm_constant_row_collapses_to_bias():
-    out = nc.layer_norm(Tensor([[5.0, 5.0, 5.0, 5.0]]),
-                        Tensor(np.ones(4)), Tensor(np.zeros(4)))
+    out = _layer_norm([[5.0, 5.0, 5.0, 5.0]], np.ones(4), np.zeros(4))
     assert np.abs(out.data).max() == 0.0
 
 
 def test_layer_norm_already_normalized():
-    out = nc.layer_norm(Tensor([[1.0, -1.0]]),
-                        Tensor(np.ones(2)), Tensor(np.zeros(2)))
+    out = _layer_norm([[1.0, -1.0]], np.ones(2), np.zeros(2))
     assert np.abs(out.data - [[1.0, -1.0]]).max() < 1e-5
 
 
@@ -136,7 +221,7 @@ def test_layer_norm_matches_mean_var_oracle():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(3, 7))
     gain, bias = rng.normal(size=7), rng.normal(size=7)
-    out = nc.layer_norm(Tensor(x), Tensor(gain), Tensor(bias))
+    out = _layer_norm(x, gain, bias)
     for i in range(3):
         mean = sum(x[i]) / 7
         var = sum((v - mean) ** 2 for v in x[i]) / 7
@@ -206,13 +291,19 @@ def test_gradient_check_composed_ops():
         "gain": Tensor(rng.normal(size=4)),
         "bias": Tensor(rng.normal(size=4)),
         "wqkv": Tensor(rng.normal(size=(4, 12))),
+        "wo": Tensor(rng.normal(size=(4, 4))),
+        "w1": Tensor(rng.normal(size=(4, 6))),
+        "b1": Tensor(rng.normal(size=6)),
+        "w2": Tensor(rng.normal(size=(6, 4))),
+        "b2": Tensor(rng.normal(size=4)),
     }
     mask = np.triu(np.full((3, 3), -np.inf), k=2)
 
     def build(ts, tape):
         h = nc.matmul(ts["x"], ts["w"], tape)
-        h = nc.layer_norm(nc.relu(h, tape), ts["gain"], ts["bias"], tape)
-        att = nc.multi_head_attention(h, ts["wqkv"], mask, 1, tape)
+        ff = nc.feed_forward(h, ts["w1"], ts["b1"], ts["w2"], ts["b2"], tape)
+        h = nc.add_layer_norm(h, ff, ts["gain"], ts["bias"], tape)
+        att = nc.attention(h, ts["wqkv"], ts["wo"], mask, 1, tape)
         return total(mul(att, nc.add(h, att, tape), tape), tape)
 
     _fd_check(build, tensors)
@@ -229,13 +320,46 @@ def _attention_inputs(n, n_heads, dk, lookahead, seed):
 @pytest.mark.parametrize("n_heads,lookahead", [(1, 0), (1, 2), (2, 0), (2, 2)])
 def test_gradient_check_multi_head_attention(n_heads, lookahead):
     x, wqkv, mask = _attention_inputs(4, n_heads, 3, lookahead, seed=5)
-    weights = Tensor(np.random.default_rng(6).normal(size=(4, 3 * n_heads)))
+    rng = np.random.default_rng(6)
+    wo = Tensor(rng.normal(size=(3 * n_heads, 3 * n_heads)))
+    weights = Tensor(rng.normal(size=(4, 3 * n_heads)))
 
     def build(ts, tape):
-        out = nc.multi_head_attention(ts["x"], ts["wqkv"], mask, n_heads, tape)
+        out = nc.attention(ts["x"], ts["wqkv"], ts["wo"], mask, n_heads, tape)
         return total(mul(out, weights, tape), tape)
 
-    _fd_check(build, {"x": x, "wqkv": wqkv})
+    _fd_check(build, {"x": x, "wqkv": wqkv, "wo": wo})
+
+
+def test_gradient_check_add_layer_norm():
+    rng = np.random.default_rng(21)
+    tensors = {"x": Tensor(rng.normal(size=(3, 5))),
+               "y": Tensor(rng.normal(size=(3, 5))),
+               "gain": Tensor(rng.normal(size=5)),
+               "bias": Tensor(rng.normal(size=5))}
+    weights = Tensor(rng.normal(size=(3, 5)))
+
+    def build(ts, tape):
+        out = nc.add_layer_norm(ts["x"], ts["y"], ts["gain"], ts["bias"], tape)
+        return total(mul(out, weights, tape), tape)
+
+    _fd_check(build, tensors)
+
+
+def test_gradient_check_feed_forward():
+    rng = np.random.default_rng(22)
+    tensors = {"x": Tensor(rng.normal(size=(3, 4))),
+               "w1": Tensor(rng.normal(size=(4, 6))),
+               "b1": Tensor(rng.normal(size=6)),
+               "w2": Tensor(rng.normal(size=(6, 4))),
+               "b2": Tensor(rng.normal(size=4))}
+    weights = Tensor(rng.normal(size=(3, 4)))
+
+    def build(ts, tape):
+        out = nc.feed_forward(ts["x"], ts["w1"], ts["b1"], ts["w2"], ts["b2"], tape)
+        return total(mul(out, weights, tape), tape)
+
+    _fd_check(build, tensors)
 
 
 def _per_head(x, wqkv, n_heads):
@@ -250,7 +374,7 @@ def _per_head(x, wqkv, n_heads):
 def test_multi_head_attention_matches_per_head_loop():
     n, n_heads, dk = 5, 2, 3
     x, wqkv, mask = _attention_inputs(n, n_heads, dk, 1, seed=7)
-    out = nc.multi_head_attention(x, wqkv, mask, n_heads).data
+    out = nc.attention(x, wqkv, Tensor(np.eye(n_heads * dk)), mask, n_heads).data
     for h, (wq, wk, wv) in enumerate(_per_head(x.data, wqkv.data, n_heads)):
         q, k, v = x.data @ wq, x.data @ wk, x.data @ wv
         cols = slice(h * dk, (h + 1) * dk)
@@ -269,12 +393,16 @@ def test_multi_head_attention_gradients_have_per_head_bits():
     # first and v, k, q within a head. The fused op must give the same bits.
     n, n_heads, dk = 6, 2, 4
     x, wqkv, mask = _attention_inputs(n, n_heads, dk, 2, seed=11)
-    weights = np.random.default_rng(12).normal(size=(n, n_heads * dk))
+    rng = np.random.default_rng(12)
+    weights = rng.normal(size=(n, n_heads * dk))
+    wo = Tensor(rng.normal(size=(n_heads * dk, n_heads * dk)))
     tape = Tape()
-    out = nc.multi_head_attention(x, wqkv, mask, n_heads, tape)
+    out = nc.attention(x, wqkv, wo, mask, n_heads, tape)
     loss = total(mul(nc.add(x, out, tape), Tensor(weights), tape), tape)
-    grads = nc.backward(loss, tape, wrt=[x, wqkv])
+    grads = nc.backward(loss, tape, wrt=[x, wqkv, wo])
 
+    upstream = weights @ wo.data.T  # the gradient reaching the heads' outputs
+    heads = np.empty((n, n_heads * dk))
     gx, gw = weights, []
     for h, (wq, wk, wv) in reversed(list(enumerate(
             _per_head(x.data, wqkv.data, n_heads)))):
@@ -282,7 +410,8 @@ def test_multi_head_attention_gradients_have_per_head_bits():
         z = (q @ k.T) * (1.0 / np.sqrt(dk)) + mask
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         p = e / e.sum(axis=-1, keepdims=True)
-        g = weights[:, h * dk:(h + 1) * dk]
+        heads[:, h * dk:(h + 1) * dk] = p @ v
+        g = upstream[:, h * dk:(h + 1) * dk]
         gp = g @ v.T
         gz = p * (gp - (gp * p).sum(axis=-1, keepdims=True)) * (1.0 / np.sqrt(dk))
         gq, gk, gv = gz @ k, (q.T @ gz).T, p.T @ g
@@ -294,6 +423,7 @@ def test_multi_head_attention_gradients_have_per_head_bits():
         for c, block in enumerate(blocks):
             cols = slice((c * n_heads + h) * dk, (c * n_heads + h + 1) * dk)
             assert np.array_equal(grads[wqkv][:, cols], block)
+    assert np.array_equal(grads[wo], heads.T @ weights)
 
 
 def test_multi_head_attention_fully_masked_row_rejected():
@@ -301,24 +431,88 @@ def test_multi_head_attention_fully_masked_row_rejected():
     mask = mask.copy()
     mask[1, :] = -np.inf
     with pytest.raises(nc.ContractError, match="fully masked"):
-        nc.multi_head_attention(x, wqkv, mask, 2)
+        nc.attention(x, wqkv, Tensor(np.eye(4)), mask, 2)
 
 
 def test_multi_head_attention_shape_checks():
     x, wqkv, mask = _attention_inputs(3, 2, 2, 0, seed=9)
+    wo = Tensor(np.eye(4))
     with pytest.raises(nc.ShapeMismatchError, match="heads"):
-        nc.multi_head_attention(x, wqkv, mask, 3)
+        nc.attention(x, wqkv, wo, mask, 3)
     with pytest.raises(nc.ShapeMismatchError, match="heads"):
-        nc.multi_head_attention(Tensor(np.zeros((3, 5))), wqkv, mask, 2)
+        nc.attention(Tensor(np.zeros((3, 5))), wqkv, wo, mask, 2)
+    with pytest.raises(nc.ShapeMismatchError, match="heads"):
+        nc.attention(x, wqkv, Tensor(np.eye(3)), mask, 2)
     with pytest.raises(nc.ShapeMismatchError, match="mask"):
-        nc.multi_head_attention(x, wqkv, build_ct_mask(4, 0), 2)
+        nc.attention(x, wqkv, wo, build_ct_mask(4, 0), 2)
+
+
+def test_add_layer_norm_and_feed_forward_shape_checks():
+    x = Tensor(np.zeros((3, 4)))
+    ones = Tensor(np.ones(4))
+    with pytest.raises(nc.ShapeMismatchError, match="add_layer_norm"):
+        nc.add_layer_norm(x, Tensor(np.zeros((2, 4))), ones, ones)
+    with pytest.raises(nc.ShapeMismatchError, match="add_layer_norm"):
+        nc.add_layer_norm(x, x, Tensor(np.ones(3)), ones)
+    w1, b1 = Tensor(np.zeros((4, 6))), Tensor(np.zeros(6))
+    w2, b2 = Tensor(np.zeros((6, 4))), Tensor(np.zeros(4))
+    nc.feed_forward(x, w1, b1, w2, b2)
+    for args in ((Tensor(np.zeros((3, 5))), w1, b1, w2, b2),
+                 (x, w1, Tensor(np.zeros(4)), w2, b2),
+                 (x, w1, b1, Tensor(np.zeros((4, 6))), b2),
+                 (x, w1, b1, w2, Tensor(np.zeros(6)))):
+        with pytest.raises(nc.ShapeMismatchError, match="feed_forward"):
+            nc.feed_forward(*args)
+
+
+def _layer_inputs(n, n_heads, seed):
+    rng = np.random.default_rng(seed)
+    d, dff = 4 * n_heads, 12
+    x = Tensor(rng.normal(size=(n, d)))
+    shapes = {"wqkv": (d, 3 * d), "wo": (d, d), "g1": (d,), "b1": (d,),
+              "w1": (d, dff), "fb1": (dff,), "w2": (dff, d), "fb2": (d,),
+              "g2": (d,), "b2": (d,)}
+    ps = {name: Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
+    return x, ps, Tensor(rng.normal(size=(n, d)))
+
+
+@pytest.mark.parametrize("n", [1, 3, 12])
+@pytest.mark.parametrize("budget", [0, 9])
+@pytest.mark.parametrize("n_heads", [1, 2])
+def test_fused_layer_matches_the_op_chain_bit_for_bit(n_heads, budget, n):
+    # the encoder layer's four ops against the eleven they replace: the same
+    # output, and the same gradient for the input and for every parameter,
+    # to the bit
+    x, ps, weights = _layer_inputs(n, n_heads, seed=100 * n_heads + 10 * budget + n)
+    mask = build_ct_mask(n, min(budget, n))
+    results = []
+    for layer in (chain_layer, fused_layer):
+        tape = Tape()
+        out = layer(x, ps, mask, n_heads, tape)
+        loss = total(mul(out, weights, tape), tape)
+        wrt = [x, *ps.values()]
+        grads = nc.backward(loss, tape, wrt=wrt)
+        results.append((out.data, [grads[t] for t in wrt]))
+        assert np.array_equal(layer(x, ps, mask, n_heads).data, out.data)
+    (chain_out, chain_grads), (fused_out, fused_grads) = results
+    assert np.array_equal(fused_out, chain_out)
+    for name, a, b in zip(["x", *ps], fused_grads, chain_grads):
+        assert np.array_equal(a, b), name
+
+
+def test_fused_ops_record_one_tape_entry_each():
+    x, ps, _ = _layer_inputs(5, 2, seed=1)
+    tape = Tape()
+    fused_layer(x, ps, build_ct_mask(5, 1), 2, tape)
+    assert len(tape) == 4
+    tape = Tape()
+    chain_layer(x, ps, build_ct_mask(5, 1), 2, tape)
+    assert len(tape) == 11
 
 
 def test_forward_determinism():
-    rng = np.random.default_rng(4)
-    a, b = Tensor(rng.normal(size=(5, 5))), Tensor(rng.normal(size=(5, 5)))
-    one = nc.layer_norm(nc.relu(nc.matmul(a, b), ),
-                        Tensor(np.ones(5)), Tensor(np.zeros(5)))
-    two = nc.layer_norm(nc.relu(nc.matmul(a, b), ),
-                        Tensor(np.ones(5)), Tensor(np.zeros(5)))
+    x, ps, _ = _layer_inputs(5, 2, seed=4)
+    mask = build_ct_mask(5, 2)
+    one = fused_layer(x, ps, mask, 2)
+    two = fused_layer(x, ps, mask, 2)
     assert np.array_equal(one.data, two.data)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -9,6 +10,7 @@ from puncstream import data as dt
 from puncstream import model as mdl
 from puncstream import numcore as nc
 from puncstream import training as tr
+from puncstream.masks import MaskSpec
 
 
 def test_joint_loss_uniform_logits_is_sum_of_log_class_counts():
@@ -209,3 +211,51 @@ def test_batch_gradients_zero_for_uninvolved_head():
                                   bundle.vocab, bundle.scheme)
     assert set(grads) == set(bundle.params.tensors)
     assert np.all(np.isfinite(grads["embed"]))
+
+
+@pytest.mark.parametrize("clip_norm", [float("nan"), float("inf"), float("-inf"),
+                                       0.0, -1.0])
+def test_train_config_rejects_clip_norm_not_finite_and_positive(clip_norm):
+    with pytest.raises(ValueError, match="clip_norm must be finite and > 0"):
+        tr.TrainConfig(clip_norm=clip_norm)
+
+
+# SHA-256 of the checkpoint that test_training_fingerprint_is_pinned trains,
+# recorded before the encoder layer's eleven ops became four fused ones and
+# the optimizer step became one flat vector (numpy 2.4.6, OpenBLAS 0.3.31,
+# x86-64). Every refactor of the forward, the backward or the optimizer
+# must keep it. Another numpy or BLAS may round a product differently; then
+# record the digest again from an unchanged tree on that toolchain.
+TRAINING_FINGERPRINT = "b57bf4bfbdc820e1fb15a996f61d490e4ae5f36867dd36ce48e370e38a8843df"
+
+
+def test_training_fingerprint_is_pinned(tmp_path, monkeypatch):
+    # The benchmark's F1 cannot tell an ulp of drift in training from a
+    # regression, so the trained bits are pinned here: the CLI-default model
+    # (4 layers, 2 heads, budgets 0,0,0,9), 30 steps from seed 0, with
+    # clipping active on most steps.
+    clipped = []
+
+    def clip_and_count(grads, clip_norm, n_heads=1):
+        out = clip(grads, clip_norm, n_heads)
+        clipped.append(out is not grads)
+        return out
+
+    clip = tr.clip_gradients
+    monkeypatch.setattr(tr, "clip_gradients", clip_and_count)
+    grammar = dt.GrammarConfig("travel", p_filler=0.15, p_repetition=0.10)
+    corpus = dt.synth_generate(7, 200, grammar)
+    vocab = dt.Vocabulary.from_corpus(corpus, min_freq=2)
+    scheme = dt.LabelScheme()
+    config = mdl.ModelConfig(
+        vocab_size=len(vocab), d_model=32, n_layers=4, n_heads=2, d_ff=64,
+        mask_spec=MaskSpec.from_string("0,0,0,9"),
+        punct_label_count=len(scheme.punct_labels),
+        disf_label_count=len(scheme.disf_labels))
+    result = tr.train(corpus, tr.TrainConfig(max_steps=30, seed=0),
+                      config, vocab, scheme)
+    assert len(clipped) == 30 and sum(clipped) >= 15
+    path = os.fspath(tmp_path / "fingerprint.ctt")
+    mdl.save_model(path, config, result.params, vocab, scheme)
+    with open(path, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == TRAINING_FINGERPRINT
