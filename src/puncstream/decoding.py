@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .data import TokenSequence
-from .model import predict
+from .model import predict, unpack_params
 
 
 class StreamError(RuntimeError):
@@ -32,11 +32,17 @@ class DecodePolicy:
 
 
 class ModelTagger:
-    """Adapts a trained model to the word-in, labels-out tagger interface."""
+    """Adapts a trained model to the word-in, labels-out tagger interface.
+
+    The parameters are checked against the config and unpacked once, here
+    (model.unpack_params), so `tag` runs the encoder's kernels on plain
+    arrays. A tagger keeps the parameters it was built with: a tensor later
+    replaced in `params` does not reach it; build a new tagger instead.
+    """
 
     def __init__(self, config, params, vocab, scheme):
         self.config = config
-        self.params = params
+        self.params = unpack_params(config, params)
         self.vocab = vocab
         self.scheme = scheme
 

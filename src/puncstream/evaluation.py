@@ -149,10 +149,13 @@ def bench_streaming(tagger, words, policy, runs):
     """Median-of-runs wall time for streaming decode; warm-up pass first.
 
     Returns (LatencyReport, revision log of the last run). Timing covers
-    inference only; the input is already in memory.
+    inference only; the input is already in memory. An empty word list
+    raises ValueError.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if not words:
+        raise ValueError("bench_streaming: empty word list")
     stream_decode(words[:min(len(words), 50)], tagger, policy)  # warm-up
     times = []
     for _ in range(runs):

@@ -162,10 +162,15 @@ def sinusoidal_positions(n, d_model, max_positions=512):
     table has the next power of two >= n rows, not max_positions rows, so a
     checkpoint's max_positions never sets the size of an allocation.
     """
+    return nc._wrap(_positions(n, d_model, max_positions))
+
+
+def _positions(n, d_model, max_positions):
+    """sinusoidal_positions as a plain read-only array."""
     if n > max_positions:
         raise LengthError(f"sequence length {n} exceeds max_positions {max_positions}")
     rows = 1 << max(n - 1, 0).bit_length()
-    return nc._wrap(_position_table(rows, d_model)[:n])
+    return _position_table(rows, d_model)[:n]
 
 
 # Each layer's parameters, in the order its four ops take them.
@@ -180,20 +185,90 @@ def _layer_getters(n_layers):
                  for i in range(n_layers))
 
 
+class UnpackedParams:
+    """A model's parameters, checked against `param_shapes(config)` once and
+    unpacked into the plain arrays the untaped forward runs on: `embed`, and
+    per layer its _LAYER_PARAMS arrays.
+
+    It keeps the tensors it was built from, so a tensor later replaced in
+    the ModelParams it came from does not reach it. `forward`, `predict`,
+    `encoder_forward` and `heads_forward` take it wherever they take a
+    ModelParams, and then check nothing.
+    """
+
+    __slots__ = ("config", "tensors", "embed", "layers")
+
+    def __init__(self, config, tensors):
+        self.config = config
+        self.tensors = tensors
+        self.embed = tensors["embed"].data
+        self.layers = tuple(tuple(t.data for t in layer(tensors))
+                            for layer in _layer_getters(config.n_layers))
+
+    def __getitem__(self, name):
+        return self.tensors[name]
+
+
+def _shape_mismatches(config, shapes):
+    """What is wrong with a name -> shape map against param_shapes(config):
+    missing and unexpected names and wrong shapes, one string each."""
+    expected = param_shapes(config)
+    found = [f"missing tensor {name}" if name not in shapes
+             else f"{name}: expected {shape}, found {shapes[name]}"
+             for name, shape in expected.items() if shapes.get(name) != shape]
+    return found + [f"unexpected tensor {name}" for name in shapes
+                    if name not in expected]
+
+
+def unpack_params(config, params):
+    """`params`, a ModelParams or UnpackedParams, as UnpackedParams for
+    `config`; an UnpackedParams built for this very config object is
+    returned as it is. Raises ShapeMismatchError naming every tensor that does not fit
+    `param_shapes(config)`."""
+    if isinstance(params, UnpackedParams) and params.config is config:
+        return params
+    tensors = dict(params.tensors)
+    mismatches = _shape_mismatches(config, {n: t.shape for n, t in tensors.items()})
+    if mismatches:
+        raise nc.ShapeMismatchError(
+            "parameters do not fit the config: " + "; ".join(mismatches))
+    return UnpackedParams(config, tensors)
+
+
+def _encode(ids, config, params):
+    """The untaped encoder: numcore's kernels on the arrays of the
+    UnpackedParams `params`, with no shape checks and no Tensors."""
+    n = len(ids)
+    x = nc._embedding_lookup(params.embed, ids)
+    x += _positions(n, config.d_model, config.max_positions)
+    for lookahead, (wqkv, wo, g1, b1, w1, fb1, w2, fb2, g2, b2) in zip(
+            config.mask_spec.per_layer_lookahead, params.layers):
+        mask = build_ct_mask(n, min(lookahead, n))
+        y = nc._attention(x, wqkv, wo, mask, config.n_heads)[0]
+        x = nc._add_layer_norm(x, y, g1, b1)[0]
+        y = nc._feed_forward(x, w1, fb1, w2, fb2)[0]
+        x = nc._add_layer_norm(x, y, g2, b2)[0]
+    return x
+
+
 def encoder_forward(token_ids, config, params, tape=None):
     """Run the masked-attention encoder; returns hidden states (n, d_model).
 
-    Four numcore ops per layer: `attention` (fused q/k/v projection, every
-    head's masked softmax, output projection), `add_layer_norm` (residual +
-    norm1), `feed_forward` (both projections and the ReLU) and
-    `add_layer_norm` (residual + norm2). On a tape that is 4 entries per
-    layer, plus the embedding lookup and the position add. Each op's
-    backward hands the tape x's gradients in the order one op per product,
-    sum, ReLU and norm did: the residual's first, then the attention blocks,
-    last head first and v, k, q within a head. The tape adds them up in that
-    order, so gradients and trained weights keep their bits.
+    Four numcore sublayers per layer: attention (fused q/k/v projection,
+    every head's masked softmax, output projection), add+norm1, the
+    feed-forward network and add+norm2. Without a tape the encoder runs
+    their kernels on the arrays of `unpack_params(config, params)`.
+
+    With a tape it runs the public ops: 4 entries per layer, plus the
+    embedding lookup and the position add. Each op's backward hands the tape
+    x's gradients in the order one op per product, sum, ReLU and norm did:
+    the residual's first, then the attention blocks, last head first and v,
+    k, q within a head. The tape adds them up in that order, so gradients
+    and trained weights keep their bits.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
+    if tape is None:
+        return nc._wrap(_encode(ids, config, unpack_params(config, params)))
     n = len(ids)
     x = nc.add(nc.embedding_lookup(params["embed"], ids, tape),
                sinusoidal_positions(n, config.d_model, config.max_positions), tape)
@@ -216,7 +291,13 @@ def heads_forward(hidden, params, tape=None):
 
 
 def forward(token_ids, config, params, tape=None):
-    """Full pass: token ids -> (punct logits, disf logits)."""
+    """Full pass: token ids -> (punct logits, disf logits).
+
+    `params` is a ModelParams or UnpackedParams. Untaped, a ModelParams is
+    checked against the config once per call (unpack_params).
+    """
+    if tape is None:
+        params = unpack_params(config, params)
     hidden = encoder_forward(token_ids, config, params, tape)
     return heads_forward(hidden, params, tape)
 
@@ -279,8 +360,8 @@ def load_model(path):
     """Inverse of save_model: (config, params, vocab, scheme).
 
     The label names must match the config's label counts, the vocabulary
-    its size, and every tensor shape the config. Any malformed file raises
-    CheckpointError.
+    its size, and every tensor shape the config, and every weight must be
+    finite. Any malformed file raises CheckpointError.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -331,7 +412,6 @@ def load_model(path):
             f"{len(scheme.disf_labels)} disf label names but config says "
             f"{config.punct_label_count} and {config.disf_label_count}")
 
-    expected = param_shapes(config)
     (count,) = struct.unpack("<I", take(4))
     found = {}  # name -> (shape, flat values); reshaped once shapes check out
     for _ in range(count):
@@ -341,18 +421,15 @@ def load_model(path):
         (ndim,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         found[name] = shape, np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
-    mismatches = []
-    for name, shape in expected.items():
-        if name not in found:
-            mismatches.append(f"missing tensor {name}")
-        elif found[name][0] != shape:
-            mismatches.append(f"{name}: expected {shape}, found {found[name][0]}")
-    for name in found:
-        if name not in expected:
-            mismatches.append(f"unexpected tensor {name}")
+    mismatches = _shape_mismatches(config, {n: s for n, (s, _) in found.items()})
     if mismatches:
         raise CheckpointError(
             f"checkpoint {path} fails shape validation: " + "; ".join(mismatches))
+    nonfinite = [name for name, (_, data) in found.items()
+                 if not np.isfinite(data).all()]
+    if nonfinite:
+        raise CheckpointError(f"checkpoint {path} has non-finite values in "
+                              + ", ".join(sorted(nonfinite)))
     params = ModelParams({name: Tensor(data.reshape(shape))
                           for name, (shape, data) in found.items()})
     return config, params, vocab, scheme

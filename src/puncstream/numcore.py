@@ -1,17 +1,27 @@
 """Dense numeric core: tensors, forward ops, and tape-based reverse-mode autodiff.
 
 Everything is float64 so gradient checks against central finite differences
-are robust. Ops take an optional Tape; with tape=None they run
-pure forward (inference). Training and inference run the same ops.
+are robust.
 
-An encoder layer is four ops, each a whole sublayer, so that a forward at
-streaming sizes (about ten words) makes few Python-level calls: `attention`
-(the fused q/k/v projection, every head's masked softmax and the output
-projection), `add_layer_norm` (residual sum and layer norm), `feed_forward`
-(both projections and the ReLU) and `add_layer_norm` again. `embedding_lookup`,
+An encoder layer is four sublayer ops, so that a forward at streaming sizes
+(about ten words) makes few Python-level calls: `attention` (the fused
+q/k/v projection, every head's masked softmax and the output projection),
+`add_layer_norm` (residual sum and layer norm), `feed_forward` (both
+projections and the ReLU) and `add_layer_norm` again. `embedding_lookup`,
 `add`, `matmul` and `cross_entropy_mean` serve the input, the tagging heads
 and the loss.
+
+Each sublayer, and the embedding gather, has one kernel: a private function
+on plain arrays (`_attention`, `_add_layer_norm`, `_feed_forward`,
+`_embedding_lookup`) that holds its numpy expressions and returns its output
+plus what the backward needs. The public op checks shapes, calls the
+kernel, wraps the result in a Tensor and, given a Tape, records its
+backward; the tape is an optional wrapper around the kernel. The model's
+untaped forward calls the kernels directly, so training and inference run
+the same arithmetic.
 """
+
+import math
 
 import numpy as np
 
@@ -94,7 +104,7 @@ def backward(loss, tape, wrt):
 
 
 # ---------------------------------------------------------------------------
-# Forward ops (each optionally recorded on a tape)
+# Forward ops (each optionally recorded on a tape) and their array kernels
 #
 # A fused op computes what a chain of one op per product, sum, ReLU and norm
 # would, with the same numpy expressions in the same order, and its backward
@@ -137,6 +147,17 @@ def add(a, b, tape=None):
     return out
 
 
+def _feed_forward(x, w1, b1, w2, b2):
+    """The feed-forward kernel on arrays: relu(x @ w1 + b1) @ w2 + b2, and
+    what the backward needs: the ReLU's output."""
+    inner = x @ w1
+    inner += b1
+    np.maximum(inner, 0.0, out=inner)
+    out = inner @ w2
+    out += b2
+    return out, inner
+
+
 def feed_forward(x, w1, b1, w2, b2, tape=None):
     """Position-wise feed-forward network, relu(x @ w1 + b1) @ w2 + b2, for
     x (n, d), w1 (d, f), b1 (f,), w2 (f, d) and b2 (d,)."""
@@ -147,14 +168,11 @@ def feed_forward(x, w1, b1, w2, b2, tape=None):
         raise ShapeMismatchError(
             f"feed_forward shapes do not agree: x {xd.shape}, w1 {w1d.shape}, "
             f"b1 {b1.data.shape}, w2 {w2d.shape}, b2 {b2.data.shape}")
-    inner = xd @ w1d
-    inner += b1.data
-    keep = inner > 0.0 if tape is not None else None
-    np.maximum(inner, 0.0, out=inner)
-    out = inner @ w2d
-    out += b2.data
+    out, inner = _feed_forward(xd, w1d, b1.data, w2d, b2.data)
     out = _wrap(out)
     if tape is not None:
+        keep = inner > 0.0  # after the ReLU: positive exactly where it was
+
         def bwd(g):
             gin = g @ w2d.T
             gin *= keep
@@ -162,6 +180,21 @@ def feed_forward(x, w1, b1, w2, b2, tape=None):
                     inner.T @ g, np.add.reduce(g, axis=0))
         tape.record(out, (x, w1, b1, w2, b2), bwd)
     return out
+
+
+def _add_layer_norm(x, y, gain, bias):
+    """The residual-norm kernel on arrays: the norm of x + y times gain plus
+    bias, and what the backward needs: the normalized sum and the inverse
+    standard deviation per row."""
+    d = x.shape[-1]
+    xhat = x + y
+    # sum / d is what ndarray.mean computes, without its Python wrapper
+    xhat -= np.add.reduce(xhat, axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d + _EPS)
+    xhat *= inv
+    out = xhat * gain
+    out += bias
+    return out, (xhat, inv)
 
 
 def add_layer_norm(x, y, gain, bias, tape=None):
@@ -173,13 +206,7 @@ def add_layer_norm(x, y, gain, bias, tape=None):
         raise ShapeMismatchError(
             f"add_layer_norm shapes do not agree: x {xd.shape}, y {y.data.shape}, "
             f"gain {gd.shape}, bias {bias.data.shape}")
-    xhat = xd + y.data
-    # sum / d is what ndarray.mean computes, without its Python wrapper
-    xhat -= np.add.reduce(xhat, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / d + _EPS)
-    xhat *= inv
-    out = xhat * gd
-    out += bias.data
+    out, (xhat, inv) = _add_layer_norm(xd, y.data, gd, bias.data)
     out = _wrap(out)
     if tape is not None:
         def bwd(g):
@@ -193,6 +220,30 @@ def add_layer_norm(x, y, gain, bias, tape=None):
             return dx, dx, np.add.reduce(g * xhat, axis=0), np.add.reduce(g, axis=0)
         tape.record(out, (x, y, gain, bias), bwd)
     return out
+
+
+def _attention(x, wqkv, wo, mask, n_heads):
+    """The attention kernel on arrays: the output, and what the backward
+    needs: the per-head q, k and v, the attention weights, the heads' outputs
+    side by side and the score scale. Raises ContractError for a fully
+    masked row."""
+    n, d = x.shape
+    dk = d // n_heads
+    scale = 1.0 / math.sqrt(dk)  # the same correctly rounded root as np.sqrt
+    q, k, v = (x @ wqkv).reshape(n, 3, n_heads, dk).transpose(1, 2, 0, 3)
+    p = q @ k.transpose(0, 2, 1)
+    p *= scale
+    p += mask
+    zmax = np.maximum.reduce(p, axis=-1, keepdims=True)
+    # scores are finite, so a row's max is -inf only where the mask blocks
+    # the whole row
+    if np.minimum.reduce(zmax, axis=None) == -np.inf:
+        raise ContractError("fully masked row cannot be normalized")
+    p -= zmax
+    np.exp(p, out=p)  # exp(-inf) == 0 exactly
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
+    heads = (p @ v).transpose(1, 0, 2).reshape(n, d)
+    return heads @ wo, (q, k, v, p, heads, scale)
 
 
 def attention(x, wqkv, wo, mask, n_heads, tape=None):
@@ -221,23 +272,10 @@ def attention(x, wqkv, wo, mask, n_heads, tape=None):
     n = xd.shape[0]
     if mask.shape != (n, n):
         raise ShapeMismatchError(f"mask shape {mask.shape} != ({n}, {n})")
-    dk = d // n_heads
-    scale = 1.0 / np.sqrt(dk)
-    q, k, v = (xd @ wd).reshape(n, 3, n_heads, dk).transpose(1, 2, 0, 3)
-    p = q @ k.transpose(0, 2, 1)
-    p *= scale
-    p += mask
-    zmax = np.maximum.reduce(p, axis=-1, keepdims=True)
-    # scores are finite, so a row's max is -inf only where the mask blocks
-    # the whole row
-    if np.minimum.reduce(zmax, axis=None) == -np.inf:
-        raise ContractError("fully masked row cannot be normalized")
-    p -= zmax
-    np.exp(p, out=p)  # exp(-inf) == 0 exactly
-    p /= np.add.reduce(p, axis=-1, keepdims=True)
-    heads = (p @ v).transpose(1, 0, 2).reshape(n, d)
-    out = _wrap(heads @ wod)
+    out, (q, k, v, p, heads, scale) = _attention(xd, wd, wod, mask, n_heads)
+    out = _wrap(out)
     if tape is not None:
+        dk = d // n_heads
         w = wd.reshape(d, 3, n_heads, dk)
 
         def bwd(g):
@@ -257,14 +295,21 @@ def attention(x, wqkv, wo, mask, n_heads, tape=None):
     return out
 
 
-def embedding_lookup(table, ids, tape=None):
-    """Gather rows of `table` by integer id."""
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+def _embedding_lookup(table, idx):
+    """The embedding kernel: rows of the array `table` by the int64 ids
+    `idx`, which must lie in [0, rows) (ContractError)."""
+    if idx.size and (np.minimum.reduce(idx) < 0
+                     or np.maximum.reduce(idx) >= table.shape[0]):
         bad = idx[(idx < 0) | (idx >= table.shape[0])][0]
         raise ContractError(
             f"token id {bad} outside vocabulary of {table.shape[0]}")
-    out = _wrap(table.data[idx])
+    return table[idx]
+
+
+def embedding_lookup(table, ids, tape=None):
+    """Gather rows of `table` by integer id."""
+    idx = np.asarray(ids, dtype=np.int64)
+    out = _wrap(_embedding_lookup(table.data, idx))
     if tape is not None:
         def bwd(g):
             gt = np.zeros(table.shape)

@@ -61,6 +61,22 @@ def rewrite_config_line(path, key, value):
         f.write(raw[:4] + struct.pack("<I", len(block)) + block + raw[8 + n:])
 
 
+def fill_tensor(path, name, value):
+    """Set every value of the checkpoint tensor `name` to `value` (a float),
+    in place, leaving every other byte as it was."""
+    with open(path, "rb") as f:
+        raw = bytearray(f.read())
+    nb = name.encode("utf-8")
+    at = raw.index(struct.pack("<I", len(nb)) + nb) + 4 + len(nb)
+    (ndim,) = struct.unpack_from("<I", raw, at)
+    shape = struct.unpack_from(f"<{ndim}I", raw, at + 4)
+    start = at + 4 + 4 * ndim
+    count = int(np.prod(shape))
+    raw[start:start + 8 * count] = struct.pack(f"<{count}d", *[value] * count)
+    with open(path, "wb") as f:
+        f.write(raw)
+
+
 def random_bundle(config, seed=0):
     params = mdl.init_params(config, np.random.default_rng(seed))
     scheme = dt.LabelScheme()

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from conftest import rewrite_config_line
+from conftest import fill_tensor, rewrite_config_line
 from puncstream import cli
 from puncstream import data as dt
 from puncstream import decoding as dec
@@ -340,6 +340,32 @@ def test_bench_with_zero_runs_exits_1(tmp_path, capsys):
                           "--corpus", str(corpus), "--runs", "0"], capsys)
     assert code == 1
     assert err.startswith("error:") and "runs must be >= 1" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_tag_with_nan_weights_exits_1(tmp_path, capsys):
+    ckpt = tmp_path / "m.ctt"
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("boston\tO\tO\nflight\tPERIOD\tO\n\n")
+    golden = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt2.ctt")
+    with open(golden, "rb") as f:
+        ckpt.write_bytes(f.read())
+    fill_tensor(ckpt, "embed", float("nan"))
+    code, out, err = run(["tag", "--checkpoint", str(ckpt),
+                          "--input", str(corpus)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "non-finite values in embed" in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_bench_on_an_empty_corpus_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "empty.tsv"
+    corpus.write_text("")
+    golden = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt2.ctt")
+    code, out, err = run(["bench", "--checkpoint", golden,
+                          "--corpus", str(corpus)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "empty word list" in err
     assert "Traceback" not in err and out == ""
 
 

@@ -1,10 +1,16 @@
 import time
 from dataclasses import fields
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_bundle, small_config
 from puncstream import decoding as dec
+from puncstream import model as mdl
+from puncstream import numcore as nc
+from puncstream.data import Vocabulary
 from puncstream.masks import effective_lookahead
 
 
@@ -240,3 +246,103 @@ def test_chunk_decode_short_input_single_call():
     assert out.punct == ["O", "O", "O"]
     with pytest.raises(ValueError):
         dec.chunk_decode([], FifthWordStub())
+
+
+# ---------------------------------------------------------------------------
+# ModelTagger: parameters checked and unpacked once, when it is built
+# ---------------------------------------------------------------------------
+
+def test_model_tagger_refuses_a_wrongly_shaped_tensor_when_built():
+    bundle = random_bundle(small_config())
+    bad = bundle.params.copy()
+    bad["layer0.wo"] = nc.Tensor(np.zeros((8, 7)))
+    with pytest.raises(nc.ShapeMismatchError, match="layer0.wo"):
+        dec.ModelTagger(bundle.config, bad, bundle.vocab, bundle.scheme)
+
+
+def test_model_tagger_keeps_the_parameters_it_was_built_with():
+    bundle = random_bundle(small_config(), seed=23)
+    words = [f"w{i % 10}" for i in range(9)]
+    before = bundle.tagger.tag(words)
+    for name, t in list(bundle.params.items()):
+        bundle.params[name] = nc.Tensor(np.zeros(t.shape))
+    assert bundle.tagger.tag(words) == before
+    rebuilt = dec.ModelTagger(bundle.config, bundle.params, bundle.vocab,
+                              bundle.scheme)
+    assert rebuilt.tag(words) == (["O"] * 9, ["O"] * 9)  # all-zero logits
+
+
+def test_model_tagger_refuses_long_input_and_ids_outside_the_model():
+    bundle = random_bundle(small_config(max_positions=10))
+    assert len(bundle.tagger.tag(["w1"] * 10)[0]) == 10
+    with pytest.raises(mdl.LengthError, match="max_positions 10"):
+        bundle.tagger.tag(["w1"] * 11)
+    # a vocabulary larger than the model's maps words to ids it has no row for
+    wide = Vocabulary([f"w{i}" for i in range(20)])
+    tagger = dec.ModelTagger(bundle.config, bundle.params, wide, bundle.scheme)
+    with pytest.raises(nc.ContractError, match="token id 17 outside vocabulary"):
+        tagger.tag(["w1", "w15"])
+
+
+# ---------------------------------------------------------------------------
+# stream properties over generated word streams
+# ---------------------------------------------------------------------------
+
+class ContextStub:
+    """Deterministic tagger that looks one word ahead, so the stream revises
+    its labels: "stop" ends a sentence unless "and" follows it, with a
+    QUESTION if "eh" follows and a PERIOD otherwise; "um" is an
+    interregnum."""
+
+    def tag(self, words):
+        punct = []
+        for w, nxt in zip(words, words[1:] + [None]):
+            if w != "stop" or nxt == "and":
+                punct.append("O")
+            else:
+                punct.append("QUESTION" if nxt == "eh" else "PERIOD")
+        return punct, ["B-IM" if w == "um" else "O" for w in words]
+
+
+_WORDS = st.lists(st.sampled_from(["a", "stop", "and", "eh", "um"]), max_size=80)
+
+
+@settings(max_examples=100, deadline=None)
+@given(words=_WORDS, frame_rate=st.integers(1, 5),
+       lookahead=st.integers(0, 8), data=st.data())
+def test_stream_emissions_are_final_and_keep_their_promise(
+        words, frame_rate, lookahead, data):
+    policy = dec.DecodePolicy(frame_rate, lookahead)
+    tagger = ContextStub()
+    state = dec.StreamState()
+    fed = 0
+    previous = []
+    while fed < len(words):
+        size = data.draw(st.integers(1, min(frame_rate, len(words) - fed)))
+        out = dec.stream_step(state, words[fed:fed + size], tagger, policy)
+        fed += size
+        assert state.emitted[:len(previous)] == previous
+        assert state.emitted[len(previous):] == out
+        if out:
+            assert out[-1][1] in policy.eos_labels
+            assert fed - len(state.emitted) >= policy.lookahead_words
+        previous = list(state.emitted)
+    tail = dec.finish(state, tagger)
+    assert state.emitted == previous + tail
+    assert [w for w, _, _ in state.emitted] == words
+
+
+@settings(max_examples=100, deadline=None)
+@given(words=_WORDS, frame_rate=st.integers(1, 5), lookahead=st.integers(0, 8))
+def test_stream_frames_equals_step_by_step_calls_on_any_stream(
+        words, frame_rate, lookahead):
+    policy = dec.DecodePolicy(frame_rate, lookahead)
+    tagger = ContextStub()
+    ref = dec.StreamState()
+    expected = [dec.stream_step(ref, words[i:i + frame_rate], tagger, policy)
+                for i in range(0, len(words), frame_rate)]
+    expected.append(dec.finish(ref, tagger))
+    state = dec.StreamState()
+    assert list(dec.stream_frames(state, iter(words), tagger, policy)) == expected
+    assert state.emitted == ref.emitted
+    assert state.revision_log == ref.revision_log

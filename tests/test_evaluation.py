@@ -181,3 +181,12 @@ def test_bench_rejects_fewer_than_one_run(runs):
         ev.bench_streaming(NeverCalled(), ["w"] * 3, DecodePolicy(), runs=runs)
     with pytest.raises(ValueError, match="runs must be >= 1"):
         ev.bench_rescore(NeverCalled(), ["w"] * 3, frame_rate=1, runs=runs)
+
+
+def test_bench_streaming_rejects_an_empty_word_list():
+    class NeverCalled:
+        def tag(self, words):
+            raise AssertionError("bench ran on no words")
+
+    with pytest.raises(ValueError, match="empty word list"):
+        ev.bench_streaming(NeverCalled(), [], DecodePolicy(), runs=1)

@@ -5,12 +5,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_bundle, rewrite_config_line, small_config
+from conftest import fill_tensor, random_bundle, rewrite_config_line, small_config
+from puncstream import decoding as dec
 from puncstream import model as mdl
 from puncstream import numcore as nc
 from puncstream import training as tr
-from puncstream.data import LabelScheme
+from puncstream.data import LabelScheme, Vocabulary
 from puncstream.masks import MaskSpec, effective_lookahead
 
 # Written by the CTT2 writer as it was before the checkpoint code was merged
@@ -272,6 +275,55 @@ def test_unknown_token_id_rejected():
         mdl.encoder_forward([3, 99], bundle.config, bundle.params)
 
 
+@st.composite
+def _model_and_ids(draw):
+    """A random small model (1 or 2 heads, 1-3 layers, any budgets) and up to
+    64 random token ids."""
+    n_heads = draw(st.sampled_from([1, 2]))
+    budgets = draw(st.lists(st.integers(0, 70), min_size=1, max_size=3))
+    config = mdl.ModelConfig(12, 4 * n_heads, len(budgets), n_heads, 8,
+                             MaskSpec(tuple(budgets)), 4, 5)
+    params = mdl.init_params(config, np.random.default_rng(draw(st.integers(0, 999))))
+    ids = draw(st.lists(st.integers(0, 11), min_size=1, max_size=64))
+    return config, params, ids
+
+
+@settings(max_examples=40, deadline=None)
+@given(_model_and_ids())
+def test_untaped_forward_and_tagger_match_the_taped_ops_bit_for_bit(case):
+    config, params, ids = case
+    taped = mdl.forward(ids, config, params, nc.Tape())
+    untaped = mdl.forward(ids, config, params)
+    for a, b in zip(taped, untaped):
+        assert np.array_equal(a.data, b.data)
+    scheme = LabelScheme()
+    vocab = Vocabulary([f"w{i}" for i in range(config.vocab_size - 2)])
+    tagger = dec.ModelTagger(config, params, vocab, scheme)
+    punct, disf = mdl.predict(ids, config, params)
+    assert tagger.tag([vocab.words[i] for i in ids]) == \
+        ([scheme.punct_labels[i] for i in punct], [scheme.disf_labels[i] for i in disf])
+
+
+def test_forward_checks_parameter_shapes_once_per_call():
+    bundle = random_bundle(small_config())
+    bad = bundle.params.copy()
+    bad["layer1.ff.b1"] = nc.Tensor(np.zeros(3))
+    del bad.tensors["punct.b"]
+    bad["extra"] = nc.Tensor(np.zeros(2))
+    with pytest.raises(nc.ShapeMismatchError) as err:
+        mdl.forward([2, 3], bundle.config, bad)
+    assert str(err.value).endswith(
+        "layer1.ff.b1: expected (16,), found (3,); missing tensor punct.b; "
+        "unexpected tensor extra")
+    unpacked = mdl.unpack_params(bundle.config, bundle.params)
+    assert mdl.unpack_params(bundle.config, unpacked) is unpacked
+    # a different config with the same shapes re-checks the same tensors
+    wider = small_config(lookahead=(3, 3))
+    assert mdl.unpack_params(wider, unpacked).tensors == unpacked.tensors
+    with pytest.raises(nc.ShapeMismatchError, match="embed"):
+        mdl.unpack_params(small_config(vocab_size=13), unpacked)
+
+
 def test_checkpoint_round_trip(tmp_path):
     from puncstream.data import LabelScheme, Vocabulary
     bundle = random_bundle(small_config(), seed=15)
@@ -362,6 +414,18 @@ def test_config_block_must_be_utf8_and_match_the_label_counts(
     path = _golden_copy(tmp_path)
     rewrite_config_line(path, key, value)
     with pytest.raises(mdl.CheckpointError, match=message):
+        mdl.load_model(path)
+
+
+@pytest.mark.parametrize("name,value", [("embed", math.nan),
+                                        ("layer0.ff.b2", math.inf),
+                                        ("disf.w", -math.inf)])
+def test_checkpoint_with_non_finite_weights_refused(tmp_path, name, value):
+    path = _golden_copy(tmp_path)
+    size = os.path.getsize(path)
+    fill_tensor(path, name, value)
+    assert os.path.getsize(path) == size
+    with pytest.raises(mdl.CheckpointError, match=f"non-finite values in {name}$"):
         mdl.load_model(path)
 
 
