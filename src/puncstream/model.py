@@ -307,8 +307,7 @@ def predict(token_ids, config, params):
     if len(token_ids) == 0:
         return [], []
     punct, disf = forward(token_ids, config, params)
-    return (np.argmax(punct.data, axis=1).tolist(),
-            np.argmax(disf.data, axis=1).tolist())
+    return punct.data.argmax(axis=1).tolist(), disf.data.argmax(axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------

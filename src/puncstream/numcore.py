@@ -225,8 +225,8 @@ def add_layer_norm(x, y, gain, bias, tape=None):
 def _attention(x, wqkv, wo, mask, n_heads):
     """The attention kernel on arrays: the output, and what the backward
     needs: the per-head q, k and v, the attention weights, the heads' outputs
-    side by side and the score scale. Raises ContractError for a fully
-    masked row."""
+    side by side and the score scale. Every row of `mask` must have an open
+    entry, as every build_ct_mask row does (a position sees itself)."""
     n, d = x.shape
     dk = d // n_heads
     scale = 1.0 / math.sqrt(dk)  # the same correctly rounded root as np.sqrt
@@ -234,12 +234,7 @@ def _attention(x, wqkv, wo, mask, n_heads):
     p = q @ k.transpose(0, 2, 1)
     p *= scale
     p += mask
-    zmax = np.maximum.reduce(p, axis=-1, keepdims=True)
-    # scores are finite, so a row's max is -inf only where the mask blocks
-    # the whole row
-    if np.minimum.reduce(zmax, axis=None) == -np.inf:
-        raise ContractError("fully masked row cannot be normalized")
-    p -= zmax
+    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
     np.exp(p, out=p)  # exp(-inf) == 0 exactly
     p /= np.add.reduce(p, axis=-1, keepdims=True)
     heads = (p @ v).transpose(1, 0, 2).reshape(n, d)
@@ -272,6 +267,8 @@ def attention(x, wqkv, wo, mask, n_heads, tape=None):
     n = xd.shape[0]
     if mask.shape != (n, n):
         raise ShapeMismatchError(f"mask shape {mask.shape} != ({n}, {n})")
+    if np.minimum.reduce(np.maximum.reduce(mask, axis=-1)) == -np.inf:
+        raise ContractError("fully masked row cannot be normalized")
     out, (q, k, v, p, heads, scale) = _attention(xd, wd, wod, mask, n_heads)
     out = _wrap(out)
     if tape is not None:
