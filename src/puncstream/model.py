@@ -193,7 +193,7 @@ class UnpackedParams:
     It keeps the tensors it was built from, so a tensor later replaced in
     the ModelParams it came from does not reach it. `forward`, `predict`,
     `encoder_forward` and `heads_forward` take it wherever they take a
-    ModelParams, and then check nothing.
+    ModelParams, and with the config it was built for check nothing.
     """
 
     __slots__ = ("config", "tensors", "embed", "layers")
@@ -223,8 +223,8 @@ def _shape_mismatches(config, shapes):
 def unpack_params(config, params):
     """`params`, a ModelParams or UnpackedParams, as UnpackedParams for
     `config`; an UnpackedParams built for this very config object is
-    returned as it is. Raises ShapeMismatchError naming every tensor that does not fit
-    `param_shapes(config)`."""
+    returned as it is. Raises ShapeMismatchError naming every tensor that
+    does not fit `param_shapes(config)`."""
     if isinstance(params, UnpackedParams) and params.config is config:
         return params
     tensors = dict(params.tensors)

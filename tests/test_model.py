@@ -304,7 +304,7 @@ def test_untaped_forward_and_tagger_match_the_taped_ops_bit_for_bit(case):
         ([scheme.punct_labels[i] for i in punct], [scheme.disf_labels[i] for i in disf])
 
 
-def test_forward_checks_parameter_shapes_once_per_call():
+def test_unpack_params_names_every_tensor_that_does_not_fit():
     bundle = random_bundle(small_config())
     bad = bundle.params.copy()
     bad["layer1.ff.b1"] = nc.Tensor(np.zeros(3))
