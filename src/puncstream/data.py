@@ -50,6 +50,18 @@ class LabelScheme:
         except ValueError:
             raise EncodeError(f"unknown disfluency label {label!r}") from None
 
+    def label_problem(self, seq):
+        """Why `seq` cannot be trained on or scored with this scheme ("has
+        no labels", or its first label outside the scheme), or None."""
+        if not seq.has_gold():
+            return "has no labels"
+        for kind, labels, known in (("punctuation", seq.punct, self.punct_labels),
+                                    ("disfluency", seq.disf, self.disf_labels)):
+            for label in labels:
+                if label not in known:
+                    return f"has unknown {kind} label {label!r}"
+        return None
+
 
 def validate_bio(labels, where=""):
     """Every I-X must follow a B-X or I-X of the same span type."""

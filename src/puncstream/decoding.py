@@ -1,9 +1,10 @@
-"""Offline tagging, the low-latency streaming decoder, and a chunk baseline.
+"""Offline tagging, the streaming decoder, and a rescoring baseline.
 
 The streaming decoder keeps an input buffer, re-tags it after every arrival
 of up to `frame_rate` new words, and freezes a sentence once at least
 `lookahead_words` words have arrived after its first end-of-sentence mark.
-Emitted triples are final and never revised.
+A tagger's `max_positions`, where it has one, caps the buffer. Emitted
+triples are final and never revised.
 """
 
 import time
@@ -12,6 +13,7 @@ from itertools import islice
 
 from .data import TokenSequence
 from .model import predict, unpack_params
+from .numcore import ShapeMismatchError
 
 
 class StreamError(RuntimeError):
@@ -38,13 +40,22 @@ class ModelTagger:
     (model.unpack_params), so `tag` runs the encoder's kernels on plain
     arrays. A tagger keeps the parameters it was built with: a tensor later
     replaced in `params` does not reach it; build a new tagger instead.
+    A vocabulary or label scheme that does not fit the model is refused.
+    `max_positions`, the longest input `tag` accepts, caps stream buffers.
     """
 
     def __init__(self, config, params, vocab, scheme):
+        sizes = (len(vocab), len(scheme.punct_labels), len(scheme.disf_labels))
+        fits = (config.vocab_size, config.punct_label_count, config.disf_label_count)
+        if sizes[0] > fits[0] or sizes[1:] != fits[1:]:
+            raise ShapeMismatchError(
+                f"vocabulary and label sizes {sizes} do not fit the model's "
+                f"vocab_size and punct and disf label counts {fits}")
         self.config = config
         self.params = unpack_params(config, params)
         self.vocab = vocab
         self.scheme = scheme
+        self.max_positions = config.max_positions
 
     def tag(self, words):
         ids = [self.vocab.id_of(w) for w in words]
@@ -54,11 +65,18 @@ class ModelTagger:
 
 
 def tag_offline(words, tagger):
-    """Single inference over the whole sequence."""
+    """Single inference over the whole sequence; input longer than the
+    tagger's `max_positions` goes through the stream decoder instead, with
+    the default DecodePolicy."""
+    words = list(words)
     if not words:
         raise ValueError("tag_offline: empty input")
-    punct, disf = tagger.tag(list(words))
-    return TokenSequence(list(words), punct, disf, strict_bio=False)
+    if len(words) <= getattr(tagger, "max_positions", float("inf")):
+        punct, disf = tagger.tag(words)
+    else:
+        emitted, _ = stream_decode(words, tagger, DecodePolicy())
+        _, punct, disf = zip(*emitted)
+    return TokenSequence(words, list(punct), list(disf), strict_bio=False)
 
 
 @dataclass
@@ -82,11 +100,8 @@ def _retag(state, tagger):
     prediction at that position).
     """
     punct, disf = tagger.tag(state.buffer_words)
-    changed = None
-    for i, old in enumerate(state.buffer_punct):
-        if old is not None and punct[i] != old:
-            changed = state.offset + i
-            break
+    changed = next((state.offset + i for i, old in enumerate(state.buffer_punct)
+                    if old is not None and punct[i] != old), None)
     if changed is not None:
         state.revision_log.append((state.offset + len(state.buffer_words) - 1,
                                    changed))
@@ -95,9 +110,9 @@ def _retag(state, tagger):
 
 
 def _emit(state, upto):
-    """Freeze and remove buffer[:upto] (inclusive end-of-sentence word)."""
-    triples = [(state.buffer_words[i], state.buffer_punct[i], state.buffer_disf[i])
-               for i in range(upto)]
+    """Freeze and remove buffer[:upto]; returns the frozen triples."""
+    triples = list(zip(state.buffer_words[:upto], state.buffer_punct[:upto],
+                       state.buffer_disf[:upto]))
     state.emitted.extend(triples)
     del state.buffer_words[:upto]
     del state.buffer_punct[:upto]
@@ -113,22 +128,35 @@ def stream_step(state, new_words, tagger, policy):
     mark has at least `lookahead_words` words after it, the sentence up to
     and including the marked word is emitted and dropped from the buffer
     (one sentence per step).
+
+    Then, if the next frame could push the buffer past the tagger's
+    `max_positions` (the cap), all but the last min(lookahead_words,
+    cap - frame_rate) words are frozen as tagged, so no `tag` call sees more
+    than cap words. A frame_rate above the cap is refused.
     """
     if state.finished:
         raise StreamError("stream_step after finish")
     if not 1 <= len(new_words) <= policy.frame_rate:
         raise StreamError(
             f"expected 1..{policy.frame_rate} new words, got {len(new_words)}")
+    cap = getattr(tagger, "max_positions", float("inf"))
+    if policy.frame_rate > cap:
+        raise StreamError(f"frame_rate {policy.frame_rate} exceeds the "
+                          f"tagger's max_positions {cap}")
     state.buffer_words.extend(w for w in new_words)
     state.buffer_punct.extend([None] * len(new_words))
     state.buffer_disf.extend([None] * len(new_words))
     _retag(state, tagger)
+    frozen = []
     for i, label in enumerate(state.buffer_punct):
         if label in policy.eos_labels:
             if len(state.buffer_punct) - i - 1 >= policy.lookahead_words:
-                return _emit(state, i + 1)
+                frozen = _emit(state, i + 1)
             break
-    return []
+    if len(state.buffer_words) + policy.frame_rate > cap:
+        keep = min(policy.lookahead_words, cap - policy.frame_rate)
+        frozen += _emit(state, len(state.buffer_words) - keep)
+    return frozen
 
 
 def finish(state, tagger):
@@ -153,10 +181,8 @@ def stream_frames(state, words, tagger, policy):
 
 
 def stream_decode(words, tagger, policy):
-    """Run a whole word list through the streaming decoder.
-
-    Returns (emitted triples, state) with the complete revision log.
-    """
+    """Run a whole word list through the streaming decoder; returns
+    (emitted triples, state), the state with the complete revision log."""
     state = StreamState()
     for _ in stream_frames(state, words, tagger, policy):
         pass
@@ -179,30 +205,3 @@ def rescore_decode(words, tagger, frame_rate, deadline=None):
         if deadline is not None and time.perf_counter() > deadline:
             return [], False
     return list(zip(buffer, punct, disf)), True
-
-
-def chunk_decode(words, tagger, chunk=30, window=15, min_words_cut=10):
-    """Overlapped-chunk baseline: decode fixed chunks advancing by `window`;
-    in each overlap the earlier chunk keeps its first (chunk - min_words_cut)
-    labels and the later chunk supplies the rest."""
-    if not words:
-        raise ValueError("chunk_decode: empty input")
-    n = len(words)
-    punct = [None] * n
-    disf = [None] * n
-    keep = chunk - min_words_cut
-    start = 0
-    while True:
-        cw = words[start:start + chunk]
-        cp, cd = tagger.tag(cw)
-        last = start + chunk >= n
-        limit = len(cw) if last else keep
-        for i in range(limit):
-            pos = start + i
-            if pos < n and punct[pos] is None:
-                punct[pos] = cp[i]
-                disf[pos] = cd[i]
-        if last:
-            break
-        start += window
-    return TokenSequence(list(words), punct, disf, strict_bio=False)

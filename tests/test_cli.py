@@ -1,12 +1,15 @@
 import io
 import os
 
+import numpy as np
 import pytest
 
-from conftest import fill_tensor, rewrite_config_line
+from conftest import fill_tensor, random_bundle, rewrite_config_line, small_config
 from puncstream import cli
 from puncstream import data as dt
 from puncstream import decoding as dec
+from puncstream import model as mdl
+from puncstream import numcore as nc
 from puncstream import training as tr
 
 
@@ -429,3 +432,100 @@ def test_synth_rejects_a_probability_above_one(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error:") and "p_filler must be in [0, 1], got 5.0" in err
     assert out == "" and not out_path.exists()
+
+
+def _save_model_that_never_ends_a_sentence(path, max_positions):
+    """A small random model whose punctuation head always says O, so only
+    the buffer cap can make its stream freeze words."""
+    bundle = random_bundle(small_config(max_positions=max_positions))
+    bundle.params["punct.b"] = nc.Tensor(np.array([50.0, 0.0, 0.0, 0.0]))
+    mdl.save_model(path, bundle.config, bundle.params, bundle.vocab,
+                   bundle.scheme)
+
+
+def test_stream_of_700_fillers_prints_700_triples(tmp_path, capsys,
+                                                  monkeypatch):
+    ckpt = tmp_path / "m.ctt"
+    _save_model_that_never_ends_a_sentence(ckpt, max_positions=512)
+    monkeypatch.setattr("sys.stdin", io.StringIO("um " * 700 + "\n"))
+    code, out, err = run(["stream", "--checkpoint", str(ckpt)], capsys)
+    assert code == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 700
+    assert all(ln.split("\t")[:2] == ["um", "O"] for ln in lines)
+
+
+def test_tag_accepts_an_utterance_longer_than_max_positions(tmp_path, capsys):
+    ckpt = tmp_path / "m.ctt"
+    corpus = tmp_path / "long.tsv"
+    _save_model_that_never_ends_a_sentence(ckpt, max_positions=16)
+    words = [f"w{i % 10}" for i in range(50)]
+    corpus.write_text("".join(f"{w}\n" for w in words) + "\n")
+    code, out, err = run(["tag", "--checkpoint", str(ckpt),
+                          "--input", str(corpus)], capsys)
+    assert code == 0, err
+    assert [ln.split("\t")[0] for ln in out.splitlines() if ln] == words
+
+
+def test_stream_with_a_frame_rate_above_the_cap_exits_1(tmp_path, capsys,
+                                                        monkeypatch):
+    ckpt = tmp_path / "m.ctt"
+    _save_model_that_never_ends_a_sentence(ckpt, max_positions=16)
+    monkeypatch.setattr("sys.stdin", io.StringIO("i want a flight\n"))
+    code, out, err = run(["stream", "--checkpoint", str(ckpt),
+                          "--frame-rate", "17"], capsys)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "frame_rate 17 exceeds the tagger's max_positions 16" in err
+    assert "Traceback" not in err and out == ""
+
+
+_LABELED = "i\tO\tO\nwant\tO\tO\nit\tPERIOD\tO\n\n"
+
+
+@pytest.mark.parametrize("corpus, dev, message", [
+    (_LABELED + "hello\nthere\n\n", None, "corpus utterance 1 has no labels"),
+    (_LABELED, _LABELED + "hello\nthere\n\n", "dev utterance 1 has no labels"),
+    ("i\tO\tO\nwant\tEXCLAIM\tO\n\n", None,
+     "corpus utterance 0 has unknown punctuation label 'EXCLAIM'"),
+    (_LABELED, "um\tO\tB-XX\n\n",
+     "dev utterance 0 has unknown disfluency label 'B-XX'"),
+])
+def test_train_refuses_unlabeled_or_unknown_labels(tmp_path, capsys, corpus,
+                                                   dev, message):
+    ckpt = tmp_path / "m.ctt"
+    (tmp_path / "c.tsv").write_text(corpus)
+    argv = ["train", "--corpus", str(tmp_path / "c.tsv"), "--out", str(ckpt),
+            "--set", "max_steps=2", "--set", "d_model=8", "--set", "n_layers=1",
+            "--set", "d_ff=16", "--set", "lookahead=9", "--set", "eval_every=1"]
+    if dev is not None:
+        (tmp_path / "dev.tsv").write_text(dev)
+        argv += ["--dev", str(tmp_path / "dev.tsv")]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err and out == ""
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("pred, gold, message", [
+    ("i\nwant\n\n", _LABELED, "predicted utterance 0 has no labels"),
+    (_LABELED, "i\nwant\nit\n\n", "gold utterance 0 has no labels"),
+    ("i\tO\tO\nwant\tO\tO\nit\tEXCLAIM\tO\n\n", _LABELED,
+     "predicted utterance 0 has unknown punctuation label 'EXCLAIM'"),
+    (_LABELED, "i\tO\tO\nwant\tDASH\tO\nit\tPERIOD\tO\n\n",
+     "gold utterance 0 has unknown punctuation label 'DASH'"),
+    ("i\tO\tB-XX\nwant\tO\tO\nit\tPERIOD\tO\n\n", _LABELED,
+     "predicted utterance 0 has unknown disfluency label 'B-XX'"),
+    (_LABELED, "i\tO\tO\nwant\tO\tB-XX\nit\tPERIOD\tO\n\n",
+     "gold utterance 0 has unknown disfluency label 'B-XX'"),
+])
+def test_eval_refuses_unlabeled_or_unknown_labels(tmp_path, capsys, pred,
+                                                  gold, message):
+    (tmp_path / "pred.tsv").write_text(pred)
+    (tmp_path / "gold.tsv").write_text(gold)
+    code, out, err = run(["eval", "--pred", str(tmp_path / "pred.tsv"),
+                          "--gold", str(tmp_path / "gold.tsv")], capsys)
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err and out == ""

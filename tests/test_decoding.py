@@ -1,5 +1,6 @@
 import time
 from dataclasses import fields
+from functools import cache
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from conftest import random_bundle, small_config
 from puncstream import decoding as dec
 from puncstream import model as mdl
 from puncstream import numcore as nc
-from puncstream.data import Vocabulary
+from puncstream.data import LabelScheme, Vocabulary
 from puncstream.masks import effective_lookahead
 
 
@@ -220,34 +221,6 @@ def test_rescore_deadline_abort():
     assert triples == [] and not completed
 
 
-def test_chunk_decode_covers_every_position_once():
-    calls = []
-
-    class ChunkProbe:
-        def tag(self, words):
-            calls.append(len(calls))
-            tag = f"c{len(calls)}"
-            return [tag] * len(words), ["O"] * len(words)
-
-    words = [f"w{i}" for i in range(70)]
-    out = dec.chunk_decode(words, ChunkProbe(), chunk=30, window=15,
-                           min_words_cut=10)
-    assert None not in out.punct
-    # earlier chunks own the early positions: first keep-range from call 1
-    assert out.punct[:20] == ["c1"] * 20
-    # ownership never goes backwards
-    owners = [int(p[1:]) for p in out.punct]
-    assert owners == sorted(owners)
-
-
-def test_chunk_decode_short_input_single_call():
-    words = ["a", "b", "c"]
-    out = dec.chunk_decode(words, FifthWordStub(), chunk=30, window=15)
-    assert out.punct == ["O", "O", "O"]
-    with pytest.raises(ValueError):
-        dec.chunk_decode([], FifthWordStub())
-
-
 # ---------------------------------------------------------------------------
 # ModelTagger: parameters checked and unpacked once, when it is built
 # ---------------------------------------------------------------------------
@@ -277,11 +250,24 @@ def test_model_tagger_refuses_long_input_and_ids_outside_the_model():
     assert len(bundle.tagger.tag(["w1"] * 10)[0]) == 10
     with pytest.raises(mdl.LengthError, match="max_positions 10"):
         bundle.tagger.tag(["w1"] * 11)
-    # a vocabulary larger than the model's maps words to ids it has no row for
+    # a vocabulary larger than the model's would map words to ids it has no
+    # row for, so the tagger refuses it when built
     wide = Vocabulary([f"w{i}" for i in range(20)])
-    tagger = dec.ModelTagger(bundle.config, bundle.params, wide, bundle.scheme)
-    with pytest.raises(nc.ContractError, match="token id 17 outside vocabulary"):
-        tagger.tag(["w1", "w15"])
+    with pytest.raises(nc.ShapeMismatchError,
+                       match=r"sizes \(22, 4, 5\) do not fit .* \(12, 4, 5\)"):
+        dec.ModelTagger(bundle.config, bundle.params, wide, bundle.scheme)
+
+
+def test_model_tagger_refuses_labels_that_do_not_fit_the_heads():
+    bundle = random_bundle(small_config())
+    narrow = Vocabulary([f"w{i}" for i in range(4)])   # smaller is fine
+    assert dec.ModelTagger(bundle.config, bundle.params, narrow,
+                           bundle.scheme).tag(["w1", "w9"])
+    for scheme in (LabelScheme(punct_labels=("O", "COMMA", "PERIOD")),
+                   LabelScheme(disf_labels=("O", "B-RM", "I-RM", "B-IM",
+                                            "I-IM", "B-XX"))):
+        with pytest.raises(nc.ShapeMismatchError, match="label counts"):
+            dec.ModelTagger(bundle.config, bundle.params, bundle.vocab, scheme)
 
 
 # ---------------------------------------------------------------------------
@@ -346,3 +332,116 @@ def test_stream_frames_equals_step_by_step_calls_on_any_stream(
     assert list(dec.stream_frames(state, iter(words), tagger, policy)) == expected
     assert state.emitted == ref.emitted
     assert state.revision_log == ref.revision_log
+
+
+# ---------------------------------------------------------------------------
+# the buffer cap: a tagger's max_positions bounds every buffer it tags
+# ---------------------------------------------------------------------------
+
+class NeverEndsStub:
+    """Tags every word O, so no sentence ever ends, and records the length
+    of every input; accepts at most `max_positions` words."""
+
+    def __init__(self, max_positions=10):
+        self.max_positions = max_positions
+        self.sizes = []
+
+    def tag(self, words):
+        assert len(words) <= self.max_positions
+        self.sizes.append(len(words))
+        return ["O"] * len(words), ["O"] * len(words)
+
+
+def test_buffer_at_the_cap_freezes_all_but_the_lookahead_words():
+    tagger = NeverEndsStub(max_positions=10)
+    words = [f"w{i}" for i in range(21)]
+    policy = dec.DecodePolicy(frame_rate=3, lookahead_words=4)
+    state = dec.StreamState()
+    counts = [len(dec.stream_step(state, words[i:i + 3], tagger, policy))
+              for i in range(0, len(words), 3)]
+    # the buffer reaches 9 and 10 words; each time the next frame could push
+    # it past 10, all but its last 4 words are frozen
+    assert counts == [0, 0, 5, 0, 6, 0, 6]
+    assert len(dec.finish(state, tagger)) == 4
+    assert tagger.sizes == [3, 6, 9, 7, 10, 7, 10, 4]
+    assert [w for w, _, _ in state.emitted] == words
+
+
+def test_cap_keeps_at_most_cap_minus_frame_rate_words():
+    tagger = NeverEndsStub(max_positions=10)
+    emitted, _ = dec.stream_decode([f"w{i}" for i in range(40)], tagger,
+                                   dec.DecodePolicy(frame_rate=4,
+                                                    lookahead_words=50))
+    assert len(emitted) == 40
+    assert max(tagger.sizes) == 10
+    assert tagger.sizes[2:4] == [10, 10]     # 6 kept words plus a frame of 4
+
+
+def test_frame_rate_above_the_cap_is_refused_before_any_word_is_taken():
+    state = dec.StreamState()
+    with pytest.raises(dec.StreamError,
+                       match="frame_rate 11 exceeds the tagger's max_positions 10"):
+        dec.stream_step(state, ["a"], NeverEndsStub(10), dec.DecodePolicy(11, 0))
+    assert state.buffer_words == [] and state.emitted == []
+    assert dec.stream_decode(["a"] * 25, NeverEndsStub(10),
+                             dec.DecodePolicy(10, 0))[0] == [("a", "O", "O")] * 25
+
+
+def test_tag_offline_streams_input_longer_than_max_positions():
+    bundle = random_bundle(small_config(max_positions=16), seed=24)
+    words = [f"w{i % 10}" for i in range(16)]
+    fits = dec.tag_offline(words, bundle.tagger)
+    assert (fits.punct, fits.disf) == bundle.tagger.tag(words)
+    words = [f"w{(i * 3) % 11}" for i in range(50)]
+    out = dec.tag_offline(words, bundle.tagger)
+    emitted, _ = dec.stream_decode(words, bundle.tagger, dec.DecodePolicy())
+    assert list(zip(out.words, out.punct, out.disf)) == emitted
+    assert out.words == words
+
+
+class RecordingTagger:
+    """Passes `tag` on to a tagger and records the longest input."""
+
+    def __init__(self, tagger):
+        self.tagger = tagger
+        self.max_positions = tagger.max_positions
+        self.longest = 0
+
+    def tag(self, words):
+        self.longest = max(self.longest, len(words))
+        return self.tagger.tag(words)
+
+
+@cache
+def _capped_model(cap):
+    return random_bundle(small_config(max_positions=cap), seed=cap).tagger
+
+
+# long filler runs, in-vocabulary words and out-of-vocabulary words
+_SEGMENTS = st.lists(st.one_of(
+    st.integers(1, 70).map(lambda k: ["um"] * k),
+    st.lists(st.sampled_from(["w1", "w4", "w7", "w9", "boston", "zebra"]),
+             min_size=1, max_size=10)), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(segments=_SEGMENTS, cap=st.integers(16, 24), data=st.data())
+def test_real_model_stream_stays_within_the_cap(segments, cap, data):
+    words = [w for segment in segments for w in segment]
+    frame_rate = data.draw(st.integers(1, cap), label="frame_rate")
+    lookahead = data.draw(st.integers(0, 2 * cap), label="lookahead")
+    policy = dec.DecodePolicy(frame_rate, lookahead)
+    tagger = RecordingTagger(_capped_model(cap))
+    state = dec.StreamState()
+    fed = 0
+    while fed < len(words):
+        size = data.draw(st.integers(1, min(frame_rate, len(words) - fed)))
+        start = len(state.emitted)
+        dec.stream_step(state, words[fed:fed + size], tagger, policy)
+        fed += size
+        # no frozen word waited for more than cap words
+        assert all(fed - j <= cap for j in range(start, len(state.emitted)))
+        assert len(state.buffer_words) + frame_rate <= cap
+    dec.finish(state, tagger)
+    assert tagger.longest <= cap
+    assert [w for w, _, _ in state.emitted] == words
