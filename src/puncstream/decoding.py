@@ -67,14 +67,16 @@ class ModelTagger:
 def tag_offline(words, tagger):
     """Single inference over the whole sequence; input longer than the
     tagger's `max_positions` goes through the stream decoder instead, with
-    the default DecodePolicy."""
+    the default DecodePolicy but a frame rate of at most `max_positions`."""
     words = list(words)
     if not words:
         raise ValueError("tag_offline: empty input")
-    if len(words) <= getattr(tagger, "max_positions", float("inf")):
+    cap = getattr(tagger, "max_positions", float("inf"))
+    if len(words) <= cap:
         punct, disf = tagger.tag(words)
     else:
-        emitted, _ = stream_decode(words, tagger, DecodePolicy())
+        policy = DecodePolicy(frame_rate=min(DecodePolicy.frame_rate, cap))
+        emitted, _ = stream_decode(words, tagger, policy)
         _, punct, disf = zip(*emitted)
     return TokenSequence(words, list(punct), list(disf), strict_bio=False)
 

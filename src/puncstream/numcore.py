@@ -100,7 +100,11 @@ def backward(loss, tape, wrt):
                 continue
             acc = grads.get(inp)
             grads[inp] = gi if acc is None else acc + gi
-    return {t: grads.get(t, np.zeros(t.shape)) for t in wrt}
+    out = {}
+    for t in wrt:
+        g = grads.get(t)
+        out[t] = np.zeros(t.shape) if g is None else g
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,18 @@ def test_tag_offline_streams_input_longer_than_max_positions():
     assert out.words == words
 
 
+@pytest.mark.parametrize("cap", [1, 2])
+def test_tag_offline_streams_past_a_cap_below_the_default_frame_rate(cap):
+    # the default frame rate, 3, exceeds these caps; tag_offline streams
+    # with a frame rate of `cap` instead of raising StreamError
+    tagger = random_bundle(small_config(max_positions=cap), seed=25).tagger
+    words = ["w1"] * 5
+    out = dec.tag_offline(words, tagger)
+    emitted, _ = dec.stream_decode(words, tagger, dec.DecodePolicy(frame_rate=cap))
+    assert out.words == words
+    assert list(zip(out.words, out.punct, out.disf)) == emitted
+
+
 class RecordingTagger:
     """Passes `tag` on to a tagger and records the longest input."""
 

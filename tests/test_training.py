@@ -1,6 +1,8 @@
 import hashlib
 import math
+import multiprocessing
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -229,11 +231,29 @@ def test_train_config_rejects_clip_norm_not_finite_and_positive(clip_norm):
 TRAINING_FINGERPRINT = "b57bf4bfbdc820e1fb15a996f61d490e4ae5f36867dd36ce48e370e38a8843df"
 
 
+def use_cpus(monkeypatch, n):
+    """Make `train` see `n` usable CPUs, so it starts min(n, batch_size) - 1
+    gradient helpers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
 def test_training_fingerprint_is_pinned(tmp_path, monkeypatch):
     # The benchmark's F1 cannot tell an ulp of drift in training from a
     # regression, so the trained bits are pinned here: the CLI-default model
     # (4 layers, 2 heads, budgets 0,0,0,9), 30 steps from seed 0, with
-    # clipping active on most steps.
+    # clipping active on most steps, all in one process.
+    use_cpus(monkeypatch, 1)
+    check_training_fingerprint(tmp_path, monkeypatch)
+
+
+def test_training_fingerprint_is_pinned_with_helpers(tmp_path, monkeypatch):
+    # three gradient helpers, so a host with one CPU covers them too
+    use_cpus(monkeypatch, 4)
+    check_training_fingerprint(tmp_path, monkeypatch)
+
+
+def check_training_fingerprint(tmp_path, monkeypatch):
     clipped = []
 
     def clip_and_count(grads, clip_norm, n_heads=1):
@@ -259,3 +279,111 @@ def test_training_fingerprint_is_pinned(tmp_path, monkeypatch):
     mdl.save_model(path, config, result.params, vocab, scheme)
     with open(path, "rb") as f:
         assert hashlib.sha256(f.read()).hexdigest() == TRAINING_FINGERPRINT
+
+
+def labelled(lengths, seed):
+    """Utterances of the given lengths over ten words, each ending in a
+    period, with a filler here and there."""
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for n in lengths:
+        words = [f"w{i}" for i in rng.integers(0, 10, size=n)]
+        punct = ["O"] * (n - 1) + ["PERIOD"]
+        disf = ["B-IM" if rng.random() < 0.2 else "O" for _ in range(n)]
+        corpus.append(dt.TokenSequence(words, punct, disf))
+    return corpus
+
+
+def sequential_batch_gradients(batch, model_config, params, vocab, scheme):
+    """The reference: each sequence's loss and flat gradient added to the
+    running sums as soon as it is computed, then both divided by the batch
+    size."""
+    wrt = list(params.tensors.values())
+    total, acc = 0.0, None
+    for seq in batch:
+        ids, punct_ids, disf_ids = dt.encode(seq, vocab, scheme)
+        tape = nc.Tape()
+        punct, disf = mdl.forward(ids, model_config, params, tape)
+        loss = tr.joint_loss(punct, disf, punct_ids, disf_ids, tape)
+        total += loss.item()
+        grads = nc.backward(loss, tape, wrt)
+        flat = np.concatenate([grads[t] for t in wrt], axis=None)
+        acc = flat if acc is None else acc + flat
+    return total / len(batch), acc / len(batch)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+def test_helpers_give_the_in_process_gradients_bit_for_bit(cpus, monkeypatch):
+    # batch sizes 1-9 over lengths 1-40, 1-word utterances included; every
+    # step's loss and gradients, through the helpers and with batch_gradients
+    # called alone, equal the sequential reference to the bit
+    use_cpus(monkeypatch, cpus)
+    corpus = labelled([1, 40, 1, 27, 5, 1, 14, 33, 9, 2, 21, 1], seed=cpus)
+    vocab = dt.Vocabulary.from_corpus(corpus)
+    scheme = dt.LabelScheme()
+    config = small_config(vocab_size=len(vocab))
+    batch_gradients = tr.batch_gradients
+    steps = []
+
+    def compare(batch, model_config, params, vocab, scheme, helpers=None):
+        loss, grads = batch_gradients(batch, model_config, params, vocab,
+                                      scheme, helpers)
+        alone_loss, alone = batch_gradients(batch, model_config, params, vocab,
+                                            scheme)
+        ref_loss, ref = sequential_batch_gradients(batch, model_config, params,
+                                                   vocab, scheme)
+        same = all(
+            np.float64(out_loss).tobytes() == np.float64(ref_loss).tobytes()
+            and list(out) == list(params.tensors)
+            and np.concatenate(list(out.values()), axis=None).tobytes() == ref.tobytes()
+            for out_loss, out in ((loss, grads), (alone_loss, alone)))
+        steps.append((helpers is not None, same))
+        return loss, grads
+
+    monkeypatch.setattr(tr, "batch_gradients", compare)
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    for batch_size in range(1, 10):
+        steps.clear()
+        tr.train(corpus, tr.TrainConfig(batch_size=batch_size, max_steps=3,
+                                        augment=False, seed=batch_size),
+                 config, vocab, scheme)
+        assert multiprocessing.active_children() == []
+        helped = forks and min(cpus, batch_size) > 1
+        assert steps == [(helped, True)] * 3
+
+
+def small_training_run(monkeypatch, forward_in_helpers):
+    """Two steps of batch 4 with three helpers, whose forward is
+    `forward_in_helpers`; the parent's forward is the model's."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no helpers without the fork start method")
+    use_cpus(monkeypatch, 4)
+    parent, forward = os.getpid(), mdl.forward
+
+    def forward_by_process(*args, **kwargs):
+        if os.getpid() == parent:
+            return forward(*args, **kwargs)
+        return forward_in_helpers()
+
+    monkeypatch.setattr(mdl, "forward", forward_by_process)
+    corpus = labelled([3, 5, 8, 13], seed=0)
+    vocab = dt.Vocabulary.from_corpus(corpus)
+    return tr.train(corpus, tr.TrainConfig(batch_size=4, max_steps=2),
+                    small_config(vocab_size=len(vocab)), vocab,
+                    dt.LabelScheme())
+
+
+def test_a_helper_error_reaches_the_parent_with_its_type(monkeypatch):
+    def fail():
+        ignored = signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        raise nc.ContractError(f"raised in a helper ignoring SIGINT: {ignored}")
+
+    with pytest.raises(nc.ContractError, match="in a helper ignoring SIGINT: True"):
+        small_training_run(monkeypatch, fail)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_helper_that_dies_raises_training_error(monkeypatch):
+    with pytest.raises(tr.TrainingError, match="gradient helper . exited"):
+        small_training_run(monkeypatch, lambda: os._exit(3))
+    assert multiprocessing.active_children() == []
