@@ -102,13 +102,12 @@ def _retag(state, tagger):
     prediction at that position).
     """
     punct, disf = tagger.tag(state.buffer_words)
-    changed = next((state.offset + i for i, old in enumerate(state.buffer_punct)
-                    if old is not None and punct[i] != old), None)
+    changed = next((state.offset + i for i, (old, new) in
+                    enumerate(zip(state.buffer_punct, punct)) if new != old), None)
     if changed is not None:
         state.revision_log.append((state.offset + len(state.buffer_words) - 1,
                                    changed))
-    state.buffer_punct = list(punct)
-    state.buffer_disf = list(disf)
+    state.buffer_punct, state.buffer_disf = list(punct), list(disf)
 
 
 def _emit(state, upto):
@@ -116,9 +115,8 @@ def _emit(state, upto):
     triples = list(zip(state.buffer_words[:upto], state.buffer_punct[:upto],
                        state.buffer_disf[:upto]))
     state.emitted.extend(triples)
-    del state.buffer_words[:upto]
-    del state.buffer_punct[:upto]
-    del state.buffer_disf[:upto]
+    for buffer in (state.buffer_words, state.buffer_punct, state.buffer_disf):
+        del buffer[:upto]
     state.offset += upto
     return triples
 
@@ -145,9 +143,7 @@ def stream_step(state, new_words, tagger, policy):
     if policy.frame_rate > cap:
         raise StreamError(f"frame_rate {policy.frame_rate} exceeds the "
                           f"tagger's max_positions {cap}")
-    state.buffer_words.extend(w for w in new_words)
-    state.buffer_punct.extend([None] * len(new_words))
-    state.buffer_disf.extend([None] * len(new_words))
+    state.buffer_words.extend(new_words)
     _retag(state, tagger)
     frozen = []
     for i, label in enumerate(state.buffer_punct):

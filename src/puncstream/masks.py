@@ -48,20 +48,26 @@ def effective_lookahead(spec):
     return sum(spec.per_layer_lookahead)
 
 
+@lru_cache(maxsize=64)
+def _mask_table(rows, lookahead):
+    i = np.arange(rows)
+    m = np.where(i[:, None] + lookahead >= i, 0.0, -np.inf)
+    m.setflags(write=False)
+    return m
+
+
 @lru_cache(maxsize=512)
 def build_ct_mask(n, lookahead):
     """Mask allowing all history plus at most `lookahead` future positions.
 
     Returns a read-only (n, n) array, shared by every caller: entry (i, j)
     is 0 iff i + lookahead >= j (0-based), else -inf. A budget of 0 gives
-    the causal mask, a budget of n - 1 or more unrestricted attention.
+    the causal mask, a budget of n - 1 or more unrestricted attention: a view
+    of one table per (next power of two >= n, budget clamped to it).
     """
     if n < 1:
         raise EmptyInputError(f"mask length must be >= 1, got {n}")
     if lookahead < 0:
         raise ValueError(f"lookahead must be >= 0, got {lookahead}")
-    i = np.arange(n)[:, None]
-    j = np.arange(n)[None, :]
-    m = np.where(i + lookahead >= j, 0.0, -np.inf)
-    m.setflags(write=False)
-    return m
+    rows = 1 << (n - 1).bit_length()
+    return _mask_table(rows, min(lookahead, rows))[:n, :n]

@@ -155,18 +155,13 @@ def _position_table(rows, d_model):
     return table
 
 
-def sinusoidal_positions(n, d_model, max_positions=512):
+def _positions(n, d_model, max_positions):
     """Sine/cosine position encoding: even channels sin, odd channels cos.
 
     Returns a read-only view of the first n rows of a cached table. The
     table has the next power of two >= n rows, not max_positions rows, so a
     checkpoint's max_positions never sets the size of an allocation.
     """
-    return nc._wrap(_positions(n, d_model, max_positions))
-
-
-def _positions(n, d_model, max_positions):
-    """sinusoidal_positions as a plain read-only array."""
     if n > max_positions:
         raise LengthError(f"sequence length {n} exceeds max_positions {max_positions}")
     rows = 1 << max(n - 1, 0).bit_length()
@@ -239,11 +234,11 @@ def _encode(ids, config, params):
     """The untaped encoder: numcore's kernels on the arrays of the
     UnpackedParams `params`, with no shape checks and no Tensors."""
     n = len(ids)
-    x = nc._embedding_lookup(params.embed, ids)
-    x += _positions(n, config.d_model, config.max_positions)
+    x = nc._embedding_lookup(params.embed, ids,
+                             _positions(n, config.d_model, config.max_positions))
     for lookahead, (wqkv, wo, g1, b1, w1, fb1, w2, fb2, g2, b2) in zip(
             config.mask_spec.per_layer_lookahead, params.layers):
-        mask = build_ct_mask(n, min(lookahead, n))
+        mask = build_ct_mask(n, lookahead)
         y = nc._attention(x, wqkv, wo, mask, config.n_heads)[0]
         x = nc._add_layer_norm(x, y, g1, b1)[0]
         y = nc._feed_forward(x, w1, fb1, w2, fb2)[0]
@@ -254,28 +249,29 @@ def _encode(ids, config, params):
 def encoder_forward(token_ids, config, params, tape=None):
     """Run the masked-attention encoder; returns hidden states (n, d_model).
 
-    Four numcore sublayers per layer: attention (fused q/k/v projection,
-    every head's masked softmax, output projection), add+norm1, the
-    feed-forward network and add+norm2. Without a tape the encoder runs
-    their kernels on the arrays of `unpack_params(config, params)`.
+    One embedding op, which adds the positions (`_positions`), then four
+    numcore sublayers per layer: attention (fused q/k/v projection, every
+    head's masked softmax, output projection) under the layer's mask
+    build_ct_mask(n, budget), add+norm1, the feed-forward network and
+    add+norm2. Without a tape the encoder runs their kernels on the arrays
+    of `unpack_params(config, params)`.
 
-    With a tape it runs the public ops: 4 entries per layer, plus the
-    embedding lookup and the position add. Each op's backward hands the tape
-    x's gradients in the order one op per product, sum, ReLU and norm did:
-    the residual's first, then the attention blocks, last head first and v,
-    k, q within a head. The tape adds them up in that order, so gradients
-    and trained weights keep their bits.
+    With a tape it runs the public ops: 4 * n_layers + 1 entries. Each op's
+    backward hands the tape x's gradients in the order one op per product,
+    sum, ReLU and norm did: the residual's first, then the attention blocks,
+    last head first and v, k, q within a head. The tape adds them up in that
+    order, so gradients and trained weights keep their bits.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     if tape is None:
         return nc._wrap(_encode(ids, config, unpack_params(config, params)))
     n = len(ids)
-    x = nc.add(nc.embedding_lookup(params["embed"], ids, tape),
-               sinusoidal_positions(n, config.d_model, config.max_positions), tape)
+    x = nc.embedding_lookup(params["embed"], ids,
+                            _positions(n, config.d_model, config.max_positions), tape)
     for lookahead, layer in zip(config.mask_spec.per_layer_lookahead,
                                 _layer_getters(config.n_layers)):
         wqkv, wo, g1, b1, w1, fb1, w2, fb2, g2, b2 = layer(params.tensors)
-        mask = build_ct_mask(n, min(lookahead, n))
+        mask = build_ct_mask(n, lookahead)
         x = nc.add_layer_norm(
             x, nc.attention(x, wqkv, wo, mask, config.n_heads, tape), g1, b1, tape)
         x = nc.add_layer_norm(

@@ -7,11 +7,11 @@ An encoder layer is four sublayer ops, so that a forward at streaming sizes
 (about ten words) makes few Python-level calls: `attention` (the fused
 q/k/v projection, every head's masked softmax and the output projection),
 `add_layer_norm` (residual sum and layer norm), `feed_forward` (both
-projections and the ReLU) and `add_layer_norm` again. `embedding_lookup`,
-`add`, `matmul` and `cross_entropy_mean` serve the input, the tagging heads
-and the loss.
+projections and the ReLU) and `add_layer_norm` again. `embedding_lookup`
+(the token rows plus their positions), `add`, `matmul` and
+`cross_entropy_mean` serve the input, the tagging heads and the loss.
 
-Each sublayer, and the embedding gather, has one kernel: a private function
+Each sublayer, and the embedding, has one kernel: a private function
 on plain arrays (`_attention`, `_add_layer_norm`, `_feed_forward`,
 `_embedding_lookup`) that holds its numpy expressions and returns its output
 plus what the backward needs. The public op checks shapes, calls the
@@ -296,21 +296,23 @@ def attention(x, wqkv, wo, mask, n_heads, tape=None):
     return out
 
 
-def _embedding_lookup(table, idx):
+def _embedding_lookup(table, idx, positions):
     """The embedding kernel: rows of the array `table` by the int64 ids
-    `idx`, which must lie in [0, rows) (ContractError)."""
+    `idx`, which must lie in [0, rows) (ContractError), plus `positions`."""
     if idx.size and (np.minimum.reduce(idx) < 0
                      or np.maximum.reduce(idx) >= table.shape[0]):
         bad = idx[(idx < 0) | (idx >= table.shape[0])][0]
         raise ContractError(
             f"token id {bad} outside vocabulary of {table.shape[0]}")
-    return table[idx]
+    return table[idx] + positions
 
 
-def embedding_lookup(table, ids, tape=None):
-    """Gather rows of `table` by integer id."""
+def embedding_lookup(table, ids, positions, tape=None):
+    """Gather rows of `table` by integer id and add the array `positions`."""
     idx = np.asarray(ids, dtype=np.int64)
-    out = _wrap(_embedding_lookup(table.data, idx))
+    if positions.shape != idx.shape + table.shape[1:]:
+        raise ShapeMismatchError(f"positions {positions.shape} for ids {idx.shape}")
+    out = _wrap(_embedding_lookup(table.data, idx, positions))
     if tape is not None:
         def bwd(g):
             gt = np.zeros(table.shape)

@@ -160,6 +160,9 @@ def test_config_file_merge_and_override(tmp_path):
     bad.write_text("d_model=abc\n")
     with pytest.raises(cli.ConfigError, match="bad value"):
         cli.load_run_config(str(bad))
+    bad.write_text("# comment\nd_model 16\n")
+    with pytest.raises(cli.ConfigError, match="bad.cfg:2: expected key=value"):
+        cli.load_run_config(str(bad))
 
 
 def test_missing_file_exits_1(capsys):

@@ -68,6 +68,20 @@ def test_unknown_label_rejected_on_encode():
     seq = dt.TokenSequence(["hi"], ["SEMICOLON"], ["O"])
     with pytest.raises(dt.EncodeError, match="SEMICOLON"):
         dt.encode(seq, vocab, dt.LabelScheme())
+    seq = dt.TokenSequence(["hi"], ["O"], ["B-FOO"])
+    with pytest.raises(dt.EncodeError, match="unknown disfluency label 'B-FOO'"):
+        dt.encode(seq, vocab, dt.LabelScheme())
+
+
+@pytest.mark.parametrize("rows, message", [
+    ((["O"], ["O", "O"]), "1 punct labels for 2 words"),
+    ((["O", "O", "O"], ["O", "O"]), "3 punct labels for 2 words"),
+    ((["O", "O"], ["O"]), "1 disf labels for 2 words"),
+    ((["O", "O"], ["O", "O", "O"]), "3 disf labels for 2 words"),
+])
+def test_label_rows_of_the_wrong_length_rejected(rows, message):
+    with pytest.raises(ValueError, match=message):
+        dt.TokenSequence(["hi", "there"], *rows)
 
 
 def test_bio_validation():

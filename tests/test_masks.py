@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,3 +78,35 @@ def test_masks_are_cached_and_immutable():
     assert mk.build_ct_mask(6, 2) is m
     with pytest.raises(ValueError):
         m[0, 0] = 1.0
+
+
+def test_negative_budget_rejected():
+    with pytest.raises(ValueError, match="lookahead must be >= 0"):
+        mk.build_ct_mask(3, -1)
+
+
+def test_masks_of_every_length_up_to_512_hold_little_memory():
+    # every lru_cache of the module starts empty, so the tables count too
+    for fn in vars(mk).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    tracemalloc.start()
+    try:
+        for n in range(1, 513):
+            for budget in (0, 9):
+                mk.build_ct_mask(n, budget)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 8 * 2 ** 20, f"{held / 2 ** 20:.1f} MiB held by masks"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 300), st.integers(0, 600))
+def test_ct_mask_matches_reference_is_read_only_and_cached(n, budget):
+    i = np.arange(n)[:, None]
+    j = np.arange(n)[None, :]
+    m = mk.build_ct_mask(n, budget)
+    assert np.array_equal(m, np.where(i + budget >= j, 0.0, -np.inf))
+    assert not m.flags.writeable
+    assert mk.build_ct_mask(n, budget) is m

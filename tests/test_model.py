@@ -24,17 +24,17 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt2.ctt")
 
 
 def test_sinusoidal_position_zero_alternates():
-    enc = mdl.sinusoidal_positions(3, 6).data
+    enc = mdl._positions(3, 6, 512)
     assert enc[0].tolist() == [0, 1, 0, 1, 0, 1]
 
 
 def test_sinusoidal_bounded():
-    enc = mdl.sinusoidal_positions(50, 16).data
+    enc = mdl._positions(50, 16, 512)
     assert enc.min() >= -1.0 and enc.max() <= 1.0
 
 
 def test_sinusoidal_channel_pairs_unit_norm():
-    enc = mdl.sinusoidal_positions(40, 8).data
+    enc = mdl._positions(40, 8, 512)
     for pair in range(4):
         s, c = enc[:, 2 * pair], enc[:, 2 * pair + 1]
         assert np.abs(s ** 2 + c ** 2 - 1.0).max() < 1e-9
@@ -42,9 +42,9 @@ def test_sinusoidal_channel_pairs_unit_norm():
 
 def test_sinusoidal_length_cap():
     with pytest.raises(mdl.LengthError):
-        mdl.sinusoidal_positions(11, 4, max_positions=10)
+        mdl._positions(11, 4, 10)
     with pytest.raises(mdl.LengthError):
-        mdl.sinusoidal_positions(513, 32)
+        mdl._positions(513, 32, 512)
 
 
 def _fresh_positions(n, d_model):
@@ -61,7 +61,7 @@ def _fresh_positions(n, d_model):
 @pytest.mark.parametrize("n", [1, 7, 512])
 def test_sinusoidal_cached_equals_fresh_and_is_read_only(n):
     for _ in range(2):  # the second call is served from the cache
-        enc = mdl.sinusoidal_positions(n, 32).data
+        enc = mdl._positions(n, 32, 512)
         assert enc.shape == (n, 32)
         assert np.array_equal(enc, _fresh_positions(n, 32))
         assert not enc.flags.writeable
@@ -252,11 +252,14 @@ def test_head_independence():
 
 
 def test_taped_forward_records_four_entries_per_layer():
-    # the CLI-default model: each layer is attention, add_layer_norm,
-    # feed_forward and add_layer_norm; the fixed rest is the embedding lookup,
-    # the position add, two ops per tagging head and the loss's three
+    # the CLI-default model: the embedding lookup, which adds the positions,
+    # then per layer attention, add_layer_norm, feed_forward and
+    # add_layer_norm; after them two ops per tagging head and the loss's three
     config = mdl.ModelConfig(50, 32, 4, 2, 64, MaskSpec((0, 0, 0, 9)), 4, 5)
     params = mdl.init_params(config, np.random.default_rng(0))
+    tape = nc.Tape()
+    mdl.encoder_forward(list(range(2, 14)), config, params, tape)
+    assert len(tape) == 4 * config.n_layers + 1
     tape = nc.Tape()
     punct, disf = mdl.forward(list(range(2, 14)), config, params, tape)
     tr.joint_loss(punct, disf, [0] * 12, [0] * 12, tape)

@@ -516,3 +516,28 @@ def test_forward_determinism():
     one = fused_layer(x, ps, mask, 2)
     two = fused_layer(x, ps, mask, 2)
     assert np.array_equal(one.data, two.data)
+
+
+def test_embedding_lookup_adds_positions_and_sends_gradient_to_the_table():
+    rng = np.random.default_rng(5)
+    table = Tensor(rng.normal(size=(5, 3)))
+    positions = rng.normal(size=(3, 3))
+    tape = Tape()
+    out = nc.embedding_lookup(table, [1, 3, 1], positions, tape)
+    assert np.array_equal(out.data, table.data[[1, 3, 1]] + positions)
+    assert len(tape) == 1
+    loss = total(out, tape)
+    expected = np.zeros((5, 3))
+    expected[1], expected[3] = 2.0, 1.0
+    assert np.array_equal(nc.backward(loss, tape, [table])[table], expected)
+    with pytest.raises(nc.ShapeMismatchError, match="positions"):
+        nc.embedding_lookup(table, [1, 3], positions)
+
+
+def test_cross_entropy_mean_refuses_bad_targets():
+    logits = Tensor(np.zeros((3, 4)))
+    with pytest.raises(nc.ContractError, match="3 logit rows"):
+        nc.cross_entropy_mean(logits, [0, 1])
+    for bad in ([0, 1, 4], [0, -1, 2]):
+        with pytest.raises(nc.ContractError, match="out of range for 4 classes"):
+            nc.cross_entropy_mean(logits, bad)
