@@ -409,12 +409,13 @@ def synth_generate(seed, n_utterances, grammar=None, event_log=None):
     return out
 
 
-def truncation_augment(batch, rng, probability=0.5):
+def truncation_augment(batch, rng, max_positions, probability=0.5):
     """Append a random-length prefix of another utterance to ~half the batch.
 
     The final appended word has its punctuation forced to O: the appended
     sentence is cut mid-stream, so the model cannot rely on always seeing an
-    end-of-utterance mark at the last position.
+    end-of-utterance mark at the last position. The prefix is cut to fit
+    `max_positions` after its length is drawn; with no room, none is added.
     """
     if not batch:
         raise ValueError("batch must be nonempty")
@@ -424,7 +425,10 @@ def truncation_augment(batch, rng, probability=0.5):
             out.append(seq)
             continue
         other = batch[rng.randrange(len(batch))]
-        k = rng.randint(1, len(other.words))
+        k = min(rng.randint(1, len(other.words)), max_positions - len(seq.words))
+        if k < 1:
+            out.append(seq)
+            continue
         words = seq.words + other.words[:k]
         punct = list(seq.punct) + list(other.punct[:k])
         punct[-1] = "O"

@@ -77,7 +77,8 @@ class ModelParams:
         return self.tensors.items()
 
     def copy(self):
-        return ModelParams(dict(self.tensors))
+        """A copy whose Tensors hold arrays of their own."""
+        return ModelParams({n: Tensor(t.data) for n, t in self.tensors.items()})
 
 
 def param_shapes(config):

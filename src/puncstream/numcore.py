@@ -38,7 +38,8 @@ class ContractError(ValueError):
 
 
 class Tensor:
-    """Immutable dense array, row-major."""
+    """Dense array, row-major, read-only through the Tensor; `train`'s working
+    tensors are views of the vector its optimizer updates in place."""
 
     __slots__ = ("data",)
 

@@ -4,6 +4,10 @@ Both tagging heads contribute a token-mean cross entropy; the total loss is
 their sum. The learning-rate schedule is the inverse-square-root ramp
 peaking at `warmup_steps`.
 
+In a `train` call the parameters are one float64 vector whose views are the
+working tensors; `clip_gradients` and `Adam.step` update the gradient and
+parameter vectors in place, and only dev-selected and returned ones are copied.
+
 A batch's sequences do not depend on each other until their gradients are
 summed, so `train` forks min(usable CPUs, `batch_size`) - 1 helper
 processes (`GradientHelpers`) that compute some of each batch's
@@ -69,11 +73,6 @@ def lr_schedule(step, d_model, warmup_steps):
     return d_model ** -0.5 * min(step ** -0.5, step * warmup_steps ** -1.5)
 
 
-def _flat(arrays):
-    """The arrays laid end to end in one new float64 vector."""
-    return np.concatenate(list(arrays), axis=None)
-
-
 def _views(flat, shapes):
     """{name: view of `flat`}: consecutive pieces with the given shapes."""
     views, start = {}, 0
@@ -84,27 +83,25 @@ def _views(flat, shapes):
     return views
 
 
-def clip_gradients(grads, clip_norm, n_heads=1):
-    """Scale the whole gradient set so its global L2 norm is <= clip_norm.
+def clip_gradients(grad, grads, clip_norm, n_heads=1):
+    """Scale the gradient vector `grad` in place so its global L2 norm is
+    <= clip_norm; return the norm it had.
 
-    The squares are summed over each parameter's CTT1 blocks in turn
-    (model.param_blocks, `n_heads` heads), so the norm, and with it training,
-    has the same bits as with one tensor per head and projection. The finite
-    check and the scaling run once over all gradients laid end to end, and
-    the scaled gradients are views of that one vector.
+    `grads` maps each parameter name to its view of `grad`. The squares are
+    summed over each parameter's CTT1 blocks in turn (model.param_blocks,
+    `n_heads` heads), so the norm, and with it training, has the same bits
+    as with one tensor per head and projection.
     """
-    flat = _flat(grads.values())
-    if not np.isfinite(flat).all():
+    if not np.isfinite(grad).all():
         raise TrainingError("non-finite gradient; aborting")
     sq = 0.0
     for name, g in grads.items():
         for part in mdl.param_blocks(name, g, n_heads):
             sq += float((part * part).sum())
     norm = math.sqrt(sq)
-    if norm <= clip_norm:
-        return grads
-    flat *= clip_norm / norm
-    return _views(flat, {name: g.shape for name, g in grads.items()})
+    if norm > clip_norm:
+        grad *= clip_norm / norm
+    return norm
 
 
 _BETA1 = 0.9
@@ -115,31 +112,33 @@ _EPS = 1e-9
 class Adam:
     """Adam with external learning rate and fixed betas and epsilon.
 
-    The moments and each update are one float64 vector over the parameters
-    in `param_names` order, and the stepped parameters are views of one new
-    vector.
+    `step` updates a float64 parameter vector of `size` values in place,
+    with moments and two scratch vectors made once, here. It evaluates the
+    usual expressions in the usual order, lr * mhat / (sqrt(vhat) + eps)
+    too, so the update has the bits of the out-of-place one.
     """
 
-    def __init__(self, param_names):
-        self.names = list(param_names)
-        self.m = self.v = None
+    def __init__(self, size):
+        self.m, self.v, self._a, self._b = np.zeros((4, size))
         self.t = 0
 
-    def step(self, params, grads, lr):
+    def step(self, params, grad, lr):
+        """Update the vector `params` in place from the gradient vector `grad`."""
         self.t += 1
-        g = _flat(grads[n] for n in self.names)
-        if self.m is None:
-            self.m = np.zeros_like(g)
-            self.v = np.zeros_like(g)
-        self.m = _BETA1 * self.m + (1 - _BETA1) * g
-        self.v = _BETA2 * self.v + (1 - _BETA2) * g * g
-        mhat = self.m / (1 - _BETA1 ** self.t)
-        vhat = self.v / (1 - _BETA2 ** self.t)
-        stepped = _flat(params[n].data for n in self.names)
-        stepped -= lr * mhat / (np.sqrt(vhat) + _EPS)
-        shapes = {n: params[n].shape for n in self.names}
-        for name, view in _views(stepped, shapes).items():
-            params[name] = nc._wrap(view)
+        m, v, a, b = self.m, self.v, self._a, self._b
+        m *= _BETA1
+        m += np.multiply(1 - _BETA1, grad, out=a)
+        np.multiply(1 - _BETA2, grad, out=a)
+        a *= grad
+        v *= _BETA2
+        v += a
+        np.divide(m, 1 - _BETA1 ** self.t, out=a)  # mhat
+        np.divide(v, 1 - _BETA2 ** self.t, out=b)  # vhat
+        np.sqrt(b, out=b)
+        b += _EPS
+        a *= lr
+        a /= b
+        params -= a
 
 
 def _sequence_gradient(model_config, params, encoded, row):
@@ -159,35 +158,32 @@ def batch_gradients(batch, model_config, params, vocab, scheme, helpers=None):
     """Mean joint loss over a batch of sequences plus summed-then-averaged
     gradients keyed by parameter name.
 
-    Sequence i's gradient is laid end to end, in `params` name order, in row
-    i of a (len(batch), P) array, P the parameter count. With `helpers` (the
-    GradientHelpers `train` starts) the rows are shared with the helper
-    processes, which compute some of them; without, this process computes
-    every row. Either way the rows are summed in sequence order and the
-    losses likewise, so the result has the same bits. The returned arrays
-    are views of one new vector.
+    Sequence i's gradient goes to row i of `helpers.rows` (`helpers` is the
+    GradientHelpers whose `params` these are, else a new one without
+    processes), and helper processes, if any, compute some rows. Rows and
+    losses are summed in sequence order, into row 0, so the bits do not
+    depend on who computed what. The gradients returned are `helpers.grads`.
     """
+    if helpers is None:
+        helpers = GradientHelpers(model_config, params, len(batch), 0)
+    elif params is not helpers.params:
+        raise nc.ContractError("batch_gradients: params are not helpers.params")
     encoded = [encode(seq, vocab, scheme) for seq in batch]
     k = len(encoded)
-    if helpers is None:
-        rows = np.empty((k, sum(t.data.size for t in params.tensors.values())))
-        own = range(k)
-    else:
-        rows = helpers.rows[:k]
-        own = helpers.send(encoded, params)
+    rows = helpers.rows[:k]
     losses = [None] * k
-    for i in own:
-        losses[i] = _sequence_gradient(model_config, params, encoded[i], rows[i])
-    if helpers is not None:
-        helpers.receive(losses)
-    acc = rows[0].copy()
+    for i in helpers.send(encoded):
+        losses[i] = _sequence_gradient(model_config, helpers.params, encoded[i],
+                                       rows[i])
+    helpers.receive(losses)
+    grad = rows[0]
     for row in rows[1:]:
-        acc += row
-    acc /= k
+        grad += row
+    grad /= k
     total_loss = 0.0
     for loss in losses:  # one at a time, in order: sum() may compensate
         total_loss += loss
-    return total_loss / k, _views(acc, {n: t.shape for n, t in params.items()})
+    return total_loss / k, helpers.grads
 
 
 def _usable_cpus():
@@ -239,28 +235,32 @@ def _helper_loop(conn, parent_ends, model_config, params, rows):
 
 
 class GradientHelpers:
-    """Helper processes that compute some of a batch's per-sequence
-    gradients for `batch_gradients`; `train` starts one group per call and
-    closes it when it returns or raises.
+    """A `train` call's buffers, and helper processes that compute some of
+    a batch's per-sequence gradients for `batch_gradients`.
 
-    The `count` helpers are forked daemon processes that ignore SIGINT, so
-    Ctrl-C reaches the parent alone. The parameters (one flat float64
-    vector in `params` name order, which the parent copies in once per step)
-    and the gradient rows (`batch_size` x P) live in anonymous shared memory
-    mapped before the fork. A helper's exception is re-raised in the parent
-    with its type, and a helper that dies raises TrainingError; after
-    either, close the group.
+    `params` are read-only views of `vector`, the parameters end to end, so
+    what the optimizer writes there is what the next forward reads, here
+    and in the helpers. `rows` (`batch_size` x P) take one gradient per
+    sequence, summed into `grad`, row 0, whose named views are `grads`; all
+    live in one shared mapping made before the fork. The `count` helpers
+    (possibly none) are forked daemons that ignore SIGINT. A helper's
+    exception is re-raised in the parent with its type, and a helper that
+    dies raises TrainingError; after either, close the group.
     """
 
     def __init__(self, model_config, params, batch_size, count):
         shapes = {n: t.shape for n, t in params.items()}
         size = sum(math.prod(shape) for shape in shapes.values())
-        self._names = list(shapes)
-        self._params = np.frombuffer(mmap.mmap(-1, 8 * size), np.float64)
-        self.rows = np.frombuffer(mmap.mmap(-1, 8 * size * batch_size),
-                                  np.float64).reshape(batch_size, size)
-        shared = mdl.ModelParams({n: nc._wrap(v) for n, v in
-                                  _views(self._params, shapes).items()})
+        shared = np.frombuffer(mmap.mmap(-1, 8 * size * (batch_size + 1)), np.float64)
+        self.vector = shared[:size]
+        np.concatenate([t.data for t in params.tensors.values()], axis=None,
+                       out=self.vector)
+        self.params = mdl.ModelParams(
+            {n: nc._wrap(v) for n, v in _views(self.vector, shapes).items()})
+        self.rows = shared[size:].reshape(batch_size, size)
+        self.grad = self.rows[0]
+        self.grads = _views(self.grad, shapes)
+        self.count = count
         context = multiprocessing.get_context("fork")
         self._procs, self._conns = [], []
         try:
@@ -269,7 +269,7 @@ class GradientHelpers:
                 proc = context.Process(
                     target=_helper_loop, daemon=True,
                     args=(child_conn, [*self._conns, conn], model_config,
-                          shared, self.rows))
+                          self.params, self.rows))
                 proc.start()
                 # closed at once, so no later helper inherits it and the
                 # parent sees EOF when this helper dies
@@ -280,12 +280,10 @@ class GradientHelpers:
             self.close()
             raise
 
-    def send(self, encoded, params):
-        """Copy `params` into shared memory, send each helper its share of
-        the encoded sequences, and return the parent's share."""
-        np.concatenate([params[n].data for n in self._names], axis=None,
-                       out=self._params)
-        shares = _shares([len(ids) for ids, _, _ in encoded], len(self._conns) + 1)
+    def send(self, encoded):
+        """Send each helper its share of the encoded sequences, and return
+        the parent's share."""
+        shares = _shares([len(ids) for ids, _, _ in encoded], self.count + 1)
         for n, (conn, share) in enumerate(zip(self._conns, shares[1:])):
             try:
                 conn.send([(i, encoded[i]) for i in share])
@@ -345,23 +343,32 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
     Reproducible: identical seeds and inputs give identical parameters,
     whatever the number of CPUs. The call forks min(usable CPUs,
     `batch_size`) - 1 gradient helpers (GradientHelpers) and joins them
-    before it returns or raises.
-    An unlabeled utterance, or a label outside `scheme`, in `corpus` or
-    `dev` raises ValueError before the first step.
+    before it returns or raises. `init_params` is only read, and the
+    returned parameters are a copy that no later call touches.
+    An unlabeled utterance, a label outside `scheme`, or an utterance longer
+    than `model_config.max_positions`, in `corpus` or `dev`, raises
+    ValueError before the first step.
     """
     if not corpus:
         raise ValueError("training corpus is empty")
+    limit = model_config.max_positions
     for what, seqs in (("corpus", corpus), ("dev", dev or ())):
         # iterate, never index: perfbench's StepClock counts indexed reads
         for i, seq in enumerate(seqs):
             if problem := scheme.label_problem(seq):
                 raise ValueError(f"{what} utterance {i} {problem}")
+            if len(seq.words) > limit:
+                raise ValueError(f"{what} utterance {i} has {len(seq.words)} "
+                                 f"words, more than max_positions {limit}")
     rng = random.Random(config.seed)
-    if init_params is not None:
-        params = init_params.copy()
-    else:
-        params = mdl.init_params(model_config, np.random.default_rng(config.seed))
-    opt = Adam(list(params.tensors))
+    if init_params is None:
+        init_params = mdl.init_params(model_config, np.random.default_rng(config.seed))
+    count = 0
+    if "fork" in multiprocessing.get_all_start_methods():
+        count = min(_usable_cpus(), config.batch_size) - 1
+    helpers = GradientHelpers(model_config, init_params, config.batch_size, count)
+    params = helpers.params
+    opt = Adam(helpers.vector.size)
     history = []
     best_score, best_params = -1.0, None
     initial_loss = final_loss = None
@@ -369,11 +376,6 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
     order = list(range(len(corpus)))
     cursor = len(order)  # force initial shuffle
     step = 0
-    helpers = None
-    if "fork" in multiprocessing.get_all_start_methods():
-        count = min(_usable_cpus(), config.batch_size) - 1
-        if count > 0:
-            helpers = GradientHelpers(model_config, params, config.batch_size, count)
     try:
         while step < config.max_steps:
             step += 1
@@ -385,15 +387,15 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
                 batch.append(corpus[order[cursor]])
                 cursor += 1
             if config.augment:
-                batch = truncation_augment(batch, rng)
+                batch = truncation_augment(batch, rng, limit)
             loss, grads = batch_gradients(batch, model_config, params, vocab,
                                           scheme, helpers)
             if initial_loss is None:
                 initial_loss = loss
             final_loss = loss
-            grads = clip_gradients(grads, config.clip_norm, model_config.n_heads)
+            clip_gradients(helpers.grad, grads, config.clip_norm, model_config.n_heads)
             lr = lr_schedule(step, model_config.d_model, config.warmup_steps)
-            opt.step(params, grads, lr)
+            opt.step(helpers.vector, helpers.grad, lr)
 
             if dev is not None and step % config.eval_every == 0:
                 pf1, if1, ef1 = _dev_f1(dev, model_config, params, vocab, scheme)
@@ -407,10 +409,7 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
             elif dev is None:
                 history.append((step, loss, None, None, None))
     finally:
-        if helpers is not None:
-            helpers.close()
+        helpers.close()
 
-    if best_params is not None:
-        params = best_params
-    return TrainResult(params, model_config, history, initial_loss,
-                       final_loss, step)
+    return TrainResult(best_params or params.copy(), model_config,
+                       history, initial_loss, final_loss, step)

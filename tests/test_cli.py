@@ -532,3 +532,32 @@ def test_eval_refuses_unlabeled_or_unknown_labels(tmp_path, capsys, pred,
     assert code == 1
     assert err.startswith("error:") and message in err
     assert "Traceback" not in err and out == ""
+
+
+def _utterances(*lengths):
+    """Corpus text: one utterance per length, its last word ending in a period."""
+    return "".join("".join(f"w{i % 7}\t{'PERIOD' if i == n - 1 else 'O'}\tO\n"
+                           for i in range(n)) + "\n" for n in lengths)
+
+
+@pytest.mark.parametrize("lengths, code, message", [
+    ((12, 12, 12, 12), 0, None),
+    ((12, 20, 12), 1, "corpus utterance 1 has 20 words, more than max_positions 16"),
+])
+def test_train_with_max_positions_16(tmp_path, capsys, lengths, code, message):
+    # augmentation appends up to twelve words to a twelve-word utterance,
+    # but never past max_positions
+    ckpt = tmp_path / "m.ctt"
+    (tmp_path / "c.tsv").write_text(_utterances(*lengths))
+    got, out, err = run(["train", "--corpus", str(tmp_path / "c.tsv"),
+                         "--out", str(ckpt), "--set", "max_positions=16",
+                         "--set", "max_steps=4", "--set", "d_model=8",
+                         "--set", "n_layers=1", "--set", "d_ff=16",
+                         "--set", "lookahead=9"], capsys)
+    assert got == code
+    assert "Traceback" not in err
+    if message is None:
+        assert out.startswith("trained 4 steps") and ckpt.exists()
+    else:
+        assert err.startswith("error:") and message in err
+        assert out == "" and not ckpt.exists()

@@ -146,14 +146,14 @@ def test_every_generated_sequence_passes_bio():
 
 def test_truncation_augment_identity_at_zero_probability():
     batch = dt.synth_generate(6, 20, dt.GrammarConfig())
-    out = dt.truncation_augment(batch, random.Random(0), probability=0.0)
+    out = dt.truncation_augment(batch, random.Random(0), 512, probability=0.0)
     assert out == batch
 
 
 def test_truncation_augment_lengths_and_final_punct():
     batch = dt.synth_generate(7, 40, dt.GrammarConfig())
     rng = random.Random(1)
-    out = dt.truncation_augment(batch, rng, probability=1.0)
+    out = dt.truncation_augment(batch, rng, 512, probability=1.0)
     for before, after in zip(batch, out):
         extra = len(after.words) - len(before.words)
         assert 1 <= extra
@@ -162,13 +162,34 @@ def test_truncation_augment_lengths_and_final_punct():
         dt.validate_bio(after.disf)
 
 
+def test_truncation_augment_cuts_the_prefix_to_max_positions():
+    # the same draws as with no limit, each appended prefix cut to the room
+    # left under the limit, and an utterance with no room left as it is
+    batch = dt.synth_generate(7, 40, dt.GrammarConfig())
+    limit = sorted(len(seq.words) for seq in batch)[len(batch) // 2] + 2
+    free, capped = random.Random(4), random.Random(4)
+    long = dt.truncation_augment(batch, free, 10 ** 6, probability=1.0)
+    short = dt.truncation_augment(batch, capped, limit, probability=1.0)
+    assert free.getstate() == capped.getstate()
+    for before, a, b in zip(batch, long, short):
+        n = min(len(a.words), limit)
+        if n <= len(before.words):
+            assert b is before
+            continue
+        assert b.words == a.words[:n] and b.disf == a.disf[:n]
+        assert b.punct == a.punct[:n - 1] + ["O"]
+        dt.validate_bio(b.disf)
+    assert any(b is before for before, b in zip(batch, short))
+    assert any(len(b.words) == limit < len(a.words) for a, b in zip(long, short))
+
+
 def test_truncation_augment_rate_monte_carlo():
     batch = dt.synth_generate(8, 100, dt.GrammarConfig())
     rng = random.Random(2)
     augmented = 0
     trials = 100
     for _ in range(trials):
-        out = dt.truncation_augment(batch, rng)
+        out = dt.truncation_augment(batch, rng, 512)
         augmented += sum(len(a.words) != len(b.words)
                          for a, b in zip(out, batch))
     rate = augmented / (trials * len(batch))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import multiprocessing
 import os
@@ -12,6 +13,7 @@ from puncstream import data as dt
 from puncstream import model as mdl
 from puncstream import numcore as nc
 from puncstream import training as tr
+from puncstream.decoding import ModelTagger
 from puncstream.masks import MaskSpec
 
 
@@ -93,14 +95,17 @@ def test_lr_schedule_rejects_step_zero():
 
 
 def test_clip_leaves_small_gradients_untouched():
-    grads = {"a": np.array([0.3, 0.4])}  # norm 0.5
-    out = tr.clip_gradients(grads, 1.0)
-    assert out["a"] is grads["a"]
+    grad = np.array([0.3, 0.4])  # norm 0.5
+    before = grad.copy()
+    norm = tr.clip_gradients(grad, {"a": grad}, 1.0)
+    assert np.array_equal(grad, before) and norm == 0.5
 
 
 def test_clip_scales_to_exactly_the_threshold():
-    grads = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}  # norm 5
-    out = tr.clip_gradients(grads, 1.0)
+    grad = np.array([3.0, 0.0, 4.0])  # norm 5
+    out = {"a": grad[:2], "b": grad[2:].reshape(1, 1)}
+    grads = {n: g.copy() for n, g in out.items()}
+    assert tr.clip_gradients(grad, out, 1.0) == 5.0
     norm = math.sqrt(sum(float((g * g).sum()) for g in out.values()))
     assert abs(norm - 1.0) < 1e-12
     # direction preserved: cosine similarity 1 with the unclipped gradient
@@ -116,7 +121,9 @@ def test_clip_sums_wqkv_block_by_block():
     grads = {"embed": rng.normal(size=(5, 8)),
              "layer0.wqkv": rng.normal(size=(8, 24)),
              "layer0.wo": rng.normal(size=(8, 8))}
-    out = tr.clip_gradients(grads, 1.0, n_heads=2)
+    grad = np.concatenate(list(grads.values()), axis=None)
+    out = tr._views(grad, {n: g.shape for n, g in grads.items()})
+    tr.clip_gradients(grad, out, 1.0, n_heads=2)
     sq = float((grads["embed"] ** 2).sum())
     for h in range(2):
         for c in range(3):
@@ -133,26 +140,29 @@ def test_clip_sums_wqkv_block_by_block():
 
 def test_clip_rejects_non_finite():
     with pytest.raises(tr.TrainingError):
-        tr.clip_gradients({"a": np.array([np.nan])}, 1.0)
+        grad = np.array([np.nan])
+        tr.clip_gradients(grad, {"a": grad}, 1.0)
 
 
 def test_adam_zero_gradient_is_noop_on_fresh_state():
     bundle = random_bundle(small_config(), seed=1)
-    params = bundle.params.copy()
-    opt = tr.Adam(list(params.tensors))
-    zeros = {n: np.zeros(t.shape) for n, t in params.items()}
+    params = np.concatenate([t.data for t in bundle.params.tensors.values()],
+                            axis=None)
+    opt = tr.Adam(params.size)
+    zeros = np.zeros_like(params)
     opt.step(params, zeros, lr=0.1)
+    stepped = tr._views(params, {n: t.shape for n, t in bundle.params.items()})
     for name, t in bundle.params.items():
-        assert np.array_equal(params[name].data, t.data)
+        assert np.array_equal(stepped[name], t.data)
 
 
 def test_adam_first_step_moves_by_lr():
     # with a single constant gradient, the bias-corrected first update is
     # lr * g / (|g| + eps) = lr * sign(g) (up to eps)
-    params = mdl.ModelParams({"w": nc.Tensor(np.array([1.0, -2.0]))})
-    opt = tr.Adam(["w"])
-    opt.step(params, {"w": np.array([0.5, -0.25])}, lr=0.01)
-    assert np.abs(params["w"].data - [0.99, -1.99]).max() < 1e-9
+    params = np.array([1.0, -2.0])
+    opt = tr.Adam(2)
+    opt.step(params, np.array([0.5, -0.25]), lr=0.01)
+    assert np.abs(params - [0.99, -1.99]).max() < 1e-9
 
 
 def test_short_training_run_descends():
@@ -256,10 +266,10 @@ def test_training_fingerprint_is_pinned_with_helpers(tmp_path, monkeypatch):
 def check_training_fingerprint(tmp_path, monkeypatch):
     clipped = []
 
-    def clip_and_count(grads, clip_norm, n_heads=1):
-        out = clip(grads, clip_norm, n_heads)
-        clipped.append(out is not grads)
-        return out
+    def clip_and_count(grad, grads, clip_norm, n_heads=1):
+        norm = clip(grad, grads, clip_norm, n_heads)
+        clipped.append(norm > clip_norm)
+        return norm
 
     clip = tr.clip_gradients
     monkeypatch.setattr(tr, "clip_gradients", clip_and_count)
@@ -337,7 +347,7 @@ def test_helpers_give_the_in_process_gradients_bit_for_bit(cpus, monkeypatch):
             and list(out) == list(params.tensors)
             and np.concatenate(list(out.values()), axis=None).tobytes() == ref.tobytes()
             for out_loss, out in ((loss, grads), (alone_loss, alone)))
-        steps.append((helpers is not None, same))
+        steps.append((helpers.count > 0, same))
         return loss, grads
 
     monkeypatch.setattr(tr, "batch_gradients", compare)
@@ -387,3 +397,124 @@ def test_a_helper_that_dies_raises_training_error(monkeypatch):
     with pytest.raises(tr.TrainingError, match="gradient helper . exited"):
         small_training_run(monkeypatch, lambda: os._exit(3))
     assert multiprocessing.active_children() == []
+
+
+def reference_clip_and_adam(params, grads, state, lr, clip_norm, n_heads):
+    """The reference optimizer step, out of place on dicts of arrays: the
+    block-order clip norm, the clipped gradients g * (clip_norm / norm), and
+    Adam's moments, bias corrections and update as fresh arrays."""
+    sq = 0.0
+    for name, g in grads.items():
+        for part in mdl.param_blocks(name, g, n_heads):
+            sq += float((part * part).sum())
+    norm = math.sqrt(sq)
+    if norm > clip_norm:
+        grads = {n: g * (clip_norm / norm) for n, g in grads.items()}
+    state["t"] += 1
+    t = state["t"]
+    for n, g in grads.items():
+        state["m"][n] = 0.9 * state["m"][n] + (1 - 0.9) * g
+        state["v"][n] = 0.98 * state["v"][n] + (1 - 0.98) * g * g
+        mhat = state["m"][n] / (1 - 0.9 ** t)
+        vhat = state["v"][n] / (1 - 0.98 ** t)
+        params[n] = params[n] - lr * mhat / (np.sqrt(vhat) + 1e-9)
+    return norm
+
+
+def test_in_place_clip_and_adam_equal_the_out_of_place_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    shapes = {"embed": (7, 8), "layer0.wqkv": (8, 24), "layer0.ff.b1": (16,),
+              "punct.w": (8, 4)}
+    size = sum(math.prod(s) for s in shapes.values())
+    vector = rng.normal(size=size)
+    grad = np.empty(size)
+    grads = tr._views(grad, shapes)
+    ref = {n: v.copy() for n, v in tr._views(vector, shapes).items()}
+    state = {"t": 0, "m": {n: np.zeros(s) for n, s in shapes.items()},
+             "v": {n: np.zeros(s) for n, s in shapes.items()}}
+    opt = tr.Adam(size)
+    clipped = []
+    for scale in (0.002, 3.0, 0.01, 30.0, 0.001, 0.5, 8.0):
+        drawn = {n: scale * rng.normal(size=s) / math.sqrt(size)
+                 for n, s in shapes.items()}
+        np.concatenate(list(drawn.values()), axis=None, out=grad)
+        lr = float(rng.uniform(1e-4, 0.1))
+        norm = tr.clip_gradients(grad, grads, 1.0, n_heads=2)
+        opt.step(vector, grad, lr)
+        ref_norm = reference_clip_and_adam(ref, drawn, state, lr, 1.0, 2)
+        assert norm == ref_norm
+        clipped.append(norm > 1.0)
+        expected = np.concatenate(list(ref.values()), axis=None)
+        assert vector.tobytes() == expected.tobytes()
+    assert 2 <= sum(clipped) <= len(clipped) - 2
+
+
+def test_augmentation_keeps_utterances_within_max_positions(monkeypatch):
+    # twelve-word utterances fit max_positions 16; an appended prefix of up
+    # to twelve more words would not
+    corpus = labelled([12] * 6, seed=3)
+    vocab = dt.Vocabulary.from_corpus(corpus)
+    config = small_config(vocab_size=len(vocab), max_positions=16)
+    lengths = []
+    augment = tr.truncation_augment
+
+    def record(batch, rng, max_positions):
+        out = augment(batch, rng, max_positions)
+        lengths.extend(len(seq.words) for seq in out)
+        return out
+
+    monkeypatch.setattr(tr, "truncation_augment", record)
+    result = tr.train(corpus, tr.TrainConfig(batch_size=4, max_steps=5, seed=2),
+                      config, vocab, dt.LabelScheme())
+    assert result.steps_run == 5
+    assert max(lengths) == 16 and min(lengths) == 12
+
+
+@pytest.mark.parametrize("where", ["corpus", "dev"])
+def test_train_refuses_an_utterance_longer_than_max_positions(where):
+    fits, long = labelled([12, 12], seed=4), labelled([12, 20, 3], seed=4)
+    corpus, dev = (long, None) if where == "corpus" else (fits, long)
+    vocab = dt.Vocabulary.from_corpus(long)
+    config = small_config(vocab_size=len(vocab), max_positions=16)
+    with pytest.raises(ValueError, match=f"^{where} utterance 1 has 20 words, "
+                                         "more than max_positions 16$"):
+        tr.train(corpus, tr.TrainConfig(max_steps=1), config, vocab,
+                 dt.LabelScheme(), dev=dev)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_train_reads_its_inputs_and_returns_parameters_of_their_own(cpus,
+                                                                    monkeypatch):
+    use_cpus(monkeypatch, cpus)
+    corpus = labelled([3, 5, 8, 13, 2, 7], seed=5)
+    vocab = dt.Vocabulary.from_corpus(corpus)
+    scheme = dt.LabelScheme()
+    config = small_config(vocab_size=len(vocab))
+    init = mdl.init_params(config, np.random.default_rng(9))
+    before = {n: t.data.tobytes() for n, t in init.items()}
+    final = tr.train(corpus, tr.TrainConfig(batch_size=4, max_steps=3, seed=1),
+                     config, vocab, scheme, init_params=init).params
+    assert {n: t.data.tobytes() for n, t in init.items()} == before
+    selected = tr.train(corpus, tr.TrainConfig(batch_size=4, max_steps=4,
+                                               eval_every=2, seed=2),
+                        config, vocab, scheme, dev=corpus[:2]).params
+    taggers = [ModelTagger(config, p, vocab, scheme) for p in (final, selected)]
+    tags = [[t.tag(seq.words) for seq in corpus] for t in taggers]
+
+    working = []
+    batch_gradients = tr.batch_gradients
+
+    def record(batch, model_config, params, vocab, scheme, helpers=None):
+        working.append(params)
+        return batch_gradients(batch, model_config, params, vocab, scheme,
+                               helpers)
+
+    monkeypatch.setattr(tr, "batch_gradients", record)
+    later = tr.train(corpus, tr.TrainConfig(batch_size=4, max_steps=2, seed=3),
+                     config, vocab, scheme, init_params=final).params
+    assert [[t.tag(seq.words) for seq in corpus] for t in taggers] == tags
+    groups = [final, selected, later, working[0]]
+    for a, b in itertools.combinations(groups, 2):
+        assert not any(np.shares_memory(x.data, y.data)
+                       for x in a.tensors.values() for y in b.tensors.values())
