@@ -83,24 +83,24 @@ def _views(flat, shapes):
     return views
 
 
-def clip_gradients(grad, grads, clip_norm, n_heads=1):
-    """Scale the gradient vector `grad` in place so its global L2 norm is
-    <= clip_norm; return the norm it had.
+def clip_gradients(helpers, clip_norm, n_heads=1):
+    """Scale the gradient vector `helpers.grad` of a GradientHelpers group in
+    place so its global L2 norm is <= clip_norm; return the norm it had.
 
-    `grads` maps each parameter name to its view of `grad`. The squares are
-    summed over each parameter's CTT1 blocks in turn (model.param_blocks,
-    `n_heads` heads), so the norm, and with it training, has the same bits
-    as with one tensor per head and projection.
+    The squares are summed over each parameter's CTT1 blocks in turn
+    (model.param_blocks on the named views `helpers.grads`, `n_heads`
+    heads), so the norm, and with it training, has the same bits as with
+    one tensor per head and projection.
     """
-    if not np.isfinite(grad).all():
+    if not np.isfinite(helpers.grad).all():
         raise TrainingError("non-finite gradient; aborting")
     sq = 0.0
-    for name, g in grads.items():
+    for name, g in helpers.grads.items():
         for part in mdl.param_blocks(name, g, n_heads):
             sq += float((part * part).sum())
     norm = math.sqrt(sq)
     if norm > clip_norm:
-        grad *= clip_norm / norm
+        helpers.grad *= clip_norm / norm
     return norm
 
 
@@ -158,16 +158,16 @@ def batch_gradients(batch, model_config, params, vocab, scheme, helpers=None):
     """Mean joint loss over a batch of sequences plus summed-then-averaged
     gradients keyed by parameter name.
 
-    Sequence i's gradient goes to row i of `helpers.rows` (`helpers` is the
-    GradientHelpers whose `params` these are, else a new one without
-    processes), and helper processes, if any, compute some rows. Rows and
-    losses are summed in sequence order, into row 0, so the bits do not
-    depend on who computed what. The gradients returned are `helpers.grads`.
+    Sequence i's gradient goes to row i of `helpers.rows`, and helper
+    processes, if any, compute some rows. Rows and losses are summed in
+    sequence order, into row 0, so the bits do not depend on who computed
+    what. With `helpers`, `params` is not read (rows use `helpers.params`);
+    without, a GradientHelpers group without processes is made from them.
+    The gradients returned, `helpers.grads`, are overwritten in place by the
+    next call on the group and by clip_gradients; copy them to keep them.
     """
     if helpers is None:
         helpers = GradientHelpers(model_config, params, len(batch), 0)
-    elif params is not helpers.params:
-        raise nc.ContractError("batch_gradients: params are not helpers.params")
     encoded = [encode(seq, vocab, scheme) for seq in batch]
     k = len(encoded)
     rows = helpers.rows[:k]
@@ -261,12 +261,11 @@ class GradientHelpers:
         self.grad = self.rows[0]
         self.grads = _views(self.grad, shapes)
         self.count = count
-        context = multiprocessing.get_context("fork")
         self._procs, self._conns = [], []
         try:
             for _ in range(count):
-                conn, child_conn = context.Pipe()
-                proc = context.Process(
+                conn, child_conn = multiprocessing.Pipe()
+                proc = multiprocessing.get_context("fork").Process(
                     target=_helper_loop, daemon=True,
                     args=(child_conn, [*self._conns, conn], model_config,
                           self.params, self.rows))
@@ -345,9 +344,9 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
     `batch_size`) - 1 gradient helpers (GradientHelpers) and joins them
     before it returns or raises. `init_params` is only read, and the
     returned parameters are a copy that no later call touches.
-    An unlabeled utterance, a label outside `scheme`, or an utterance longer
-    than `model_config.max_positions`, in `corpus` or `dev`, raises
-    ValueError before the first step.
+    An unlabeled utterance or a label outside `scheme`, or a corpus
+    utterance longer than `model_config.max_positions` (a dev one is tagged
+    through the stream decoder), raises ValueError before the first step.
     """
     if not corpus:
         raise ValueError("training corpus is empty")
@@ -357,8 +356,8 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
         for i, seq in enumerate(seqs):
             if problem := scheme.label_problem(seq):
                 raise ValueError(f"{what} utterance {i} {problem}")
-            if len(seq.words) > limit:
-                raise ValueError(f"{what} utterance {i} has {len(seq.words)} "
+            if what == "corpus" and len(seq.words) > limit:
+                raise ValueError(f"corpus utterance {i} has {len(seq.words)} "
                                  f"words, more than max_positions {limit}")
     rng = random.Random(config.seed)
     if init_params is None:
@@ -388,12 +387,12 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
                 cursor += 1
             if config.augment:
                 batch = truncation_augment(batch, rng, limit)
-            loss, grads = batch_gradients(batch, model_config, params, vocab,
-                                          scheme, helpers)
+            loss, _ = batch_gradients(batch, model_config, params, vocab,
+                                      scheme, helpers)
             if initial_loss is None:
                 initial_loss = loss
             final_loss = loss
-            clip_gradients(helpers.grad, grads, config.clip_norm, model_config.n_heads)
+            clip_gradients(helpers, config.clip_norm, model_config.n_heads)
             lr = lr_schedule(step, model_config.d_model, config.warmup_steps)
             opt.step(helpers.vector, helpers.grad, lr)
 

@@ -94,18 +94,28 @@ def test_lr_schedule_rejects_step_zero():
         tr.lr_schedule(0, 32, 400)
 
 
+def gradient_group(grads):
+    """A GradientHelpers group without processes whose gradient vector
+    holds `grads`, end to end."""
+    params = mdl.ModelParams({n: nc.Tensor(np.zeros_like(g))
+                              for n, g in grads.items()})
+    helpers = tr.GradientHelpers(None, params, 1, 0)
+    np.concatenate(list(grads.values()), axis=None, out=helpers.grad)
+    return helpers
+
+
 def test_clip_leaves_small_gradients_untouched():
-    grad = np.array([0.3, 0.4])  # norm 0.5
-    before = grad.copy()
-    norm = tr.clip_gradients(grad, {"a": grad}, 1.0)
-    assert np.array_equal(grad, before) and norm == 0.5
+    helpers = gradient_group({"a": np.array([0.3, 0.4])})  # norm 0.5
+    before = helpers.grad.copy()
+    norm = tr.clip_gradients(helpers, 1.0)
+    assert np.array_equal(helpers.grad, before) and norm == 0.5
 
 
 def test_clip_scales_to_exactly_the_threshold():
-    grad = np.array([3.0, 0.0, 4.0])  # norm 5
-    out = {"a": grad[:2], "b": grad[2:].reshape(1, 1)}
-    grads = {n: g.copy() for n, g in out.items()}
-    assert tr.clip_gradients(grad, out, 1.0) == 5.0
+    grads = {"a": np.array([3.0, 0.0]), "b": np.array([[4.0]])}  # norm 5
+    helpers = gradient_group(grads)
+    out = helpers.grads
+    assert tr.clip_gradients(helpers, 1.0) == 5.0
     norm = math.sqrt(sum(float((g * g).sum()) for g in out.values()))
     assert abs(norm - 1.0) < 1e-12
     # direction preserved: cosine similarity 1 with the unclipped gradient
@@ -121,9 +131,9 @@ def test_clip_sums_wqkv_block_by_block():
     grads = {"embed": rng.normal(size=(5, 8)),
              "layer0.wqkv": rng.normal(size=(8, 24)),
              "layer0.wo": rng.normal(size=(8, 8))}
-    grad = np.concatenate(list(grads.values()), axis=None)
-    out = tr._views(grad, {n: g.shape for n, g in grads.items()})
-    tr.clip_gradients(grad, out, 1.0, n_heads=2)
+    helpers = gradient_group(grads)
+    out = helpers.grads
+    tr.clip_gradients(helpers, 1.0, n_heads=2)
     sq = float((grads["embed"] ** 2).sum())
     for h in range(2):
         for c in range(3):
@@ -140,8 +150,7 @@ def test_clip_sums_wqkv_block_by_block():
 
 def test_clip_rejects_non_finite():
     with pytest.raises(tr.TrainingError):
-        grad = np.array([np.nan])
-        tr.clip_gradients(grad, {"a": grad}, 1.0)
+        tr.clip_gradients(gradient_group({"a": np.array([np.nan])}), 1.0)
 
 
 def test_adam_zero_gradient_is_noop_on_fresh_state():
@@ -266,8 +275,8 @@ def test_training_fingerprint_is_pinned_with_helpers(tmp_path, monkeypatch):
 def check_training_fingerprint(tmp_path, monkeypatch):
     clipped = []
 
-    def clip_and_count(grad, grads, clip_norm, n_heads=1):
-        norm = clip(grad, grads, clip_norm, n_heads)
+    def clip_and_count(helpers, clip_norm, n_heads=1):
+        norm = clip(helpers, clip_norm, n_heads)
         clipped.append(norm > clip_norm)
         return norm
 
@@ -427,8 +436,7 @@ def test_in_place_clip_and_adam_equal_the_out_of_place_reference_bit_for_bit():
               "punct.w": (8, 4)}
     size = sum(math.prod(s) for s in shapes.values())
     vector = rng.normal(size=size)
-    grad = np.empty(size)
-    grads = tr._views(grad, shapes)
+    helpers = gradient_group({n: np.zeros(s) for n, s in shapes.items()})
     ref = {n: v.copy() for n, v in tr._views(vector, shapes).items()}
     state = {"t": 0, "m": {n: np.zeros(s) for n, s in shapes.items()},
              "v": {n: np.zeros(s) for n, s in shapes.items()}}
@@ -437,10 +445,10 @@ def test_in_place_clip_and_adam_equal_the_out_of_place_reference_bit_for_bit():
     for scale in (0.002, 3.0, 0.01, 30.0, 0.001, 0.5, 8.0):
         drawn = {n: scale * rng.normal(size=s) / math.sqrt(size)
                  for n, s in shapes.items()}
-        np.concatenate(list(drawn.values()), axis=None, out=grad)
+        np.concatenate(list(drawn.values()), axis=None, out=helpers.grad)
         lr = float(rng.uniform(1e-4, 0.1))
-        norm = tr.clip_gradients(grad, grads, 1.0, n_heads=2)
-        opt.step(vector, grad, lr)
+        norm = tr.clip_gradients(helpers, 1.0, n_heads=2)
+        opt.step(vector, helpers.grad, lr)
         ref_norm = reference_clip_and_adam(ref, drawn, state, lr, 1.0, 2)
         assert norm == ref_norm
         clipped.append(norm > 1.0)
@@ -470,17 +478,68 @@ def test_augmentation_keeps_utterances_within_max_positions(monkeypatch):
     assert max(lengths) == 16 and min(lengths) == 12
 
 
-@pytest.mark.parametrize("where", ["corpus", "dev"])
-def test_train_refuses_an_utterance_longer_than_max_positions(where):
-    fits, long = labelled([12, 12], seed=4), labelled([12, 20, 3], seed=4)
-    corpus, dev = (long, None) if where == "corpus" else (fits, long)
-    vocab = dt.Vocabulary.from_corpus(long)
+def test_train_refuses_a_corpus_utterance_longer_than_max_positions():
+    corpus = labelled([12, 20, 3], seed=4)
+    vocab = dt.Vocabulary.from_corpus(corpus)
     config = small_config(vocab_size=len(vocab), max_positions=16)
-    with pytest.raises(ValueError, match=f"^{where} utterance 1 has 20 words, "
+    with pytest.raises(ValueError, match="^corpus utterance 1 has 20 words, "
                                          "more than max_positions 16$"):
         tr.train(corpus, tr.TrainConfig(max_steps=1), config, vocab,
-                 dt.LabelScheme(), dev=dev)
+                 dt.LabelScheme())
     assert multiprocessing.active_children() == []
+
+
+def test_train_scores_a_dev_utterance_longer_than_max_positions():
+    # tag_offline tags a dev utterance past max_positions through the
+    # stream decoder, so it is scored, not refused
+    corpus, dev = labelled([12, 12], seed=4), labelled([12, 20, 3], seed=4)
+    vocab = dt.Vocabulary.from_corpus(dev)
+    scheme = dt.LabelScheme()
+    config = small_config(vocab_size=len(vocab), max_positions=16)
+    result = tr.train(corpus, tr.TrainConfig(batch_size=2, max_steps=1,
+                                             eval_every=1),
+                      config, vocab, scheme, dev=dev)
+    [(step, _, *f1)] = result.history
+    assert step == 1
+    assert tuple(f1) == tr._dev_f1(dev, config, result.params, vocab, scheme)
+
+
+def test_train_runs_where_the_fork_start_method_does_not_exist(monkeypatch):
+    # no helpers then, and no multiprocessing context is asked for: the
+    # parameters are those of a call with helpers, and batch_gradients
+    # without a group works too
+    use_cpus(monkeypatch, 4)
+    corpus = labelled([3, 5, 8, 13, 2, 7], seed=6)
+    vocab = dt.Vocabulary.from_corpus(corpus)
+    scheme = dt.LabelScheme()
+    config = small_config(vocab_size=len(vocab))
+    train_config = tr.TrainConfig(batch_size=4, max_steps=3, seed=4)
+    helped = tr.train(corpus, train_config, config, vocab, scheme).params
+    get_context = multiprocessing.get_context
+
+    def without_fork(method=None):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", without_fork)
+    counts = []
+    batch_gradients = tr.batch_gradients
+
+    def record(batch, model_config, params, vocab, scheme, helpers=None):
+        counts.append(helpers.count)
+        return batch_gradients(batch, model_config, params, vocab, scheme,
+                               helpers)
+
+    monkeypatch.setattr(tr, "batch_gradients", record)
+    alone = tr.train(corpus, train_config, config, vocab, scheme).params
+    assert counts == [0, 0, 0]
+    assert all(alone[n].data.tobytes() == t.data.tobytes()
+               for n, t in helped.items())
+    loss, grads = batch_gradients(corpus[:2], config, alone, vocab, scheme)
+    assert math.isfinite(loss) and list(grads) == list(alone.tensors)
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
