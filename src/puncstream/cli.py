@@ -19,6 +19,10 @@ from .masks import MaskSpec
 # field but `seed` (a flag), ModelConfig's `max_positions`, and the sizes and
 # vocabulary cut-off of a new model. A value is parsed by its default's type.
 # Command-line --set overrides file values; unknown keys are rejected.
+# A checkpoint fixes the _MODEL_KEYS, so `train --init-checkpoint` refuses
+# them.
+_MODEL_KEYS = ("d_model", "n_layers", "n_heads", "d_ff", "lookahead",
+               "min_freq", "max_positions")
 _DEFAULTS = {
     "d_model": 32, "n_layers": 4, "n_heads": 2, "d_ff": 64,
     "lookahead": "0,0,0,9", "min_freq": 2,
@@ -38,13 +42,17 @@ class ConfigError(ValueError):
     pass
 
 
-def load_run_config(path=None, overrides=()):
-    """Merge defaults, an optional key=value file, and --set overrides."""
+def load_run_config(path=None, overrides=(), fixed=()):
+    """Merge defaults, an optional key=value file, and --set overrides; a
+    key in `fixed`, one an --init-checkpoint fixes, may not be set."""
     cfg = dict(_DEFAULTS)
 
     def apply(key, value, where):
         if key not in _DEFAULTS:
             raise ConfigError(f"{where}: unknown config key {key!r}")
+        if key in fixed:
+            raise ConfigError(f"{where}: {key} cannot be set with "
+                              "--init-checkpoint, whose checkpoint fixes it")
         default = _DEFAULTS[key]
         try:
             cfg[key] = (_BOOLS[value.lower()] if isinstance(default, bool)
@@ -132,7 +140,8 @@ def _cmd_synth(args):
 
 
 def _cmd_train(args):
-    cfg = load_run_config(args.config, args.set)
+    cfg = load_run_config(args.config, args.set,
+                          _MODEL_KEYS if args.init_checkpoint else ())
     corpus = dt.parse_corpus(args.corpus)
     dev = dt.parse_corpus(args.dev) if args.dev else None
     scheme = dt.LabelScheme()

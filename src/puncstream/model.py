@@ -169,7 +169,7 @@ def _positions(n, d_model, max_positions):
     return _position_table(rows, d_model)[:n]
 
 
-# Each layer's parameters, in the order its four ops take them.
+# Each layer's parameters, in the order its four kernels take them.
 _LAYER_PARAMS = ("wqkv", "wo", "norm1.gain", "norm1.bias", "ff.w1", "ff.b1",
                  "ff.w2", "ff.b2", "norm2.gain", "norm2.bias")
 
@@ -183,13 +183,14 @@ def _layer_getters(n_layers):
 
 class UnpackedParams:
     """A model's parameters, checked against `param_shapes(config)` once and
-    unpacked into the plain arrays the untaped forward runs on: `embed`, and
+    unpacked into the plain arrays the forward runs on: `embed`, and
     per layer its _LAYER_PARAMS arrays.
 
     It keeps the tensors it was built from, so a tensor later replaced in
     the ModelParams it came from does not reach it. `forward`, `predict`,
     `encoder_forward` and `heads_forward` take it wherever they take a
-    ModelParams, and with the config it was built for check nothing.
+    ModelParams, as does `loss_gradient`, and with the config it was built
+    for check nothing.
     """
 
     __slots__ = ("config", "tensors", "embed", "layers")
@@ -205,10 +206,9 @@ class UnpackedParams:
         return self.tensors[name]
 
 
-def _shape_mismatches(config, shapes):
-    """What is wrong with a name -> shape map against param_shapes(config):
-    missing and unexpected names and wrong shapes, one string each."""
-    expected = param_shapes(config)
+def _shape_mismatches(expected, shapes):
+    """What is wrong with a name -> shape map against `expected`: missing
+    and unexpected names and wrong shapes, one string each."""
     found = [f"missing tensor {name}" if name not in shapes
              else f"{name}: expected {shape}, found {shapes[name]}"
              for name, shape in expected.items() if shapes.get(name) != shape]
@@ -218,85 +218,111 @@ def _shape_mismatches(config, shapes):
 
 def unpack_params(config, params):
     """`params`, a ModelParams or UnpackedParams, as UnpackedParams for
-    `config`; an UnpackedParams built for this very config object is
-    returned as it is. Raises ShapeMismatchError naming every tensor that
-    does not fit `param_shapes(config)`."""
+    `config`, its tensors in param_shapes(config) order; an UnpackedParams
+    built for this very config object is returned as it is. Raises
+    ShapeMismatchError naming every tensor that does not fit
+    `param_shapes(config)`."""
     if isinstance(params, UnpackedParams) and params.config is config:
         return params
-    tensors = dict(params.tensors)
-    mismatches = _shape_mismatches(config, {n: t.shape for n, t in tensors.items()})
+    expected = param_shapes(config)
+    mismatches = _shape_mismatches(
+        expected, {n: t.shape for n, t in params.tensors.items()})
     if mismatches:
         raise nc.ShapeMismatchError(
             "parameters do not fit the config: " + "; ".join(mismatches))
-    return UnpackedParams(config, tensors)
+    return UnpackedParams(config, {name: params.tensors[name] for name in expected})
 
 
-def _encode(ids, config, params):
-    """The untaped encoder: numcore's kernels on the arrays of the
-    UnpackedParams `params`, with no shape checks and no Tensors."""
+def _encode(ids, config, params, saved=None):
+    """The encoder: numcore's kernels on the int64 ids `ids` and the arrays
+    of the UnpackedParams `params`, with no shape checks and no Tensors.
+    Given a list `saved`, appends for each layer its input and what its
+    kernels return for their backwards (`loss_gradient`)."""
     n = len(ids)
     x = nc._embedding_lookup(params.embed, ids,
                              _positions(n, config.d_model, config.max_positions))
     for lookahead, (wqkv, wo, g1, b1, w1, fb1, w2, fb2, g2, b2) in zip(
             config.mask_spec.per_layer_lookahead, params.layers):
         mask = build_ct_mask(n, lookahead)
-        y = nc._attention(x, wqkv, wo, mask, config.n_heads)[0]
-        x = nc._add_layer_norm(x, y, g1, b1)[0]
-        y = nc._feed_forward(x, w1, fb1, w2, fb2)[0]
-        x = nc._add_layer_norm(x, y, g2, b2)[0]
+        y, attention = nc._attention(x, wqkv, wo, mask, config.n_heads)
+        x1, norm1 = nc._add_layer_norm(x, y, g1, b1)
+        y, inner = nc._feed_forward(x1, w1, fb1, w2, fb2)
+        y, norm2 = nc._add_layer_norm(x1, y, g2, b2)
+        if saved is not None:
+            saved.append((x, attention, x1, norm1, inner, norm2))
+        x = y
     return x
 
 
-def encoder_forward(token_ids, config, params, tape=None):
+def encoder_forward(token_ids, config, params):
     """Run the masked-attention encoder; returns hidden states (n, d_model).
 
-    One embedding op, which adds the positions (`_positions`), then four
-    numcore sublayers per layer: attention (fused q/k/v projection, every
-    head's masked softmax, output projection) under the layer's mask
+    One embedding kernel, which adds the positions (`_positions`), then four
+    numcore sublayer kernels per layer: attention (fused q/k/v projection,
+    every head's masked softmax, output projection) under the layer's mask
     build_ct_mask(n, budget), add+norm1, the feed-forward network and
-    add+norm2. Without a tape the encoder runs their kernels on the arrays
-    of `unpack_params(config, params)`.
-
-    With a tape it runs the public ops: 4 * n_layers + 1 entries. Each op's
-    backward hands the tape x's gradients in the order one op per product,
-    sum, ReLU and norm did: the residual's first, then the attention blocks,
-    last head first and v, k, q within a head. The tape adds them up in that
-    order, so gradients and trained weights keep their bits.
+    add+norm2, on the arrays of `unpack_params(config, params)`.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
-    if tape is None:
-        return nc._wrap(_encode(ids, config, unpack_params(config, params)))
-    n = len(ids)
-    x = nc.embedding_lookup(params["embed"], ids,
-                            _positions(n, config.d_model, config.max_positions), tape)
-    for lookahead, layer in zip(config.mask_spec.per_layer_lookahead,
-                                _layer_getters(config.n_layers)):
-        wqkv, wo, g1, b1, w1, fb1, w2, fb2, g2, b2 = layer(params.tensors)
-        mask = build_ct_mask(n, lookahead)
-        x = nc.add_layer_norm(
-            x, nc.attention(x, wqkv, wo, mask, config.n_heads, tape), g1, b1, tape)
-        x = nc.add_layer_norm(
-            x, nc.feed_forward(x, w1, fb1, w2, fb2, tape), g2, b2, tape)
-    return x
+    return nc._wrap(_encode(ids, config, unpack_params(config, params)))
 
 
-def heads_forward(hidden, params, tape=None):
+def heads_forward(hidden, params):
     """Linear projections to (punct logits, disf logits)."""
-    punct = nc.add(nc.matmul(hidden, params["punct.w"], tape), params["punct.b"], tape)
-    disf = nc.add(nc.matmul(hidden, params["disf.w"], tape), params["disf.b"], tape)
-    return punct, disf
+    punct = nc.matmul(hidden, params["punct.w"]).data + params["punct.b"].data
+    disf = nc.matmul(hidden, params["disf.w"]).data + params["disf.b"].data
+    return nc._wrap(punct), nc._wrap(disf)
 
 
-def forward(token_ids, config, params, tape=None):
+def forward(token_ids, config, params):
     """Full pass: token ids -> (punct logits, disf logits).
 
-    `params` is a ModelParams or UnpackedParams. Untaped, a ModelParams is
-    checked against the config once per call (unpack_params).
+    `params` is a ModelParams or UnpackedParams; a ModelParams is checked
+    against the config once per call (unpack_params).
     """
-    if tape is None:
-        params = unpack_params(config, params)
-    hidden = encoder_forward(token_ids, config, params, tape)
-    return heads_forward(hidden, params, tape)
+    params = unpack_params(config, params)
+    return heads_forward(encoder_forward(token_ids, config, params), params)
+
+
+def loss_gradient(token_ids, punct_ids, disf_ids, config, params, grads):
+    """The joint loss of one labeled sequence, the sum of the two heads'
+    token-mean cross entropies, as a float; its gradient is written into
+    `grads`, a name -> array map with an array of every parameter's shape.
+
+    The forward is inference's own, `_encode` and `heads_forward`, keeping
+    what the kernels return for their backwards. These then run in reverse:
+    the heads', each layer's (last layer first) and the embedding's. Where
+    a gradient has several parts they add up as in a reverse-mode pass over
+    one op per product, sum, ReLU and norm, so the gradient has its bits:
+    the hidden states' adds the disf head's part before the punct head's,
+    and within a layer x's adds the norm2 residual, the FFN, the norm1
+    residual and then the attention blocks.
+    """
+    params = unpack_params(config, params)
+    ids = np.asarray(token_ids, dtype=np.int64)
+    saved = []
+    hidden = nc._wrap(_encode(ids, config, params, saved))
+    punct, disf = heads_forward(hidden, params)
+    punct_loss, punct_saved = nc._cross_entropy_mean(punct.data, punct_ids)
+    disf_loss, disf_saved = nc._cross_entropy_mean(disf.data, disf_ids)
+    g_punct = nc._cross_entropy_mean_backward(punct.data, punct_saved)
+    g_disf = nc._cross_entropy_mean_backward(disf.data, disf_saved)
+    for head, g in (("punct", g_punct), ("disf", g_disf)):
+        np.matmul(hidden.data.T, g, out=grads[f"{head}.w"])
+        np.add.reduce(g, axis=0, out=grads[f"{head}.b"])
+    g = g_disf @ params["disf.w"].data.T
+    g += g_punct @ params["punct.w"].data.T
+    for (x, attention, x1, norm1, inner, norm2), (wqkv, wo, g1, _, w1, _, w2, _, g2, _), \
+            (gwqkv, gwo, gg1, gb1, gw1, gfb1, gw2, gfb2, gg2, gb2) in zip(
+                reversed(saved), reversed(params.layers),
+                reversed([layer(grads) for layer in _layer_getters(config.n_layers)])):
+        g = nc._add_layer_norm_backward(g, g2, norm2, gg2, gb2)
+        nc._feed_forward_backward(g, x1, w1, w2, inner, g, gw1, gfb1, gw2, gfb2)
+        g = nc._add_layer_norm_backward(g, g1, norm1, gg1, gb1)
+        nc._attention_backward(g, x, wqkv, wo, attention, config.n_heads, g,
+                               gwqkv, gwo)
+    nc._embedding_backward(g, ids, grads["embed"])
+    return float(punct_loss + disf_loss)
 
 
 def predict(token_ids, config, params):
@@ -353,7 +379,8 @@ def save_model(path, config, params, vocab, scheme):
 
 
 def load_model(path):
-    """Inverse of save_model: (config, params, vocab, scheme).
+    """Inverse of save_model: (config, params, vocab, scheme), the params in
+    param_shapes(config) order.
 
     The label names must match the config's label counts, the vocabulary
     its size, and every tensor shape the config, and every weight must be
@@ -417,7 +444,8 @@ def load_model(path):
         (ndim,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         found[name] = shape, np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
-    mismatches = _shape_mismatches(config, {n: s for n, (s, _) in found.items()})
+    expected = param_shapes(config)
+    mismatches = _shape_mismatches(expected, {n: s for n, (s, _) in found.items()})
     if mismatches:
         raise CheckpointError(
             f"checkpoint {path} fails shape validation: " + "; ".join(mismatches))
@@ -426,6 +454,6 @@ def load_model(path):
     if nonfinite:
         raise CheckpointError(f"checkpoint {path} has non-finite values in "
                               + ", ".join(sorted(nonfinite)))
-    params = ModelParams({name: Tensor(data.reshape(shape))
-                          for name, (shape, data) in found.items()})
+    params = ModelParams({name: Tensor(found[name][1].reshape(shape))
+                          for name, shape in expected.items()})
     return config, params, vocab, scheme

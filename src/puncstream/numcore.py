@@ -1,24 +1,24 @@
-"""Dense numeric core: tensors, forward ops, and tape-based reverse-mode autodiff.
+"""Dense numeric core: the array kernels of the encoder's sublayers and
+their backwards, and the loss.
 
 Everything is float64 so gradient checks against central finite differences
 are robust.
 
-An encoder layer is four sublayer ops, so that a forward at streaming sizes
-(about ten words) makes few Python-level calls: `attention` (the fused
-q/k/v projection, every head's masked softmax and the output projection),
-`add_layer_norm` (residual sum and layer norm), `feed_forward` (both
-projections and the ReLU) and `add_layer_norm` again. `embedding_lookup`
-(the token rows plus their positions), `add`, `matmul` and
-`cross_entropy_mean` serve the input, the tagging heads and the loss.
+An encoder layer is four sublayers, so that a forward at streaming sizes
+(about ten words) makes few Python-level calls: attention (the fused q/k/v
+projection, every head's masked softmax and the output projection),
+residual sum plus layer norm, the feed-forward network (both projections
+and the ReLU) and residual sum plus layer norm again. The embedding adds the
+positions to the token rows.
 
-Each sublayer, and the embedding, has one kernel: a private function
-on plain arrays (`_attention`, `_add_layer_norm`, `_feed_forward`,
-`_embedding_lookup`) that holds its numpy expressions and returns its output
-plus what the backward needs. The public op checks shapes, calls the
-kernel, wraps the result in a Tensor and, given a Tape, records its
-backward; the tape is an optional wrapper around the kernel. The model's
-untaped forward calls the kernels directly, so training and inference run
-the same arithmetic.
+Each sublayer, and the embedding, has one kernel, a private function on
+plain arrays (`_attention`, `_add_layer_norm`, `_feed_forward`,
+`_embedding_lookup`) that returns its output plus what its backward needs,
+and one backward (`_attention_backward` and so on) that takes those and the
+output's gradient. `model` runs the kernels as its one forward, for
+inference and for training, and the backwards in reverse for the gradient.
+`_cross_entropy_mean` and `_cross_entropy_mean_backward` are the loss.
+`Tensor` and `matmul` serve the tagging heads' public forward.
 """
 
 import math
@@ -67,94 +67,30 @@ def _wrap(arr):
     return t
 
 
-class Tape:
-    """Ordered record of executed ops, replayed backward for gradients.
-
-    Single-owner: one tape per forward pass, not shared across threads.
-    """
-
-    def __init__(self):
-        self._entries = []  # (out, inputs, backward_fn)
-
-    def record(self, out, inputs, backward_fn):
-        self._entries.append((out, inputs, backward_fn))
-
-    def __len__(self):
-        return len(self._entries)
-
-
-def backward(loss, tape, wrt):
-    """Gradients of a scalar loss with respect to the tensors in `wrt`.
-
-    Returns a dict keyed by Tensor (identity) holding exactly those tensors,
-    with exact-zero gradients for any that did not influence the loss.
-    """
-    if loss.shape != ():
-        raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    grads = {loss: np.array(1.0)}
-    for out, inputs, backward_fn in reversed(tape._entries):
-        g = grads.get(out)
-        if g is None:
-            continue
-        for inp, gi in zip(inputs, backward_fn(g)):
-            if gi is None:
-                continue
-            acc = grads.get(inp)
-            grads[inp] = gi if acc is None else acc + gi
-    out = {}
-    for t in wrt:
-        g = grads.get(t)
-        out[t] = np.zeros(t.shape) if g is None else g
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Forward ops (each optionally recorded on a tape) and their array kernels
-#
-# A fused op computes what a chain of one op per product, sum, ReLU and norm
-# would, with the same numpy expressions in the same order, and its backward
-# hands the tape its partial gradients in the order that chain did, so
-# `backward` adds them up to the same bits. An op updates in place only the
-# arrays it allocated itself; it never writes to an incoming gradient `g`,
-# which the tape may also hold for another input.
-# ---------------------------------------------------------------------------
-
-
-def matmul(a, b, tape=None):
+def matmul(a, b):
     """Matrix product of two 2-d tensors."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(f"matmul shapes do not agree: {a.shape} x {b.shape}")
-    out = _wrap(a.data @ b.data)
-    if tape is not None:
-        def bwd(g):
-            return g @ b.data.T, a.data.T @ g
-        tape.record(out, (a, b), bwd)
-    return out
+    return _wrap(a.data @ b.data)
 
 
-def _unbroadcast(g, shape):
-    """Sum gradient g down to `shape` (inverse of numpy broadcasting)."""
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g
-
-
-def add(a, b, tape=None):
-    """Elementwise sum with numpy broadcasting."""
-    out = _wrap(a.data + b.data)
-    if tape is not None:
-        def bwd(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-        tape.record(out, (a, b), bwd)
-    return out
+# ---------------------------------------------------------------------------
+# Array kernels and their backwards
+#
+# A kernel computes what a chain of one op per product, sum, ReLU and norm
+# would, with the same numpy expressions in the same order. Its backward
+# does the same for that chain's backward, and where an input's gradient
+# has several parts, it adds them in the order that chain's reverse-mode
+# pass did, so gradients keep their bits. A backward writes parameter
+# gradients into the arrays it is given and adds the input's gradient into
+# `gx`, which may be `g` itself: every read of `g` comes first.
+# ---------------------------------------------------------------------------
 
 
 def _feed_forward(x, w1, b1, w2, b2):
-    """The feed-forward kernel on arrays: relu(x @ w1 + b1) @ w2 + b2, and
-    what the backward needs: the ReLU's output."""
+    """The feed-forward kernel: relu(x @ w1 + b1) @ w2 + b2, for x (n, d),
+    w1 (d, f), b1 (f,), w2 (f, d) and b2 (d,), and what the backward needs:
+    the ReLU's output."""
     inner = x @ w1
     inner += b1
     np.maximum(inner, 0.0, out=inner)
@@ -163,34 +99,23 @@ def _feed_forward(x, w1, b1, w2, b2):
     return out, inner
 
 
-def feed_forward(x, w1, b1, w2, b2, tape=None):
-    """Position-wise feed-forward network, relu(x @ w1 + b1) @ w2 + b2, for
-    x (n, d), w1 (d, f), b1 (f,), w2 (f, d) and b2 (d,)."""
-    xd, w1d, w2d = x.data, w1.data, w2.data
-    if xd.ndim != 2 or w1d.ndim != 2 or xd.shape[1] != w1d.shape[0] \
-            or b1.data.shape != w1d.shape[1:] or w2d.shape != w1d.shape[::-1] \
-            or b2.data.shape != xd.shape[1:]:
-        raise ShapeMismatchError(
-            f"feed_forward shapes do not agree: x {xd.shape}, w1 {w1d.shape}, "
-            f"b1 {b1.data.shape}, w2 {w2d.shape}, b2 {b2.data.shape}")
-    out, inner = _feed_forward(xd, w1d, b1.data, w2d, b2.data)
-    out = _wrap(out)
-    if tape is not None:
-        keep = inner > 0.0  # after the ReLU: positive exactly where it was
-
-        def bwd(g):
-            gin = g @ w2d.T
-            gin *= keep
-            return (gin @ w1d.T, xd.T @ gin, np.add.reduce(gin, axis=0),
-                    inner.T @ g, np.add.reduce(g, axis=0))
-        tape.record(out, (x, w1, b1, w2, b2), bwd)
-    return out
+def _feed_forward_backward(g, x, w1, w2, inner, gx, gw1, gb1, gw2, gb2):
+    """Write the gradients of w1, b1, w2 and b2 into gw1, gb1, gw2 and gb2,
+    and add x's into gx."""
+    gin = g @ w2.T
+    gin *= inner > 0.0  # after the ReLU: positive exactly where it was
+    np.matmul(inner.T, g, out=gw2)
+    np.add.reduce(g, axis=0, out=gb2)
+    np.matmul(x.T, gin, out=gw1)
+    np.add.reduce(gin, axis=0, out=gb1)
+    gx += gin @ w1.T
 
 
 def _add_layer_norm(x, y, gain, bias):
-    """The residual-norm kernel on arrays: the norm of x + y times gain plus
-    bias, and what the backward needs: the normalized sum and the inverse
-    standard deviation per row."""
+    """The residual-norm kernel: the layer norm of x + y over the last axis
+    (mean 0 and variance 1 per row) times `gain` (d,) plus `bias` (d,), and
+    what the backward needs: the normalized sum and the inverse standard
+    deviation per row."""
     d = x.shape[-1]
     xhat = x + y
     # sum / d is what ndarray.mean computes, without its Python wrapper
@@ -202,36 +127,36 @@ def _add_layer_norm(x, y, gain, bias):
     return out, (xhat, inv)
 
 
-def add_layer_norm(x, y, gain, bias, tape=None):
-    """Layer norm of the residual sum x + y over the last axis: mean 0 and
-    variance 1 per row, times `gain` (d,), plus `bias` (d,)."""
-    xd, gd = x.data, gain.data
-    d = xd.shape[-1]
-    if y.data.shape != xd.shape or gd.shape != (d,) or bias.data.shape != (d,):
-        raise ShapeMismatchError(
-            f"add_layer_norm shapes do not agree: x {xd.shape}, y {y.data.shape}, "
-            f"gain {gd.shape}, bias {bias.data.shape}")
-    out, (xhat, inv) = _add_layer_norm(xd, y.data, gd, bias.data)
-    out = _wrap(out)
-    if tape is not None:
-        def bwd(g):
-            dx = g * gd
-            mean = np.add.reduce(dx, axis=-1, keepdims=True) / d
-            proj = xhat * np.add.reduce(dx * xhat, axis=-1, keepdims=True)
-            proj /= d
-            dx -= mean
-            dx -= proj
-            dx *= inv
-            return dx, dx, np.add.reduce(g * xhat, axis=0), np.add.reduce(g, axis=0)
-        tape.record(out, (x, y, gain, bias), bwd)
-    return out
+def _add_layer_norm_backward(g, gain, saved, ggain, gbias):
+    """Write the gradients of gain and bias into ggain and gbias, and return
+    the gradient of x + y, which is x's and y's."""
+    xhat, inv = saved
+    d = xhat.shape[-1]
+    dx = g * gain
+    mean = np.add.reduce(dx, axis=-1, keepdims=True) / d
+    proj = xhat * np.add.reduce(dx * xhat, axis=-1, keepdims=True)
+    proj /= d
+    dx -= mean
+    dx -= proj
+    dx *= inv
+    np.add.reduce(g * xhat, axis=0, out=ggain)
+    np.add.reduce(g, axis=0, out=gbias)
+    return dx
 
 
 def _attention(x, wqkv, wo, mask, n_heads):
-    """The attention kernel on arrays: the output, and what the backward
-    needs: the per-head q, k and v, the attention weights, the heads' outputs
-    side by side and the score scale. Every row of `mask` must have an open
-    entry, as every build_ct_mask row does (a position sees itself)."""
+    """The attention kernel: masked scaled dot-product self-attention of all
+    heads, then the output projection, and what the backward needs: the
+    per-head q, k and v, the attention weights, the heads' outputs side by
+    side and the score scale.
+
+    `x` (n, d) is projected by `wqkv` (d, 3d), whose columns are
+    [q_0 .. q_{H-1} | k_0 .. | v_0 ..], each block d/H wide. `mask` is an
+    additive (n, n) array with entries in {0, -inf}, shared by every head;
+    every row must have an open entry, as every build_ct_mask row does (a
+    position sees itself). The heads' outputs, side by side, are multiplied
+    by `wo` (d, d).
+    """
     n, d = x.shape
     dk = d // n_heads
     scale = 1.0 / math.sqrt(dk)  # the same correctly rounded root as np.sqrt
@@ -246,55 +171,27 @@ def _attention(x, wqkv, wo, mask, n_heads):
     return heads @ wo, (q, k, v, p, heads, scale)
 
 
-def attention(x, wqkv, wo, mask, n_heads, tape=None):
-    """Masked scaled dot-product self-attention of all heads, then the output
-    projection: the attention sublayer but its residual, in one op.
-
-    `x` (n, d) is projected by `wqkv` (d, 3d), whose columns are
-    [q_0 .. q_{H-1} | k_0 .. | v_0 ..], each block d/H wide. `mask` is an
-    additive (n, n) array with entries in {0, -inf}, shared by every head and
-    not differentiated; a fully masked row cannot be normalized and raises
-    ContractError. The heads' outputs, side by side, are multiplied by `wo`
-    (d, d); returns (n, d).
-
-    The backward hands x's gradient to the tape one (head, projection) block
-    at a time: last head first, v then k then q. That is the order in which
-    separate per-head projections (the CTT1 layout) add up, so training gives
-    the same bits as with them.
-    """
-    xd, wd, wod = x.data, wqkv.data, wo.data
-    d = wd.shape[0]
-    if n_heads < 1 or d % n_heads or wd.shape != (d, 3 * d) \
-            or wod.shape != (d, d) or xd.ndim != 2 or xd.shape[1] != d:
-        raise ShapeMismatchError(
-            f"x {xd.shape}, wqkv {wd.shape} and wo {wod.shape} do not split "
-            f"into 3 x {n_heads} heads")
-    n = xd.shape[0]
-    if mask.shape != (n, n):
-        raise ShapeMismatchError(f"mask shape {mask.shape} != ({n}, {n})")
-    if np.minimum.reduce(np.maximum.reduce(mask, axis=-1)) == -np.inf:
-        raise ContractError("fully masked row cannot be normalized")
-    out, (q, k, v, p, heads, scale) = _attention(xd, wd, wod, mask, n_heads)
-    out = _wrap(out)
-    if tape is not None:
-        dk = d // n_heads
-        w = wd.reshape(d, 3, n_heads, dk)
-
-        def bwd(g):
-            gwo = heads.T @ g
-            g = (g @ wod.T).reshape(n, n_heads, dk).transpose(1, 0, 2)
-            gz = g @ v.transpose(0, 2, 1)
-            gz -= np.add.reduce(gz * p, axis=-1, keepdims=True)
-            gz *= p
-            gz *= scale
-            gqkv = np.stack((gz @ k, gz.transpose(0, 2, 1) @ q,
-                             p.transpose(0, 2, 1) @ g))  # (3, H, n, dk)
-            gx = [gqkv[c, h] @ w[:, c, h].T
-                  for h in reversed(range(n_heads)) for c in (2, 1, 0)]
-            gw = xd.T @ gqkv.transpose(2, 0, 1, 3).reshape(n, 3 * d)
-            return (*gx, gw, gwo)
-        tape.record(out, (x,) * (3 * n_heads) + (wqkv, wo), bwd)
-    return out
+def _attention_backward(g, x, wqkv, wo, saved, n_heads, gx, gwqkv, gwo):
+    """Write the gradients of wqkv and wo into gwqkv and gwo, and add x's
+    into gx one (head, projection) block at a time: last head first, v then
+    k then q. That is the order in which separate per-head projections (the
+    CTT1 layout) add up, so training gives the same bits as with them."""
+    q, k, v, p, heads, scale = saved
+    n, d = x.shape
+    dk = d // n_heads
+    np.matmul(heads.T, g, out=gwo)
+    g = (g @ wo.T).reshape(n, n_heads, dk).transpose(1, 0, 2)
+    gz = g @ v.transpose(0, 2, 1)
+    gz -= np.add.reduce(gz * p, axis=-1, keepdims=True)
+    gz *= p
+    gz *= scale
+    gqkv = np.stack((gz @ k, gz.transpose(0, 2, 1) @ q,
+                     p.transpose(0, 2, 1) @ g))  # (3, H, n, dk)
+    np.matmul(x.T, gqkv.transpose(2, 0, 1, 3).reshape(n, 3 * d), out=gwqkv)
+    w = wqkv.reshape(d, 3, n_heads, dk)
+    for h in reversed(range(n_heads)):
+        for c in (2, 1, 0):
+            gx += gqkv[c, h] @ w[:, c, h].T
 
 
 def _embedding_lookup(table, idx, positions):
@@ -308,23 +205,17 @@ def _embedding_lookup(table, idx, positions):
     return table[idx] + positions
 
 
-def embedding_lookup(table, ids, positions, tape=None):
-    """Gather rows of `table` by integer id and add the array `positions`."""
-    idx = np.asarray(ids, dtype=np.int64)
-    if positions.shape != idx.shape + table.shape[1:]:
-        raise ShapeMismatchError(f"positions {positions.shape} for ids {idx.shape}")
-    out = _wrap(_embedding_lookup(table.data, idx, positions))
-    if tape is not None:
-        def bwd(g):
-            gt = np.zeros(table.shape)
-            np.add.at(gt, idx, g)
-            return (gt,)
-        tape.record(out, (table,), bwd)
-    return out
+def _embedding_backward(g, idx, gtable):
+    """Write the table's gradient into gtable: g's rows added up by id."""
+    gtable.fill(0.0)
+    np.add.at(gtable, idx, g)
 
 
-def cross_entropy_mean(logits, targets, tape=None):
-    """Mean per-row cross entropy of logits (n, C) against integer targets."""
+def _cross_entropy_mean(logits, targets):
+    """Mean per-row cross entropy of the array `logits` (n, C) against
+    integer targets, and what the backward needs: the int64 targets and the
+    log-sum-exp per row. A target count other than n, or a target outside
+    [0, C), raises ContractError."""
     t = np.asarray(targets, dtype=np.int64)
     n, c = logits.shape
     if t.shape != (n,):
@@ -332,15 +223,17 @@ def cross_entropy_mean(logits, targets, tape=None):
             f"cross_entropy_mean: {n} logit rows vs {t.shape} targets")
     if t.size and (t.min() < 0 or t.max() >= c):
         raise ContractError(f"target id out of range for {c} classes")
-    z = logits.data
-    zmax = z.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)) + zmax
-    picked = z[np.arange(n), t][:, None]
-    out = _wrap(np.array((lse - picked).mean()))
-    if tape is not None:
-        def bwd(g):
-            p = np.exp(z - lse)
-            p[np.arange(n), t] -= 1.0
-            return (p * (float(g) / n),)
-        tape.record(out, (logits,), bwd)
-    return out
+    zmax = logits.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(logits - zmax).sum(axis=1, keepdims=True)) + zmax
+    picked = logits[np.arange(n), t][:, None]
+    return (lse - picked).mean(), (t, lse)
+
+
+def _cross_entropy_mean_backward(logits, saved):
+    """The gradient of the mean cross entropy for the logits."""
+    t, lse = saved
+    n = len(t)
+    p = np.exp(logits - lse)
+    p[np.arange(n), t] -= 1.0
+    p *= 1.0 / n
+    return p

@@ -1,12 +1,15 @@
 """Joint multi-task loss, Adam with warm-up and clipping, and the train loop.
 
 Both tagging heads contribute a token-mean cross entropy; the total loss is
-their sum. The learning-rate schedule is the inverse-square-root ramp
-peaking at `warmup_steps`.
+their sum. A sequence's loss and gradient come from model.loss_gradient,
+which runs the model's one forward and its kernels' backwards. The
+learning-rate schedule is the inverse-square-root ramp peaking at
+`warmup_steps`.
 
-In a `train` call the parameters are one float64 vector whose views are the
-working tensors; `clip_gradients` and `Adam.step` update the gradient and
-parameter vectors in place, and only dev-selected and returned ones are copied.
+In a `train` call the parameters are one float64 vector, laid out in
+param_shapes order, whose views are the working tensors; `clip_gradients`
+and `Adam.step` update the gradient and parameter vectors in place, and
+only dev-selected and returned ones are copied.
 
 A batch's sequences do not depend on each other until their gradients are
 summed, so `train` forks min(usable CPUs, `batch_size`) - 1 helper
@@ -58,12 +61,12 @@ class TrainConfig:
                 f"clip_norm must be finite and > 0, got {self.clip_norm}")
 
 
-def joint_loss(punct_logits, disf_logits, punct_ids, disf_ids, tape=None):
-    """Sum of the two heads' token-mean cross entropies (scalar tensor)."""
-    if len(punct_ids) != punct_logits.shape[0] or len(disf_ids) != disf_logits.shape[0]:
-        raise nc.ContractError("joint_loss: logits and gold lengths disagree")
-    return nc.add(nc.cross_entropy_mean(punct_logits, punct_ids, tape),
-                  nc.cross_entropy_mean(disf_logits, disf_ids, tape), tape)
+def joint_loss(punct_logits, disf_logits, punct_ids, disf_ids):
+    """Sum of the two heads' token-mean cross entropies (scalar tensor), as
+    model.loss_gradient computes it. A gold count other than the logits'
+    rows, or a label id out of range, raises ContractError."""
+    return nc._wrap(np.array(nc._cross_entropy_mean(punct_logits.data, punct_ids)[0]
+                             + nc._cross_entropy_mean(disf_logits.data, disf_ids)[0]))
 
 
 def lr_schedule(step, d_model, warmup_steps):
@@ -141,25 +144,13 @@ class Adam:
         params -= a
 
 
-def _sequence_gradient(model_config, params, encoded, row):
-    """Joint loss of one encoded sequence; its gradient, laid end to end in
-    `params` name order, is written into `row`."""
-    ids, punct_ids, disf_ids = encoded
-    tape = nc.Tape()
-    punct_logits, disf_logits = mdl.forward(ids, model_config, params, tape)
-    loss = joint_loss(punct_logits, disf_logits, punct_ids, disf_ids, tape)
-    wrt = list(params.tensors.values())
-    grads = nc.backward(loss, tape, wrt=wrt)
-    np.concatenate([grads[t] for t in wrt], axis=None, out=row)
-    return loss.item()
-
-
 def batch_gradients(batch, model_config, params, vocab, scheme, helpers=None):
     """Mean joint loss over a batch of sequences plus summed-then-averaged
     gradients keyed by parameter name.
 
-    Sequence i's gradient goes to row i of `helpers.rows`, and helper
-    processes, if any, compute some rows. Rows and losses are summed in
+    Sequence i's gradient (model.loss_gradient) goes to row i of
+    `helpers.rows`, and helper processes, if any, compute some rows.
+    Rows and losses are summed in
     sequence order, into row 0, so the bits do not depend on who computed
     what. With `helpers`, `params` is not read (rows use `helpers.params`);
     without, a GradientHelpers group without processes is made from them.
@@ -171,10 +162,11 @@ def batch_gradients(batch, model_config, params, vocab, scheme, helpers=None):
     encoded = [encode(seq, vocab, scheme) for seq in batch]
     k = len(encoded)
     rows = helpers.rows[:k]
+    params = mdl.unpack_params(model_config, helpers.params)
     losses = [None] * k
     for i in helpers.send(encoded):
-        losses[i] = _sequence_gradient(model_config, helpers.params, encoded[i],
-                                       rows[i])
+        losses[i] = mdl.loss_gradient(*encoded[i], model_config, params,
+                                      helpers.row_grads[i])
     helpers.receive(losses)
     grad = rows[0]
     for row in rows[1:]:
@@ -214,7 +206,7 @@ def _shares(lengths, workers):
     return shares
 
 
-def _helper_loop(conn, parent_ends, model_config, params, rows):
+def _helper_loop(conn, parent_ends, model_config, params, row_grads):
     """A helper's life: for each share received, write the gradient rows
     and send back (row, loss) pairs, or the exception raised, until the
     parent closes its end of the pipe or exits."""
@@ -225,7 +217,9 @@ def _helper_loop(conn, parent_ends, model_config, params, rows):
         while True:
             share = conn.recv()
             try:
-                reply = [(i, _sequence_gradient(model_config, params, enc, rows[i]))
+                unpacked = mdl.unpack_params(model_config, params)
+                reply = [(i, mdl.loss_gradient(*enc, model_config, unpacked,
+                                               row_grads[i]))
                          for i, enc in share]
             except Exception as exc:  # the parent re-raises it
                 reply = exc
@@ -238,18 +232,19 @@ class GradientHelpers:
     """A `train` call's buffers, and helper processes that compute some of
     a batch's per-sequence gradients for `batch_gradients`.
 
-    `params` are read-only views of `vector`, the parameters end to end, so
-    what the optimizer writes there is what the next forward reads, here
-    and in the helpers. `rows` (`batch_size` x P) take one gradient per
-    sequence, summed into `grad`, row 0, whose named views are `grads`; all
-    live in one shared mapping made before the fork. The `count` helpers
+    `params` are read-only views of `vector`, the given parameters end to
+    end in their order, so what the optimizer writes there is what the next
+    forward reads, here and in the helpers. `rows` (`batch_size` x P) take
+    one gradient per sequence through their named views `row_grads`, and
+    are summed into `grad`, row 0, whose named views are `grads`; all live
+    in one shared mapping made before the fork. The `count` helpers
     (possibly none) are forked daemons that ignore SIGINT. A helper's
     exception is re-raised in the parent with its type, and a helper that
     dies raises TrainingError; after either, close the group.
     """
 
     def __init__(self, model_config, params, batch_size, count):
-        shapes = {n: t.shape for n, t in params.items()}
+        shapes = {n: t.shape for n, t in params.tensors.items()}
         size = sum(math.prod(shape) for shape in shapes.values())
         shared = np.frombuffer(mmap.mmap(-1, 8 * size * (batch_size + 1)), np.float64)
         self.vector = shared[:size]
@@ -258,8 +253,9 @@ class GradientHelpers:
         self.params = mdl.ModelParams(
             {n: nc._wrap(v) for n, v in _views(self.vector, shapes).items()})
         self.rows = shared[size:].reshape(batch_size, size)
+        self.row_grads = [_views(row, shapes) for row in self.rows]
         self.grad = self.rows[0]
-        self.grads = _views(self.grad, shapes)
+        self.grads = self.row_grads[0]
         self.count = count
         self._procs, self._conns = [], []
         try:
@@ -268,7 +264,7 @@ class GradientHelpers:
                 proc = multiprocessing.get_context("fork").Process(
                     target=_helper_loop, daemon=True,
                     args=(child_conn, [*self._conns, conn], model_config,
-                          self.params, self.rows))
+                          self.params, self.row_grads))
                 proc.start()
                 # closed at once, so no later helper inherits it and the
                 # parent sees EOF when this helper dies
@@ -340,9 +336,10 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
     `stop_dev_f1` = (punct_f1, interregnum_f1) stops early once both are
     reached.
     Reproducible: identical seeds and inputs give identical parameters,
-    whatever the number of CPUs. The call forks min(usable CPUs,
-    `batch_size`) - 1 gradient helpers (GradientHelpers) and joins them
-    before it returns or raises. `init_params` is only read, and the
+    whatever the number of CPUs and the order of `init_params`' dict. A
+    parameter that does not fit `model_config` raises ShapeMismatchError.
+    The call forks min(usable CPUs, `batch_size`) - 1 gradient helpers
+    (GradientHelpers) and joins them before it returns or raises. `init_params` is only read, and the
     returned parameters are a copy that no later call touches.
     An unlabeled utterance or a label outside `scheme`, or a corpus
     utterance longer than `model_config.max_positions` (a dev one is tagged
@@ -365,7 +362,10 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
     count = 0
     if "fork" in multiprocessing.get_all_start_methods():
         count = min(_usable_cpus(), config.batch_size) - 1
-    helpers = GradientHelpers(model_config, init_params, config.batch_size, count)
+    # checked against the config and laid out in param_shapes order, so
+    # that the order of a parameter dict cannot change the clip norm's sum
+    start = mdl.unpack_params(model_config, init_params)
+    helpers = GradientHelpers(model_config, start, config.batch_size, count)
     params = helpers.params
     opt = Adam(helpers.vector.size)
     history = []

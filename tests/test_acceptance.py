@@ -98,17 +98,15 @@ def test_criterion_3_gradient_check():
         punct, disf = mdl.forward(tokens, config, p)
         return tr.joint_loss(punct, disf, punct_ids, disf_ids).item()
 
-    tape = nc.Tape()
-    punct, disf = mdl.forward(tokens, config, params, tape)
-    loss = tr.joint_loss(punct, disf, punct_ids, disf_ids, tape)
     names = list(params.tensors)
-    grads = nc.backward(loss, tape, wrt=[params[n] for n in names])
+    grads = {n: np.empty(params[n].shape) for n in names}
+    mdl.loss_gradient(tokens, punct_ids, disf_ids, config, params, grads)
 
     h = 1e-5
     worst = 0.0
     checked = 0
     for name in names:
-        g = grads[params[name]].ravel()
+        g = grads[name].ravel()
         flat = params[name].data.ravel()
         for idx in range(flat.size):
             def probe(delta):

@@ -311,6 +311,40 @@ def test_train_rejects_bad_settings(tmp_path, capsys, sets, dev, message):
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("sets, lines, named", [
+    (["d_model=16"], None, "--set: d_model"),
+    (["max_steps=2", "lookahead=0,9", "n_heads=1"], None, "--set: lookahead"),
+    ([], "max_positions=64\nmin_freq=1\n", "run.cfg:1: max_positions"),
+    (["d_ff=64"], "# sizes\nn_layers=3\n", "run.cfg:2: n_layers"),
+])
+def test_train_with_init_checkpoint_refuses_model_settings(tmp_path, capsys,
+                                                          sets, lines, named):
+    # the checkpoint fixes the model and its vocabulary; a setting of either
+    # would be ignored, so it is refused before anything is read or trained
+    corpus, ckpt, out = tmp_path / "c.tsv", tmp_path / "init.ctt", tmp_path / "m.ctt"
+    run(["synth", "--seed", "16", "--count", "10", "--out", str(corpus)], capsys)
+    bundle = random_bundle(small_config())
+    mdl.save_model(str(ckpt), bundle.config, bundle.params, bundle.vocab,
+                   bundle.scheme)
+    argv = ["train", "--corpus", str(corpus), "--out", str(out),
+            "--init-checkpoint", str(ckpt), "--set", "max_steps=2"]
+    if lines is not None:
+        (tmp_path / "run.cfg").write_text(lines)
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    for item in sets:
+        argv += ["--set", item]
+    code, stdout, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: ") and \
+        f"{named} cannot be set with --init-checkpoint" in err
+    assert "Traceback" not in err and stdout == ""
+    assert not out.exists()
+    code, stdout, err = run(argv[:9], capsys)
+    assert code == 0, err
+    assert "trained 2 steps" in stdout
+    assert mdl.load_model(str(out))[0] == bundle.config
+
+
 class _EveryCityEndsASentence:
     def tag(self, words):
         return (["PERIOD" if w in ("boston", "denver") else "O" for w in words],

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fill_tensor, random_bundle, rewrite_config_line, small_config
+from test_numcore import Tape, backward, reference_forward, reference_loss
 from puncstream import decoding as dec
 from puncstream import model as mdl
 from puncstream import numcore as nc
@@ -251,21 +252,6 @@ def test_head_independence():
     assert np.array_equal(punct_before.data, punct_after.data)
 
 
-def test_taped_forward_records_four_entries_per_layer():
-    # the CLI-default model: the embedding lookup, which adds the positions,
-    # then per layer attention, add_layer_norm, feed_forward and
-    # add_layer_norm; after them two ops per tagging head and the loss's three
-    config = mdl.ModelConfig(50, 32, 4, 2, 64, MaskSpec((0, 0, 0, 9)), 4, 5)
-    params = mdl.init_params(config, np.random.default_rng(0))
-    tape = nc.Tape()
-    mdl.encoder_forward(list(range(2, 14)), config, params, tape)
-    assert len(tape) == 4 * config.n_layers + 1
-    tape = nc.Tape()
-    punct, disf = mdl.forward(list(range(2, 14)), config, params, tape)
-    tr.joint_loss(punct, disf, [0] * 12, [0] * 12, tape)
-    assert len(tape) <= 4 * config.n_layers + 9
-
-
 def test_negative_token_id_rejected():
     bundle = random_bundle(small_config(vocab_size=10))
     with pytest.raises(nc.ContractError, match="token id -1 outside vocabulary"):
@@ -280,9 +266,9 @@ def test_unknown_token_id_rejected():
 
 @st.composite
 def _model_and_ids(draw):
-    """A random small model (1 or 2 heads, 1-3 layers, any budgets) and up to
-    64 random token ids."""
-    n_heads = draw(st.sampled_from([1, 2]))
+    """A random small model (1, 2 or 4 heads, 1-3 layers, any budgets) and
+    1-64 random token ids."""
+    n_heads = draw(st.sampled_from([1, 2, 4]))
     budgets = draw(st.lists(st.integers(0, 70), min_size=1, max_size=3))
     config = mdl.ModelConfig(12, 4 * n_heads, len(budgets), n_heads, 8,
                              MaskSpec(tuple(budgets)), 4, 5)
@@ -295,7 +281,7 @@ def _model_and_ids(draw):
 @given(_model_and_ids())
 def test_untaped_forward_and_tagger_match_the_taped_ops_bit_for_bit(case):
     config, params, ids = case
-    taped = mdl.forward(ids, config, params, nc.Tape())
+    taped = reference_forward(ids, config, params, Tape())
     untaped = mdl.forward(ids, config, params)
     for a, b in zip(taped, untaped):
         assert np.array_equal(a.data, b.data)
@@ -305,6 +291,27 @@ def test_untaped_forward_and_tagger_match_the_taped_ops_bit_for_bit(case):
     punct, disf = mdl.predict(ids, config, params)
     assert tagger.tag([vocab.words[i] for i in ids]) == \
         ([scheme.punct_labels[i] for i in punct], [scheme.disf_labels[i] for i in disf])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_model_and_ids(), st.data())
+def test_loss_gradient_matches_the_taped_reference_bit_for_bit(case, data):
+    # the kernels' backwards, run by the model, against reverse mode over
+    # the reference ops: the same loss and the same gradient for every
+    # parameter, to the bit
+    config, params, ids = case
+    punct_ids, disf_ids = (
+        data.draw(st.lists(st.integers(0, count - 1), min_size=len(ids),
+                           max_size=len(ids)))
+        for count in (config.punct_label_count, config.disf_label_count))
+    tape = Tape()
+    loss = reference_loss(ids, punct_ids, disf_ids, config, params, tape)
+    expected = backward(loss, tape, wrt=list(params.tensors.values()))
+    grads = {name: np.full(t.shape, np.nan) for name, t in params.items()}
+    assert mdl.loss_gradient(ids, punct_ids, disf_ids, config, params, grads) \
+        == loss.item()
+    for name, t in params.items():
+        assert np.array_equal(grads[name], expected[t]), name
 
 
 def test_unpack_params_names_every_tensor_that_does_not_fit():

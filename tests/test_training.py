@@ -282,6 +282,18 @@ def check_training_fingerprint(tmp_path, monkeypatch):
 
     clip = tr.clip_gradients
     monkeypatch.setattr(tr, "clip_gradients", clip_and_count)
+    corpus, vocab, scheme, config = fingerprint_set_up()
+    result = tr.train(corpus, tr.TrainConfig(max_steps=30, seed=0),
+                      config, vocab, scheme)
+    assert len(clipped) == 30 and sum(clipped) >= 15
+    path = os.fspath(tmp_path / "fingerprint.ctt")
+    mdl.save_model(path, config, result.params, vocab, scheme)
+    with open(path, "rb") as f:
+        assert hashlib.sha256(f.read()).hexdigest() == TRAINING_FINGERPRINT
+
+
+def fingerprint_set_up():
+    """The fingerprint's corpus, vocabulary, labels and CLI-default model."""
     grammar = dt.GrammarConfig("travel", p_filler=0.15, p_repetition=0.10)
     corpus = dt.synth_generate(7, 200, grammar)
     vocab = dt.Vocabulary.from_corpus(corpus, min_freq=2)
@@ -291,13 +303,31 @@ def check_training_fingerprint(tmp_path, monkeypatch):
         mask_spec=MaskSpec.from_string("0,0,0,9"),
         punct_label_count=len(scheme.punct_labels),
         disf_label_count=len(scheme.disf_labels))
-    result = tr.train(corpus, tr.TrainConfig(max_steps=30, seed=0),
-                      config, vocab, scheme)
-    assert len(clipped) == 30 and sum(clipped) >= 15
-    path = os.fspath(tmp_path / "fingerprint.ctt")
-    mdl.save_model(path, config, result.params, vocab, scheme)
-    with open(path, "rb") as f:
-        assert hashlib.sha256(f.read()).hexdigest() == TRAINING_FINGERPRINT
+    return corpus, vocab, scheme, config
+
+
+def test_fine_tuning_from_a_loaded_checkpoint_equals_from_memory(tmp_path,
+                                                                monkeypatch):
+    # The parameter vector, and with it the clip norm's sum, follows
+    # param_shapes order whatever the order of the parameter dict, so the
+    # same values train to the same bits from memory, from a save/load
+    # round trip and from a dict in reverse order. Clipping is active on
+    # the first steps.
+    use_cpus(monkeypatch, 1)
+    corpus, vocab, scheme, config = fingerprint_set_up()
+    init = mdl.init_params(config, np.random.default_rng(0))
+    path = os.fspath(tmp_path / "init.ctt")
+    mdl.save_model(path, config, init, vocab, scheme)
+    loaded = mdl.load_model(path)[1]
+    assert list(loaded.tensors) == list(mdl.param_shapes(config))
+    reversed_order = mdl.ModelParams(dict(reversed(init.tensors.items())))
+    first, *others = [
+        tr.train(corpus, tr.TrainConfig(max_steps=4, seed=0), config, vocab,
+                 scheme, init_params=params).params
+        for params in (init, loaded, reversed_order)]
+    for params in others:
+        for name, t in first.items():
+            assert np.array_equal(params[name].data, t.data), name
 
 
 def labelled(lengths, seed):
@@ -314,19 +344,15 @@ def labelled(lengths, seed):
 
 
 def sequential_batch_gradients(batch, model_config, params, vocab, scheme):
-    """The reference: each sequence's loss and flat gradient added to the
-    running sums as soon as it is computed, then both divided by the batch
-    size."""
-    wrt = list(params.tensors.values())
+    """The reference: each sequence's loss and flat gradient
+    (model.loss_gradient, in `params` order) added to the running sums as
+    soon as it is computed, then both divided by the batch size."""
     total, acc = 0.0, None
     for seq in batch:
-        ids, punct_ids, disf_ids = dt.encode(seq, vocab, scheme)
-        tape = nc.Tape()
-        punct, disf = mdl.forward(ids, model_config, params, tape)
-        loss = tr.joint_loss(punct, disf, punct_ids, disf_ids, tape)
-        total += loss.item()
-        grads = nc.backward(loss, tape, wrt)
-        flat = np.concatenate([grads[t] for t in wrt], axis=None)
+        grads = {name: np.empty(t.shape) for name, t in params.items()}
+        total += mdl.loss_gradient(*dt.encode(seq, vocab, scheme), model_config,
+                                   params, grads)
+        flat = np.concatenate(list(grads.values()), axis=None)
         acc = flat if acc is None else acc + flat
     return total / len(batch), acc / len(batch)
 
@@ -371,20 +397,20 @@ def test_helpers_give_the_in_process_gradients_bit_for_bit(cpus, monkeypatch):
         assert steps == [(helped, True)] * 3
 
 
-def small_training_run(monkeypatch, forward_in_helpers):
-    """Two steps of batch 4 with three helpers, whose forward is
-    `forward_in_helpers`; the parent's forward is the model's."""
+def small_training_run(monkeypatch, gradient_in_helpers):
+    """Two steps of batch 4 with three helpers, whose sequence gradient is
+    `gradient_in_helpers`; the parent's is the model's."""
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no helpers without the fork start method")
     use_cpus(monkeypatch, 4)
-    parent, forward = os.getpid(), mdl.forward
+    parent, loss_gradient = os.getpid(), mdl.loss_gradient
 
-    def forward_by_process(*args, **kwargs):
+    def gradient_by_process(*args, **kwargs):
         if os.getpid() == parent:
-            return forward(*args, **kwargs)
-        return forward_in_helpers()
+            return loss_gradient(*args, **kwargs)
+        return gradient_in_helpers()
 
-    monkeypatch.setattr(mdl, "forward", forward_by_process)
+    monkeypatch.setattr(mdl, "loss_gradient", gradient_by_process)
     corpus = labelled([3, 5, 8, 13], seed=0)
     vocab = dt.Vocabulary.from_corpus(corpus)
     return tr.train(corpus, tr.TrainConfig(batch_size=4, max_steps=2),
