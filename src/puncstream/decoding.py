@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .data import TokenSequence
-from .model import predict, unpack_params
+from .model import ModelParams, predict, unpack_params
 from .numcore import ShapeMismatchError
 
 
@@ -36,10 +36,11 @@ class DecodePolicy:
 class ModelTagger:
     """Adapts a trained model to the word-in, labels-out tagger interface.
 
-    The parameters are checked against the config and unpacked once, here
-    (model.unpack_params), so `tag` runs the encoder's kernels on plain
-    arrays. A tagger keeps the parameters it was built with: a tensor later
-    replaced in `params` does not reach it; build a new tagger instead.
+    The parameters are checked against the config once, here
+    (model.unpack_params), and the tagger keeps a copy of their vector for
+    that config, so `tag` runs the encoder's kernels on its arrays with no
+    further check, and a later assignment to `params` does not reach it;
+    build a new tagger instead.
     A vocabulary or label scheme that does not fit the model is refused.
     `max_positions`, the longest input `tag` accepts, caps stream buffers.
     """
@@ -52,7 +53,7 @@ class ModelTagger:
                 f"vocabulary and label sizes {sizes} do not fit the model's "
                 f"vocab_size and punct and disf label counts {fits}")
         self.config = config
-        self.params = unpack_params(config, params)
+        self.params = ModelParams(config, unpack_params(config, params).vector.copy())
         self.vocab = vocab
         self.scheme = scheme
         self.max_positions = config.max_positions

@@ -7,7 +7,9 @@ one for punctuation labels and one for disfluency labels.
 """
 
 import math
+import os
 import struct
+import zlib
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import itemgetter
@@ -17,7 +19,7 @@ import numpy as np
 from . import numcore as nc
 from .data import LabelScheme, Vocabulary
 from .masks import MaskSpec, build_ct_mask
-from .numcore import Tensor
+from .numcore import Tensor  # noqa: F401 -- re-exported as model.Tensor
 
 
 class CheckpointError(ValueError):
@@ -59,30 +61,57 @@ class ModelConfig:
 
 
 class ModelParams:
-    """Named parameter tensors; shapes are fixed by the ModelConfig."""
+    """A model's parameters as one float64 vector, `vector`, laid out in
+    param_shapes(`config`) order (param_slots).
 
-    def __init__(self, tensors):
-        self.tensors = dict(tensors)
+    `params[name]` is a read-only Tensor view of the parameter `name`, and
+    `embed` and `layers` (per layer its _LAYER_PARAMS arrays) are the
+    read-only arrays the forward runs on, all views of the vector, so what
+    is written to the vector is what the next forward reads.
+    `params[name] = t` copies the Tensor `t` into its slot; a name the
+    config has no parameter of, or a tensor of another shape, raises
+    ShapeMismatchError naming it. Without `vector` the parameters are
+    zeros.
+    """
+
+    __slots__ = ("config", "vector", "embed", "layers", "_slots", "_tensors")
+
+    def __init__(self, config, vector=None):
+        if vector is None:
+            vector = np.zeros(_param_count(config))
+        self.config = config
+        self.vector = vector
+        self._slots = param_slots(config, vector)
+        self._tensors = {n: nc._wrap(s.view()) for n, s in self._slots.items()}
+        self.embed = self._tensors["embed"].data
+        self.layers = tuple(tuple(t.data for t in layer(self._tensors))
+                            for layer in _layer_getters(config.n_layers))
 
     def __getitem__(self, name):
-        return self.tensors[name]
+        return self._tensors[name]
 
     def __setitem__(self, name, t):
-        self.tensors[name] = t
+        if name not in self._slots:
+            raise nc.ShapeMismatchError(f"no parameter named {name}")
+        if t.shape != self._slots[name].shape:
+            raise nc.ShapeMismatchError(
+                f"{name}: expected {self._slots[name].shape}, found {t.shape}")
+        self._slots[name][...] = t.data
 
     def names(self):
-        return list(self.tensors)
+        return list(self._tensors)
 
     def items(self):
-        return self.tensors.items()
+        return self._tensors.items()
 
     def copy(self):
-        """A copy whose Tensors hold arrays of their own."""
-        return ModelParams({n: Tensor(t.data) for n, t in self.tensors.items()})
+        """The same parameters in a vector of their own."""
+        return ModelParams(self.config, self.vector.copy())
 
 
 def param_shapes(config):
-    """The full name -> shape map for a config (checkpoint validation)."""
+    """The full name -> shape map for a config, in the order in which a
+    ModelParams vector and a checkpoint lay the parameters out."""
     d, dff = config.d_model, config.d_ff
     shapes = {"embed": (config.vocab_size, d)}
     for i in range(config.n_layers):
@@ -115,33 +144,50 @@ def param_blocks(name, array, n_heads):
             for h in range(n_heads) for c in range(3)]
 
 
+def _param_count(config):
+    return sum(math.prod(shape) for shape in param_shapes(config).values())
+
+
+def param_slots(config, vector):
+    """{name: view of `vector`}: the float64 vector cut into consecutive
+    pieces with param_shapes(config)'s shapes, in that order. A vector of
+    another length raises ShapeMismatchError."""
+    if vector.shape != (_param_count(config),):
+        raise nc.ShapeMismatchError(
+            f"a parameter vector of shape {vector.shape} does not hold the "
+            f"config's {_param_count(config)} parameters")
+    slots, start = {}, 0
+    for name, shape in param_shapes(config).items():
+        stop = start + math.prod(shape)
+        slots[name] = vector[start:stop].reshape(shape)
+        start = stop
+    return slots
+
+
 def init_params(config, rng):
-    """Random init: embeddings uniform +-d_model^-0.5, Glorot elsewhere.
+    """Random init: embeddings uniform +-d_model^-0.5, Glorot elsewhere,
+    drawn parameter by parameter in param_shapes order into a fresh vector.
 
     Each head's q, k and v projection is drawn as its own Glorot (d, d_k)
     block, head by head in the order q, k, v, straight into its place in
     `wqkv` (param_blocks).
     """
-    tensors = {}
+    params = ModelParams(config)
     bound_embed = config.d_model ** -0.5
     bound_qkv = math.sqrt(6.0 / (config.d_model + config.d_k))
-    for name, shape in param_shapes(config).items():
+    for name, w in param_slots(config, params.vector).items():
         if name == "embed":
-            tensors[name] = Tensor(rng.uniform(-bound_embed, bound_embed, shape))
+            w[...] = rng.uniform(-bound_embed, bound_embed, w.shape)
         elif name.endswith(".wqkv"):
-            w = np.empty(shape)
             for block in param_blocks(name, w, config.n_heads):
                 block[...] = rng.uniform(-bound_qkv, bound_qkv, block.shape)
-            tensors[name] = Tensor(w)
         elif name.endswith(".gain"):
-            tensors[name] = Tensor(np.ones(shape))
-        elif name.endswith((".bias", ".b1", ".b2")) or name in ("punct.b", "disf.b"):
-            tensors[name] = Tensor(np.zeros(shape))
-        else:
-            fan_in, fan_out = shape
+            w[...] = 1.0
+        elif w.ndim == 2:  # biases stay zero
+            fan_in, fan_out = w.shape
             bound = math.sqrt(6.0 / (fan_in + fan_out))
-            tensors[name] = Tensor(rng.uniform(-bound, bound, shape))
-    return ModelParams(tensors)
+            w[...] = rng.uniform(-bound, bound, w.shape)
+    return params
 
 
 @lru_cache(maxsize=64)
@@ -181,61 +227,24 @@ def _layer_getters(n_layers):
                  for i in range(n_layers))
 
 
-class UnpackedParams:
-    """A model's parameters, checked against `param_shapes(config)` once and
-    unpacked into the plain arrays the forward runs on: `embed`, and
-    per layer its _LAYER_PARAMS arrays.
-
-    It keeps the tensors it was built from, so a tensor later replaced in
-    the ModelParams it came from does not reach it. `forward`, `predict`,
-    `encoder_forward` and `heads_forward` take it wherever they take a
-    ModelParams, as does `loss_gradient`, and with the config it was built
-    for check nothing.
-    """
-
-    __slots__ = ("config", "tensors", "embed", "layers")
-
-    def __init__(self, config, tensors):
-        self.config = config
-        self.tensors = tensors
-        self.embed = tensors["embed"].data
-        self.layers = tuple(tuple(t.data for t in layer(tensors))
-                            for layer in _layer_getters(config.n_layers))
-
-    def __getitem__(self, name):
-        return self.tensors[name]
-
-
-def _shape_mismatches(expected, shapes):
-    """What is wrong with a name -> shape map against `expected`: missing
-    and unexpected names and wrong shapes, one string each."""
-    found = [f"missing tensor {name}" if name not in shapes
-             else f"{name}: expected {shape}, found {shapes[name]}"
-             for name, shape in expected.items() if shapes.get(name) != shape]
-    return found + [f"unexpected tensor {name}" for name in shapes
-                    if name not in expected]
-
-
 def unpack_params(config, params):
-    """`params`, a ModelParams or UnpackedParams, as UnpackedParams for
-    `config`, its tensors in param_shapes(config) order; an UnpackedParams
-    built for this very config object is returned as it is. Raises
-    ShapeMismatchError naming every tensor that does not fit
-    `param_shapes(config)`."""
-    if isinstance(params, UnpackedParams) and params.config is config:
-        return params
-    expected = param_shapes(config)
-    mismatches = _shape_mismatches(
-        expected, {n: t.shape for n, t in params.tensors.items()})
-    if mismatches:
-        raise nc.ShapeMismatchError(
-            "parameters do not fit the config: " + "; ".join(mismatches))
-    return UnpackedParams(config, {name: params.tensors[name] for name in expected})
+    """`params`, a ModelParams, checked against `config`: returned as it is
+    if it was built for `config`, or for a config with the same
+    param_shapes (other look-ahead budgets or `max_positions`). Otherwise
+    raises ShapeMismatchError naming every parameter whose shape differs."""
+    if params.config is not config:
+        expected, found = param_shapes(config), param_shapes(params.config)
+        wrong = [f"{n}: expected {expected.get(n)}, found {found.get(n)}"
+                 for n in {**expected, **found} if expected.get(n) != found.get(n)]
+        if wrong:
+            raise nc.ShapeMismatchError(
+                "parameters do not fit the config: " + "; ".join(wrong))
+    return params
 
 
 def _encode(ids, config, params, saved=None):
     """The encoder: numcore's kernels on the int64 ids `ids` and the arrays
-    of the UnpackedParams `params`, with no shape checks and no Tensors.
+    of the ModelParams `params`, with no shape checks and no Tensors.
     Given a list `saved`, appends for each layer its input and what its
     kernels return for their backwards (`loss_gradient`)."""
     n = len(ids)
@@ -277,8 +286,7 @@ def heads_forward(hidden, params):
 def forward(token_ids, config, params):
     """Full pass: token ids -> (punct logits, disf logits).
 
-    `params` is a ModelParams or UnpackedParams; a ModelParams is checked
-    against the config once per call (unpack_params).
+    `params` is a ModelParams, checked against the config (unpack_params).
     """
     params = unpack_params(config, params)
     return heads_forward(encoder_forward(token_ids, config, params), params)
@@ -334,16 +342,20 @@ def predict(token_ids, config, params):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: magic "CTT2", key=value config block, then named tensors
-# (name length + name + shape + row-major little-endian float64 values).
-# Each layer's attention projections are one tensor `layer{i}.wqkv` of shape
-# (d_model, 3 * d_model), columns [q_0 .. q_{H-1} | k_0 .. | v_0 ..], each
-# block d_model / n_heads wide. "CTT1" files held one tensor per head and
-# projection, `layer{i}.head{h}.{wq,wk,wv}`; they are refused.
+# Checkpoint format "CTT3", all little-endian: the magic, the length of the
+# key=value config block and the block; then every parameter as one float64
+# payload in param_shapes(config) order (the ModelParams vector), with no
+# names or shapes, since the config fixes both; then the CRC-32 (zlib) of
+# every byte before it. Each layer's attention projections are one
+# parameter `layer{i}.wqkv` of shape (d_model, 3 * d_model), columns
+# [q_0 .. q_{H-1} | k_0 .. | v_0 ..], each block d_model / n_heads wide.
+# "CTT1" (one tensor per head and projection) and "CTT2" (named, shaped
+# tensor records, no CRC) files are refused.
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"CTT2"
-_OLD_MAGIC = b"CTT1"
+_MAGIC = b"CTT3"
+_OLD_FORMATS = {b"CTT1": "the old per-head wq/wk/wv layout",
+                b"CTT2": "named tensor records without a CRC"}
 
 
 def _block_key(field):
@@ -352,78 +364,76 @@ def _block_key(field):
 
 
 def save_model(path, config, params, vocab, scheme):
-    """Write the config, the vocabulary, the label names and every tensor.
+    """Write the config, the vocabulary, the label names and the parameter
+    vector, then the CRC. `params` that do not fit `config` raise
+    ShapeMismatchError before the file is opened (unpack_params).
 
     The config block holds ModelConfig's fields in declaration order, then
     the vocabulary without PAD/UNK, which are implicit, and the label names.
     """
+    payload = np.asarray(unpack_params(config, params).vector, dtype="<f8").tobytes()
     kv = {_block_key(f.name): getattr(config, f.name) for f in fields(config)}
     kv["lookahead"] = config.mask_spec.to_string()
     kv["vocab"] = " ".join(vocab.words[2:])
     kv["punct_labels"] = " ".join(scheme.punct_labels)
     kv["disf_labels"] = " ".join(scheme.disf_labels)
     block = "".join(f"{k}={v}\n" for k, v in kv.items()).encode("utf-8")
+    header = _MAGIC + struct.pack("<I", len(block)) + block
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", len(block)))
-        f.write(block)
-        f.write(struct.pack("<I", len(params.tensors)))
-        for name in sorted(params.tensors):
-            data = np.ascontiguousarray(params[name].data, dtype="<f8")
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", data.ndim))
-            f.write(struct.pack(f"<{data.ndim}I", *data.shape))
-            f.write(data.tobytes())
+        f.write(header)
+        f.write(payload)
+        f.write(struct.pack("<I", zlib.crc32(payload, zlib.crc32(header))))
 
 
 def load_model(path):
-    """Inverse of save_model: (config, params, vocab, scheme), the params in
-    param_shapes(config) order.
+    """Inverse of save_model: (config, params, vocab, scheme).
 
-    The label names must match the config's label counts, the vocabulary
-    its size, and every tensor shape the config, and every weight must be
-    finite. Any malformed file raises CheckpointError.
+    The file must be exactly as long as its config implies, and its CRC
+    must match; no read is larger than the file. The label names must match
+    the config's label counts and the vocabulary its size, and every weight
+    must be finite. Any malformed file raises CheckpointError.
     """
     with open(path, "rb") as f:
-        raw = f.read()
-    off = 0
+        size = os.fstat(f.fileno()).st_size
 
-    def take(n):
-        nonlocal off
-        if n < 0 or off + n > len(raw):
-            raise CheckpointError(f"truncated checkpoint {path}")
-        chunk = raw[off:off + n]
-        off += n
-        return chunk
+        def take(n):
+            if f.tell() + n > size:
+                raise CheckpointError(f"truncated checkpoint {path}")
+            return f.read(n)
 
-    magic = take(4)
-    if magic == _OLD_MAGIC:
-        raise CheckpointError(
-            f"{path} is a CTT1 checkpoint, which uses the old per-head "
-            "wq/wk/wv layout; retrain to get a CTT2 checkpoint")
-    if magic != _MAGIC:
-        raise CheckpointError(f"{path} is not a CTT2 checkpoint")
-    (block_len,) = struct.unpack("<I", take(4))
-    block = take(block_len)
-    kv = {}
-    try:
-        for line in block.decode("utf-8").splitlines():
-            if line:
-                key, _, value = line.partition("=")
-                kv[key] = value
-        args = {f.name: kv[_block_key(f.name)] for f in fields(ModelConfig)}
-        config = ModelConfig(**{
-            name: MaskSpec.from_string(v) if name == "mask_spec" else int(v)
-            for name, v in args.items()})
-        vocab = Vocabulary(kv["vocab"].split())
-        scheme = LabelScheme(tuple(kv["punct_labels"].split()),
-                             tuple(kv["disf_labels"].split()))
-    except KeyError as e:
-        raise CheckpointError(f"checkpoint {path} missing config key {e}") from None
-    except ValueError as e:
-        raise CheckpointError(f"checkpoint {path} has a bad config: {e}") from None
+        magic = take(4)
+        if magic in _OLD_FORMATS:
+            raise CheckpointError(
+                f"{path} is a {magic.decode()} checkpoint, which uses "
+                f"{_OLD_FORMATS[magic]}; retrain to get a CTT3 checkpoint")
+        if magic != _MAGIC:
+            raise CheckpointError(f"{path} is not a CTT3 checkpoint")
+        length = take(4)
+        block = take(struct.unpack("<I", length)[0])
+        kv = {}
+        try:
+            for line in block.decode("utf-8").splitlines():
+                if line:
+                    key, _, value = line.partition("=")
+                    kv[key] = value
+            args = {f.name: kv[_block_key(f.name)] for f in fields(ModelConfig)}
+            config = ModelConfig(**{
+                name: MaskSpec.from_string(v) if name == "mask_spec" else int(v)
+                for name, v in args.items()})
+            vocab = Vocabulary(kv["vocab"].split())
+            scheme = LabelScheme(tuple(kv["punct_labels"].split()),
+                                 tuple(kv["disf_labels"].split()))
+        except KeyError as e:
+            raise CheckpointError(f"checkpoint {path} missing config key {e}") from None
+        except ValueError as e:
+            raise CheckpointError(f"checkpoint {path} has a bad config: {e}") from None
+        payload = take(8 * _param_count(config))
+        (crc,) = struct.unpack("<I", take(4))
+        if f.read(1):
+            raise CheckpointError(
+                f"checkpoint {path} has bytes past the end its config implies")
+    if zlib.crc32(payload, zlib.crc32(magic + length + block)) != crc:
+        raise CheckpointError(f"checkpoint {path} fails its CRC check")
     if len(vocab) != config.vocab_size:
         raise CheckpointError(
             f"checkpoint {path}: vocabulary has {len(vocab)} entries but "
@@ -434,26 +444,9 @@ def load_model(path):
             f"checkpoint {path}: {len(scheme.punct_labels)} punct and "
             f"{len(scheme.disf_labels)} disf label names but config says "
             f"{config.punct_label_count} and {config.disf_label_count}")
-
-    (count,) = struct.unpack("<I", take(4))
-    found = {}  # name -> (shape, flat values); reshaped once shapes check out
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4))
-        # a name that is not UTF-8 fails validation below as unexpected
-        name = take(name_len).decode("utf-8", "replace")
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        found[name] = shape, np.frombuffer(take(8 * math.prod(shape)), dtype="<f8")
-    expected = param_shapes(config)
-    mismatches = _shape_mismatches(expected, {n: s for n, (s, _) in found.items()})
-    if mismatches:
-        raise CheckpointError(
-            f"checkpoint {path} fails shape validation: " + "; ".join(mismatches))
-    nonfinite = [name for name, (_, data) in found.items()
-                 if not np.isfinite(data).all()]
-    if nonfinite:
+    params = ModelParams(config, np.frombuffer(payload, dtype="<f8").astype(np.float64))
+    if not np.isfinite(params.vector).all():
         raise CheckpointError(f"checkpoint {path} has non-finite values in "
-                              + ", ".join(sorted(nonfinite)))
-    params = ModelParams({name: Tensor(found[name][1].reshape(shape))
-                          for name, shape in expected.items()})
+                              + ", ".join(name for name, t in params.items()
+                                          if not np.isfinite(t.data).all()))
     return config, params, vocab, scheme

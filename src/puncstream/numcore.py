@@ -38,8 +38,9 @@ class ContractError(ValueError):
 
 
 class Tensor:
-    """Dense array, row-major, read-only through the Tensor; `train`'s working
-    tensors are views of the vector its optimizer updates in place."""
+    """Dense array, row-major, read-only through the Tensor. A ModelParams'
+    tensors are views of its one parameter vector, which `train`'s optimizer
+    updates in place."""
 
     __slots__ = ("data",)
 

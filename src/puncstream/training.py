@@ -6,10 +6,10 @@ which runs the model's one forward and its kernels' backwards. The
 learning-rate schedule is the inverse-square-root ramp peaking at
 `warmup_steps`.
 
-In a `train` call the parameters are one float64 vector, laid out in
-param_shapes order, whose views are the working tensors; `clip_gradients`
-and `Adam.step` update the gradient and parameter vectors in place, and
-only dev-selected and returned ones are copied.
+In a `train` call the parameters are one ModelParams, whose float64 vector
+is laid out in param_shapes order and whose views are the working tensors;
+`clip_gradients` and `Adam.step` update the gradient and parameter vectors
+in place, and only dev-selected and returned ones are copied.
 
 A batch's sequences do not depend on each other until their gradients are
 summed, so `train` forks min(usable CPUs, `batch_size`) - 1 helper
@@ -76,16 +76,6 @@ def lr_schedule(step, d_model, warmup_steps):
     return d_model ** -0.5 * min(step ** -0.5, step * warmup_steps ** -1.5)
 
 
-def _views(flat, shapes):
-    """{name: view of `flat`}: consecutive pieces with the given shapes."""
-    views, start = {}, 0
-    for name, shape in shapes.items():
-        stop = start + math.prod(shape)
-        views[name] = flat[start:stop].reshape(shape)
-        start = stop
-    return views
-
-
 def clip_gradients(helpers, clip_norm, n_heads=1):
     """Scale the gradient vector `helpers.grad` of a GradientHelpers group in
     place so its global L2 norm is <= clip_norm; return the norm it had.
@@ -150,10 +140,10 @@ def batch_gradients(batch, model_config, params, vocab, scheme, helpers=None):
 
     Sequence i's gradient (model.loss_gradient) goes to row i of
     `helpers.rows`, and helper processes, if any, compute some rows.
-    Rows and losses are summed in
-    sequence order, into row 0, so the bits do not depend on who computed
-    what. With `helpers`, `params` is not read (rows use `helpers.params`);
-    without, a GradientHelpers group without processes is made from them.
+    Rows and losses are summed in sequence order, into row 0, so the bits
+    do not depend on who computed what. With `helpers`, `params` is not
+    read (rows use `helpers.params`); without, a GradientHelpers group
+    without processes is made from them.
     The gradients returned, `helpers.grads`, are overwritten in place by the
     next call on the group and by clip_gradients; copy them to keep them.
     """
@@ -162,10 +152,9 @@ def batch_gradients(batch, model_config, params, vocab, scheme, helpers=None):
     encoded = [encode(seq, vocab, scheme) for seq in batch]
     k = len(encoded)
     rows = helpers.rows[:k]
-    params = mdl.unpack_params(model_config, helpers.params)
     losses = [None] * k
     for i in helpers.send(encoded):
-        losses[i] = mdl.loss_gradient(*encoded[i], model_config, params,
+        losses[i] = mdl.loss_gradient(*encoded[i], model_config, helpers.params,
                                       helpers.row_grads[i])
     helpers.receive(losses)
     grad = rows[0]
@@ -217,8 +206,7 @@ def _helper_loop(conn, parent_ends, model_config, params, row_grads):
         while True:
             share = conn.recv()
             try:
-                unpacked = mdl.unpack_params(model_config, params)
-                reply = [(i, mdl.loss_gradient(*enc, model_config, unpacked,
+                reply = [(i, mdl.loss_gradient(*enc, model_config, params,
                                                row_grads[i]))
                          for i, enc in share]
             except Exception as exc:  # the parent re-raises it
@@ -232,28 +220,26 @@ class GradientHelpers:
     """A `train` call's buffers, and helper processes that compute some of
     a batch's per-sequence gradients for `batch_gradients`.
 
-    `params` are read-only views of `vector`, the given parameters end to
-    end in their order, so what the optimizer writes there is what the next
-    forward reads, here and in the helpers. `rows` (`batch_size` x P) take
-    one gradient per sequence through their named views `row_grads`, and
-    are summed into `grad`, row 0, whose named views are `grads`; all live
-    in one shared mapping made before the fork. The `count` helpers
-    (possibly none) are forked daemons that ignore SIGINT. A helper's
-    exception is re-raised in the parent with its type, and a helper that
-    dies raises TrainingError; after either, close the group.
+    `params` is a ModelParams holding a copy of the given parameters, so
+    what the optimizer writes to `params.vector` is what the next forward
+    reads, here and in the helpers. `rows` (`batch_size` x P) take one
+    gradient per sequence through their named views `row_grads`
+    (model.param_slots, the parameters' own layout), and are summed into
+    `grad`, row 0, whose named views are `grads`; all live in one shared
+    mapping made before the fork. Parameters that do not fit `model_config`
+    raise ShapeMismatchError. The `count` helpers (possibly none) are forked
+    daemons that ignore SIGINT. A helper's exception is re-raised in the
+    parent with its type, and a helper that dies raises TrainingError; after
+    either, close the group.
     """
 
     def __init__(self, model_config, params, batch_size, count):
-        shapes = {n: t.shape for n, t in params.tensors.items()}
-        size = sum(math.prod(shape) for shape in shapes.values())
+        size = mdl.unpack_params(model_config, params).vector.size
         shared = np.frombuffer(mmap.mmap(-1, 8 * size * (batch_size + 1)), np.float64)
-        self.vector = shared[:size]
-        np.concatenate([t.data for t in params.tensors.values()], axis=None,
-                       out=self.vector)
-        self.params = mdl.ModelParams(
-            {n: nc._wrap(v) for n, v in _views(self.vector, shapes).items()})
+        self.params = mdl.ModelParams(model_config, shared[:size])
+        self.params.vector[...] = params.vector
         self.rows = shared[size:].reshape(batch_size, size)
-        self.row_grads = [_views(row, shapes) for row in self.rows]
+        self.row_grads = [mdl.param_slots(model_config, row) for row in self.rows]
         self.grad = self.rows[0]
         self.grads = self.row_grads[0]
         self.count = count
@@ -336,11 +322,11 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
     `stop_dev_f1` = (punct_f1, interregnum_f1) stops early once both are
     reached.
     Reproducible: identical seeds and inputs give identical parameters,
-    whatever the number of CPUs and the order of `init_params`' dict. A
-    parameter that does not fit `model_config` raises ShapeMismatchError.
-    The call forks min(usable CPUs, `batch_size`) - 1 gradient helpers
-    (GradientHelpers) and joins them before it returns or raises. `init_params` is only read, and the
-    returned parameters are a copy that no later call touches.
+    whatever the number of CPUs. `init_params` that do not fit
+    `model_config` raise ShapeMismatchError. The call forks
+    min(usable CPUs, `batch_size`) - 1 gradient helpers (GradientHelpers)
+    and joins them before it returns or raises. `init_params` is only read,
+    and the returned parameters are a copy that no later call touches.
     An unlabeled utterance or a label outside `scheme`, or a corpus
     utterance longer than `model_config.max_positions` (a dev one is tagged
     through the stream decoder), raises ValueError before the first step.
@@ -362,12 +348,9 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
     count = 0
     if "fork" in multiprocessing.get_all_start_methods():
         count = min(_usable_cpus(), config.batch_size) - 1
-    # checked against the config and laid out in param_shapes order, so
-    # that the order of a parameter dict cannot change the clip norm's sum
-    start = mdl.unpack_params(model_config, init_params)
-    helpers = GradientHelpers(model_config, start, config.batch_size, count)
+    helpers = GradientHelpers(model_config, init_params, config.batch_size, count)
     params = helpers.params
-    opt = Adam(helpers.vector.size)
+    opt = Adam(params.vector.size)
     history = []
     best_score, best_params = -1.0, None
     initial_loss = final_loss = None
@@ -394,7 +377,7 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
             final_loss = loss
             clip_gradients(helpers, config.clip_norm, model_config.n_heads)
             lr = lr_schedule(step, model_config.d_model, config.warmup_steps)
-            opt.step(helpers.vector, helpers.grad, lr)
+            opt.step(params.vector, helpers.grad, lr)
 
             if dev is not None and step % config.eval_every == 0:
                 pf1, if1, ef1 = _dev_f1(dev, model_config, params, vocab, scheme)

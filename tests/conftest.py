@@ -4,7 +4,9 @@ The trained fixtures run real (toy-scale) training once per session and are
 shared between the unit tests and the acceptance suite.
 """
 
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +49,15 @@ def full_mask(n):
     return np.zeros((n, n))
 
 
+def seal(raw):
+    """A checkpoint's bytes with the CRC-32 of all but their last four
+    bytes written over those four."""
+    return raw[:-4] + struct.pack("<I", zlib.crc32(raw[:-4]))
+
+
 def rewrite_config_line(path, key, value):
     """Set the `key=` line of a checkpoint's config block to `value` (bytes),
-    keeping the block length field in step."""
+    keeping the block length field and the CRC in step."""
     with open(path, "rb") as f:
         raw = f.read()
     (n,) = struct.unpack_from("<I", raw, 4)
@@ -58,23 +66,25 @@ def rewrite_config_line(path, key, value):
     block = b"\n".join(key + b"=" + value if line.startswith(key + b"=") else line
                        for line in lines)
     with open(path, "wb") as f:
-        f.write(raw[:4] + struct.pack("<I", len(block)) + block + raw[8 + n:])
+        f.write(seal(raw[:4] + struct.pack("<I", len(block)) + block + raw[8 + n:]))
 
 
 def fill_tensor(path, name, value):
-    """Set every value of the checkpoint tensor `name` to `value` (a float),
-    in place, leaving every other byte as it was."""
+    """Set every value of the checkpoint parameter `name` to `value` (a
+    float), in place, and re-seal the CRC, leaving every other byte as it
+    was. The parameter's place follows from the file's config, laid out in
+    param_shapes order."""
+    sizes = {n: math.prod(shape) for n, shape
+             in mdl.param_shapes(mdl.load_model(path)[0]).items()}
     with open(path, "rb") as f:
         raw = bytearray(f.read())
-    nb = name.encode("utf-8")
-    at = raw.index(struct.pack("<I", len(nb)) + nb) + 4 + len(nb)
-    (ndim,) = struct.unpack_from("<I", raw, at)
-    shape = struct.unpack_from(f"<{ndim}I", raw, at + 4)
-    start = at + 4 + 4 * ndim
-    count = int(np.prod(shape))
+    names = list(sizes)
+    start = 8 + struct.unpack_from("<I", raw, 4)[0] + 8 * sum(
+        sizes[n] for n in names[:names.index(name)])
+    count = sizes[name]
     raw[start:start + 8 * count] = struct.pack(f"<{count}d", *[value] * count)
     with open(path, "wb") as f:
-        f.write(raw)
+        f.write(seal(bytes(raw)))
 
 
 def random_bundle(config, seed=0):

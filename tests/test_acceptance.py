@@ -98,7 +98,7 @@ def test_criterion_3_gradient_check():
         punct, disf = mdl.forward(tokens, config, p)
         return tr.joint_loss(punct, disf, punct_ids, disf_ids).item()
 
-    names = list(params.tensors)
+    names = params.names()
     grads = {n: np.empty(params[n].shape) for n in names}
     mdl.loss_gradient(tokens, punct_ids, disf_ids, config, params, grads)
 

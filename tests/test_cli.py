@@ -193,7 +193,7 @@ def test_tag_with_empty_label_names_exits_1(tmp_path, capsys):
     ckpt = tmp_path / "m.ctt"
     corpus = tmp_path / "c.tsv"
     corpus.write_text("i\nwant\n\n")
-    golden = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt2.ctt")
+    golden = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt3.ctt")
     with open(golden, "rb") as f:
         ckpt.write_bytes(f.read())
     rewrite_config_line(ckpt, b"punct_labels", b"")
@@ -375,7 +375,7 @@ def test_stream_prints_the_triples_of_stream_decode(capsys, monkeypatch,
 def test_bench_with_zero_runs_exits_1(tmp_path, capsys):
     corpus = tmp_path / "c.tsv"
     corpus.write_text("i\tO\tO\nwant\tPERIOD\tO\n\n")
-    golden = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt2.ctt")
+    golden = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt3.ctt")
     code, out, err = run(["bench", "--checkpoint", golden,
                           "--corpus", str(corpus), "--runs", "0"], capsys)
     assert code == 1
@@ -387,7 +387,7 @@ def test_tag_with_nan_weights_exits_1(tmp_path, capsys):
     ckpt = tmp_path / "m.ctt"
     corpus = tmp_path / "c.tsv"
     corpus.write_text("boston\tO\tO\nflight\tPERIOD\tO\n\n")
-    golden = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt2.ctt")
+    golden = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt3.ctt")
     with open(golden, "rb") as f:
         ckpt.write_bytes(f.read())
     fill_tensor(ckpt, "embed", float("nan"))
@@ -398,10 +398,22 @@ def test_tag_with_nan_weights_exits_1(tmp_path, capsys):
     assert "Traceback" not in err and out == ""
 
 
+def test_tag_with_a_ctt2_checkpoint_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("boston\nflight\n\n")
+    old = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt2.ctt")
+    code, out, err = run(["tag", "--checkpoint", old, "--input", str(corpus)],
+                         capsys)
+    assert code == 1
+    assert err.startswith("error:") and "CTT2 checkpoint" in err
+    assert "retrain to get a CTT3 checkpoint" in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_bench_on_an_empty_corpus_exits_1(tmp_path, capsys):
     corpus = tmp_path / "empty.tsv"
     corpus.write_text("")
-    golden = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt2.ctt")
+    golden = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt3.ctt")
     code, out, err = run(["bench", "--checkpoint", golden,
                           "--corpus", str(corpus)], capsys)
     assert code == 1

@@ -222,15 +222,19 @@ def test_rescore_deadline_abort():
 
 
 # ---------------------------------------------------------------------------
-# ModelTagger: parameters checked and unpacked once, when it is built
+# ModelTagger: parameters checked and copied once, when it is built
 # ---------------------------------------------------------------------------
 
 def test_model_tagger_refuses_a_wrongly_shaped_tensor_when_built():
+    # a wrongly shaped tensor never gets into the parameters, and
+    # parameters of another layout are refused when the tagger is built
     bundle = random_bundle(small_config())
     bad = bundle.params.copy()
-    bad["layer0.wo"] = nc.Tensor(np.zeros((8, 7)))
     with pytest.raises(nc.ShapeMismatchError, match="layer0.wo"):
-        dec.ModelTagger(bundle.config, bad, bundle.vocab, bundle.scheme)
+        bad["layer0.wo"] = nc.Tensor(np.zeros((8, 7)))
+    with pytest.raises(nc.ShapeMismatchError, match="layer0.wo"):
+        dec.ModelTagger(small_config(d_model=4), bundle.params, bundle.vocab,
+                        bundle.scheme)
 
 
 def test_model_tagger_keeps_the_parameters_it_was_built_with():

@@ -2,13 +2,14 @@ import math
 import os
 import shutil
 import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fill_tensor, random_bundle, rewrite_config_line, small_config
+from conftest import fill_tensor, random_bundle, rewrite_config_line, seal, small_config
 from test_numcore import Tape, backward, reference_forward, reference_loss
 from puncstream import decoding as dec
 from puncstream import model as mdl
@@ -17,11 +18,13 @@ from puncstream import training as tr
 from puncstream.data import LabelScheme, Vocabulary
 from puncstream.masks import MaskSpec, effective_lookahead
 
-# Written by the CTT2 writer as it was before the checkpoint code was merged
-# into save_model/load_model: init_params(config, default_rng(0)) for the
-# config and vocabulary test_golden_checkpoint_reads_and_rewrites_same_bytes
-# expects.
-GOLDEN = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt2.ctt")
+# init_params(config, default_rng(0)) for the config and vocabulary
+# test_golden_checkpoint_reads_and_rewrites_same_bytes expects, as a CTT3
+# checkpoint. GOLDEN_CTT2 is the same model as the CTT2 writer wrote it
+# before the checkpoint code was merged into save_model/load_model; CTT2
+# files are refused now.
+GOLDEN = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt3.ctt")
+GOLDEN_CTT2 = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt2.ctt")
 
 
 def test_sinusoidal_position_zero_alternates():
@@ -306,7 +309,7 @@ def test_loss_gradient_matches_the_taped_reference_bit_for_bit(case, data):
         for count in (config.punct_label_count, config.disf_label_count))
     tape = Tape()
     loss = reference_loss(ids, punct_ids, disf_ids, config, params, tape)
-    expected = backward(loss, tape, wrt=list(params.tensors.values()))
+    expected = backward(loss, tape, wrt=[t for _, t in params.items()])
     grads = {name: np.full(t.shape, np.nan) for name, t in params.items()}
     assert mdl.loss_gradient(ids, punct_ids, disf_ids, config, params, grads) \
         == loss.item()
@@ -315,23 +318,57 @@ def test_loss_gradient_matches_the_taped_reference_bit_for_bit(case, data):
 
 
 def test_unpack_params_names_every_tensor_that_does_not_fit():
+    # a parameter that does not fit is refused where it is assigned, by name
     bundle = random_bundle(small_config())
-    bad = bundle.params.copy()
-    bad["layer1.ff.b1"] = nc.Tensor(np.zeros(3))
-    del bad.tensors["punct.b"]
-    bad["extra"] = nc.Tensor(np.zeros(2))
+    params = bundle.params
+    bad = params.copy()
+    with pytest.raises(nc.ShapeMismatchError,
+                       match=r"^layer1.ff.b1: expected \(16,\), found \(3,\)$"):
+        bad["layer1.ff.b1"] = nc.Tensor(np.zeros(3))
+    with pytest.raises(nc.ShapeMismatchError, match="^no parameter named extra$"):
+        bad["extra"] = nc.Tensor(np.zeros(2))
+    with pytest.raises(AttributeError):  # no parameter can be deleted
+        del bad["punct.b"]
+    assert bad.vector.tobytes() == params.vector.tobytes()
+    with pytest.raises(nc.ShapeMismatchError, match="does not hold the config's"):
+        mdl.ModelParams(bundle.config, np.zeros(params.vector.size - 1))
+    # a config with the same shapes takes the parameters as they are; any
+    # other is refused, naming every parameter that does not fit
+    assert mdl.unpack_params(bundle.config, params) is params
+    assert mdl.unpack_params(small_config(lookahead=(3, 3)), params) is params
     with pytest.raises(nc.ShapeMismatchError) as err:
-        mdl.forward([2, 3], bundle.config, bad)
+        mdl.forward([2, 3], small_config(vocab_size=13, d_ff=15), params)
     assert str(err.value).endswith(
-        "layer1.ff.b1: expected (16,), found (3,); missing tensor punct.b; "
-        "unexpected tensor extra")
-    unpacked = mdl.unpack_params(bundle.config, bundle.params)
-    assert mdl.unpack_params(bundle.config, unpacked) is unpacked
-    # a different config with the same shapes re-checks the same tensors
-    wider = small_config(lookahead=(3, 3))
-    assert mdl.unpack_params(wider, unpacked).tensors == unpacked.tensors
-    with pytest.raises(nc.ShapeMismatchError, match="embed"):
-        mdl.unpack_params(small_config(vocab_size=13), unpacked)
+        "embed: expected (13, 8), found (12, 8); "
+        "layer0.ff.w1: expected (8, 15), found (8, 16); "
+        "layer0.ff.b1: expected (15,), found (16,); "
+        "layer0.ff.w2: expected (15, 8), found (16, 8); "
+        "layer1.ff.w1: expected (8, 15), found (8, 16); "
+        "layer1.ff.b1: expected (15,), found (16,); "
+        "layer1.ff.w2: expected (15, 8), found (16, 8)")
+    with pytest.raises(nc.ShapeMismatchError,
+                       match=r"layer1.wqkv: expected None, found \(8, 24\)"):
+        mdl.unpack_params(small_config(n_layers=1, lookahead=(0,)), params)
+
+
+def test_model_params_are_one_vector_in_layout_order():
+    config = small_config()
+    params = mdl.init_params(config, np.random.default_rng(4))
+    shapes = mdl.param_shapes(config)
+    assert params.names() == list(shapes)
+    assert [n for n, _ in params.items()] == list(shapes)
+    assert np.array_equal(np.concatenate([t.data.ravel() for _, t in params.items()]),
+                          params.vector)
+    assert all(np.shares_memory(t.data, params.vector) and not t.data.flags.writeable
+               for _, t in params.items())
+    copy = params.copy()
+    assert not np.shares_memory(copy.vector, params.vector)
+    assert copy.vector.tobytes() == params.vector.tobytes()
+    copy["punct.b"] = nc.Tensor(np.arange(4.0))
+    assert copy["punct.b"].data.tolist() == [0.0, 1.0, 2.0, 3.0]
+    # the slot before disf.w (8, 5) and disf.b (5,)
+    assert copy.vector[-49:-45].tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert params["punct.b"].data.tolist() == [0.0] * 4
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -355,16 +392,19 @@ def test_checkpoint_magic_and_shape_validation(tmp_path):
                    bundle.scheme)
     with open(path, "r+b") as f:
         f.write(b"XXXX")
-    with pytest.raises(mdl.CheckpointError, match="CTT2"):
+    with pytest.raises(mdl.CheckpointError, match="not a CTT3 checkpoint"):
         mdl.load_model(path)
 
-    # tensor with a wrong shape must be listed by name
+    # a tensor with a wrong shape is refused by name where it is assigned,
+    # and parameters of another layout before the file is written
     bad = bundle.params.copy()
-    bad["punct.w"] = nc.Tensor(np.zeros((2, 2)))
-    path2 = os.fspath(tmp_path / "bad.ctt")
-    mdl.save_model(path2, bundle.config, bad, bundle.vocab, bundle.scheme)
-    with pytest.raises(mdl.CheckpointError, match="punct.w"):
-        mdl.load_model(path2)
+    with pytest.raises(nc.ShapeMismatchError, match="punct.w"):
+        bad["punct.w"] = nc.Tensor(np.zeros((2, 2)))
+    path2 = tmp_path / "bad.ctt"
+    with pytest.raises(nc.ShapeMismatchError, match="punct.w"):
+        mdl.save_model(path2, small_config(punct=3), bundle.params,
+                       bundle.vocab, bundle.scheme)
+    assert not path2.exists()
 
 
 def _saved(tmp_path, seed):
@@ -379,8 +419,15 @@ def test_ctt1_checkpoint_refused(tmp_path):
     path = _saved(tmp_path, 17)
     with open(path, "r+b") as f:
         f.write(b"CTT1")
-    with pytest.raises(mdl.CheckpointError, match="old per-head"):
+    with pytest.raises(mdl.CheckpointError, match="old per-head.*; retrain"):
         mdl.load_model(path)
+
+
+def test_ctt2_checkpoint_refused():
+    with pytest.raises(mdl.CheckpointError,
+                       match="CTT2 checkpoint, which uses named tensor records "
+                             "without a CRC; retrain to get a CTT3 checkpoint"):
+        mdl.load_model(GOLDEN_CTT2)
 
 
 def test_checkpoint_with_zero_heads_refused(tmp_path):
@@ -389,7 +436,7 @@ def test_checkpoint_with_zero_heads_refused(tmp_path):
         raw = f.read()
     assert raw.count(b"\nn_heads=2\n") == 1
     with open(path, "wb") as f:
-        f.write(raw.replace(b"\nn_heads=2\n", b"\nn_heads=0\n"))
+        f.write(seal(raw.replace(b"\nn_heads=2\n", b"\nn_heads=0\n")))
     with pytest.raises(mdl.CheckpointError, match="n_heads must be positive"):
         mdl.load_model(path)
 
@@ -404,6 +451,43 @@ def test_golden_checkpoint_reads_and_rewrites_same_bytes(tmp_path):
     mdl.save_model(path, config, params, vocab, scheme)
     with open(GOLDEN, "rb") as f:
         assert path.read_bytes() == f.read()
+
+
+# The parameters of the golden model in param_shapes order, as the CTT3
+# format description lays them out.
+_GOLDEN_LAYOUT = ("embed", "layer0.wqkv", "layer0.wo", "layer0.ff.w1",
+                  "layer0.ff.b1", "layer0.ff.w2", "layer0.ff.b2",
+                  "layer0.norm1.gain", "layer0.norm1.bias", "layer0.norm2.gain",
+                  "layer0.norm2.bias", "punct.w", "punct.b", "disf.w", "disf.b")
+
+
+def test_golden_checkpoint_bytes_follow_the_format_description(tmp_path):
+    # CTT3 built by hand from the CTT2 golden file: its config block, then
+    # its tensor records' values in layout order, then the CRC-32 of all of
+    # it; the same bytes as the CTT3 golden file and as save_model writes
+    with open(GOLDEN_CTT2, "rb") as f:
+        ctt2 = f.read()
+    (block_len,) = struct.unpack_from("<I", ctt2, 4)
+    block = ctt2[8:8 + block_len]
+    (count,) = struct.unpack_from("<I", ctt2, 8 + block_len)
+    off, values = 12 + block_len, {}
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<I", ctt2, off)
+        name = ctt2[off + 4:off + 4 + name_len].decode("utf-8")
+        (ndim,) = struct.unpack_from("<I", ctt2, off + 4 + name_len)
+        shape = struct.unpack_from(f"<{ndim}I", ctt2, off + 8 + name_len)
+        off += 8 + name_len + 4 * ndim
+        values[name] = ctt2[off:off + 8 * math.prod(shape)]
+        off += 8 * math.prod(shape)
+    assert off == len(ctt2) and sorted(values) == sorted(_GOLDEN_LAYOUT)
+    body = (b"CTT3" + struct.pack("<I", block_len) + block
+            + b"".join(values[name] for name in _GOLDEN_LAYOUT))
+    expected = body + struct.pack("<I", zlib.crc32(body))
+    with open(GOLDEN, "rb") as f:
+        assert f.read() == expected
+    path = tmp_path / "again.ctt"
+    mdl.save_model(path, *mdl.load_model(GOLDEN))
+    assert path.read_bytes() == expected
 
 
 def _golden_copy(tmp_path):
@@ -439,60 +523,55 @@ def test_checkpoint_with_non_finite_weights_refused(tmp_path, name, value):
         mdl.load_model(path)
 
 
-def _non_payload_offsets(raw):
-    """Offsets of every byte that is not a tensor value: magic, lengths,
-    config block, tensor count, and each tensor's name, ndim and shape."""
-    (block_len,) = struct.unpack_from("<I", raw, 4)
-    off = 8 + block_len + 4
-    offsets = list(range(off))
-    for _ in range(struct.unpack_from("<I", raw, off - 4)[0]):
-        (name_len,) = struct.unpack_from("<I", raw, off)
-        (ndim,) = struct.unpack_from("<I", raw, off + 4 + name_len)
-        shape = struct.unpack_from(f"<{ndim}I", raw, off + 8 + name_len)
-        end = off + 8 + name_len + 4 * ndim
-        offsets += range(off, end)
-        off = end + 8 * math.prod(shape)
-    assert off == len(raw)
-    return offsets
-
-
-def test_tensor_size_past_int64_is_truncation(tmp_path):
-    # (2**32 - 1)**2 floats wrap to a negative int64 count
+@pytest.mark.parametrize("old,new", [
+    (b"\nlookahead=2\n", b"\nlookahead=3\n"),     # a config value
+    (b"\nvocab=boston flight", b"\nvocab=flight boston"),
+    (struct.pack("<d", 1.0), struct.pack("<d", 2.0)),  # the first norm gain
+])
+def test_an_edit_without_a_new_crc_is_refused(tmp_path, old, new):
     path = _golden_copy(tmp_path)
     with open(path, "rb") as f:
-        raw = bytearray(f.read())
-    name = b"embed"
-    at = raw.index(struct.pack("<I", len(name)) + name) + 4 + len(name)
-    assert struct.unpack_from("<3I", raw, at) == (2, 6, 4)
-    struct.pack_into("<2I", raw, at + 4, 2**32 - 1, 2**32 - 1)
+        raw = f.read()
+    assert old in raw
     with open(path, "wb") as f:
-        f.write(raw)
-    with pytest.raises(mdl.CheckpointError, match="truncated"):
+        f.write(raw.replace(old, new, 1))
+    with pytest.raises(mdl.CheckpointError, match="fails its CRC check"):
+        mdl.load_model(path)
+    with open(path, "wb") as f:
+        f.write(seal(raw.replace(old, new, 1)))
+    mdl.load_model(path)
+
+
+@pytest.mark.parametrize("extra", [b"\x00", b"garbage"])
+def test_checkpoint_with_bytes_appended_refused(tmp_path, extra):
+    path = _golden_copy(tmp_path)
+    with open(path, "ab") as f:
+        f.write(extra)
+    with pytest.raises(mdl.CheckpointError, match="bytes past the end"):
         mdl.load_model(path)
 
 
 def test_loader_fuzz_truncations_and_header_bytes(tmp_path):
-    """Every truncation and every one-byte change outside the tensor values
-    either loads or raises CheckpointError, never another exception."""
+    """Every truncation and every one-byte change anywhere in the file,
+    config block, payload and CRC included, raises CheckpointError and
+    never another exception."""
     with open(GOLDEN, "rb") as f:
         raw = f.read()
     path = os.fspath(tmp_path / "fuzz.ctt")
 
-    def outcome(data):
+    def refused(data):
         with open(path, "wb") as f:
             f.write(data)
         try:
             mdl.load_model(path)
         except mdl.CheckpointError:
-            return "refused"
-        return "loaded"
+            return True
+        return False
 
     for n in range(len(raw)):
-        assert outcome(raw[:n]) == "refused", n
-    outcomes = []
-    for i in _non_payload_offsets(raw):
+        assert refused(raw[:n]), n
+    for i in range(len(raw)):
         for flip in (0x01, 0x20, 0x80, 0xFF):
             data = bytearray(raw)
             data[i] ^= flip
-            outcomes.append(outcome(bytes(data)))
-    assert "refused" in outcomes and "loaded" in outcomes
+            assert refused(bytes(data)), (i, flip)
