@@ -366,7 +366,8 @@ def _block_key(field):
 def save_model(path, config, params, vocab, scheme):
     """Write the config, the vocabulary, the label names and the parameter
     vector, then the CRC. `params` that do not fit `config` raise
-    ShapeMismatchError before the file is opened (unpack_params).
+    ShapeMismatchError, and a word or label that is empty or holds
+    whitespace ValueError, before the file is opened.
 
     The config block holds ModelConfig's fields in declaration order, then
     the vocabulary without PAD/UNK, which are implicit, and the label names.
@@ -374,6 +375,13 @@ def save_model(path, config, params, vocab, scheme):
     payload = np.asarray(unpack_params(config, params).vector, dtype="<f8").tobytes()
     kv = {_block_key(f.name): getattr(config, f.name) for f in fields(config)}
     kv["lookahead"] = config.mask_spec.to_string()
+    for what, names in (("vocabulary word", vocab.words[2:]),
+                        ("punctuation label", scheme.punct_labels),
+                        ("disfluency label", scheme.disf_labels)):
+        for name in names:  # stored space-separated
+            if name.split() != [name]:
+                raise ValueError(f"{what} {name!r} is empty or contains "
+                                 "whitespace")
     kv["vocab"] = " ".join(vocab.words[2:])
     kv["punct_labels"] = " ".join(scheme.punct_labels)
     kv["disf_labels"] = " ".join(scheme.disf_labels)

@@ -13,12 +13,12 @@ in place, and only dev-selected and returned ones are copied.
 
 A batch's sequences do not depend on each other until their gradients are
 summed, so `train` forks min(usable CPUs, `batch_size`) - 1 helper
-processes (`GradientHelpers`) that compute some of each batch's
-per-sequence gradients while the parent computes the rest. Each gradient
-lands in its own row and the rows are summed in sequence order, so the
-trained bits are those of one process. Nothing configures this: the count
-follows from the CPUs the process may use, and where the `fork` start
-method does not exist there are no helpers.
+processes (`GradientHelpers`). `GradientHelpers.gradient` owns a batch's
+gradient: the helpers compute some of its per-sequence gradients while the
+parent computes the rest, each lands in its own row, and the rows are
+summed in sequence order, so the trained bits are those of one process.
+Nothing configures this: the count follows from the CPUs the process may
+use, and where the `fork` start method does not exist there are no helpers.
 """
 
 import math
@@ -76,18 +76,18 @@ def lr_schedule(step, d_model, warmup_steps):
     return d_model ** -0.5 * min(step ** -0.5, step * warmup_steps ** -1.5)
 
 
-def clip_gradients(helpers, clip_norm, n_heads=1):
+def clip_gradients(helpers, clip_norm):
     """Scale the gradient vector `helpers.grad` of a GradientHelpers group in
     place so its global L2 norm is <= clip_norm; return the norm it had.
 
     The squares are summed over each parameter's CTT1 blocks in turn
-    (model.param_blocks on the named views `helpers.grads`, `n_heads`
-    heads), so the norm, and with it training, has the same bits as with
-    one tensor per head and projection.
+    (model.param_blocks on the named views `helpers.grads`, with the heads
+    of `helpers.params.config`), so the norm, and with it training, has the
+    same bits as with one tensor per head and projection.
     """
     if not np.isfinite(helpers.grad).all():
         raise TrainingError("non-finite gradient; aborting")
-    sq = 0.0
+    n_heads, sq = helpers.params.config.n_heads, 0.0
     for name, g in helpers.grads.items():
         for part in mdl.param_blocks(name, g, n_heads):
             sq += float((part * part).sum())
@@ -136,35 +136,17 @@ class Adam:
 
 def batch_gradients(batch, model_config, params, vocab, scheme, helpers=None):
     """Mean joint loss over a batch of sequences plus summed-then-averaged
-    gradients keyed by parameter name.
-
-    Sequence i's gradient (model.loss_gradient) goes to row i of
-    `helpers.rows`, and helper processes, if any, compute some rows.
-    Rows and losses are summed in sequence order, into row 0, so the bits
-    do not depend on who computed what. With `helpers`, `params` is not
-    read (rows use `helpers.params`); without, a GradientHelpers group
-    without processes is made from them.
-    The gradients returned, `helpers.grads`, are overwritten in place by the
-    next call on the group and by clip_gradients; copy them to keep them.
+    gradients keyed by parameter name: the batch encoded, then
+    `helpers.gradient`. Without `helpers`, a GradientHelpers group without
+    processes is made from `model_config` and `params`; with it, neither is
+    read. The gradients returned, `helpers.grads`, are overwritten in place
+    by the next call on the group and by clip_gradients; copy them to keep
+    them.
     """
     if helpers is None:
         helpers = GradientHelpers(model_config, params, len(batch), 0)
-    encoded = [encode(seq, vocab, scheme) for seq in batch]
-    k = len(encoded)
-    rows = helpers.rows[:k]
-    losses = [None] * k
-    for i in helpers.send(encoded):
-        losses[i] = mdl.loss_gradient(*encoded[i], model_config, helpers.params,
-                                      helpers.row_grads[i])
-    helpers.receive(losses)
-    grad = rows[0]
-    for row in rows[1:]:
-        grad += row
-    grad /= k
-    total_loss = 0.0
-    for loss in losses:  # one at a time, in order: sum() may compensate
-        total_loss += loss
-    return total_loss / k, helpers.grads
+    loss = helpers.gradient([encode(seq, vocab, scheme) for seq in batch])
+    return loss, helpers.grads
 
 
 def _usable_cpus():
@@ -175,9 +157,10 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-# What one sequence's forward and backward cost beyond its words, in words:
-# on the CLI-default model (2 CPUs, numpy 2.4.6) a 6-word sequence took
-# about 1.5 ms and each further word about 35 us.
+# What one sequence's forward and backward cost beyond its words, in words.
+# On the CLI-default model (2 vCPUs, numpy 2.4.6, OpenBLAS 0.3.31, best of
+# 7 x 100 calls) model.loss_gradient took 0.77-0.87 ms at 6 words and
+# 1.65-1.75 ms at 48: about 21 us per word, plus a fixed cost of about 33.
 _SEQUENCE_COST_WORDS = 40
 
 
@@ -195,10 +178,18 @@ def _shares(lengths, workers):
     return shares
 
 
-def _helper_loop(conn, parent_ends, model_config, params, row_grads):
-    """A helper's life: for each share received, write the gradient rows
-    and send back (row, loss) pairs, or the exception raised, until the
-    parent closes its end of the pipe or exits."""
+def _share_gradients(share, params, row_grads):
+    """(row, loss) for each (row, encoded sequence) pair of `share`, the
+    sequence's gradient (model.loss_gradient on `params.config`) written
+    into `row_grads[row]`."""
+    return [(i, mdl.loss_gradient(*enc, params.config, params, row_grads[i]))
+            for i, enc in share]
+
+
+def _helper_loop(conn, parent_ends, params, row_grads):
+    """A helper's life: for each share received, send back its
+    _share_gradients, or the exception raised, until the parent closes its
+    end of the pipe or exits."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for end in parent_ends:  # inherited copies; the parent's must be the last
         end.close()
@@ -206,9 +197,7 @@ def _helper_loop(conn, parent_ends, model_config, params, row_grads):
         while True:
             share = conn.recv()
             try:
-                reply = [(i, mdl.loss_gradient(*enc, model_config, params,
-                                               row_grads[i]))
-                         for i, enc in share]
+                reply = _share_gradients(share, params, row_grads)
             except Exception as exc:  # the parent re-raises it
                 reply = exc
             conn.send(reply)
@@ -218,19 +207,16 @@ def _helper_loop(conn, parent_ends, model_config, params, row_grads):
 
 class GradientHelpers:
     """A `train` call's buffers, and helper processes that compute some of
-    a batch's per-sequence gradients for `batch_gradients`.
+    each batch's per-sequence gradients in `gradient`.
 
     `params` is a ModelParams holding a copy of the given parameters, so
     what the optimizer writes to `params.vector` is what the next forward
-    reads, here and in the helpers. `rows` (`batch_size` x P) take one
-    gradient per sequence through their named views `row_grads`
-    (model.param_slots, the parameters' own layout), and are summed into
-    `grad`, row 0, whose named views are `grads`; all live in one shared
-    mapping made before the fork. Parameters that do not fit `model_config`
-    raise ShapeMismatchError. The `count` helpers (possibly none) are forked
-    daemons that ignore SIGINT. A helper's exception is re-raised in the
-    parent with its type, and a helper that dies raises TrainingError; after
-    either, close the group.
+    reads, here and in the helpers. One row per sequence (`batch_size` x P,
+    named views by model.param_slots, the parameters' own layout) takes a
+    sequence's gradient; row 0 is `grad`, whose named views are `grads`.
+    All live in one shared mapping made before the fork. Parameters that do
+    not fit `model_config` raise ShapeMismatchError. The `count` helpers
+    (possibly none) are forked daemons that ignore SIGINT.
     """
 
     def __init__(self, model_config, params, batch_size, count):
@@ -238,10 +224,10 @@ class GradientHelpers:
         shared = np.frombuffer(mmap.mmap(-1, 8 * size * (batch_size + 1)), np.float64)
         self.params = mdl.ModelParams(model_config, shared[:size])
         self.params.vector[...] = params.vector
-        self.rows = shared[size:].reshape(batch_size, size)
-        self.row_grads = [mdl.param_slots(model_config, row) for row in self.rows]
-        self.grad = self.rows[0]
-        self.grads = self.row_grads[0]
+        self._rows = shared[size:].reshape(batch_size, size)
+        self._row_grads = [mdl.param_slots(model_config, row) for row in self._rows]
+        self.grad = self._rows[0]
+        self.grads = self._row_grads[0]
         self.count = count
         self._procs, self._conns = [], []
         try:
@@ -249,8 +235,8 @@ class GradientHelpers:
                 conn, child_conn = multiprocessing.Pipe()
                 proc = multiprocessing.get_context("fork").Process(
                     target=_helper_loop, daemon=True,
-                    args=(child_conn, [*self._conns, conn], model_config,
-                          self.params, self.row_grads))
+                    args=(child_conn, [*self._conns, conn], self.params,
+                          self._row_grads))
                 proc.start()
                 # closed at once, so no later helper inherits it and the
                 # parent sees EOF when this helper dies
@@ -261,20 +247,26 @@ class GradientHelpers:
             self.close()
             raise
 
-    def send(self, encoded):
-        """Send each helper its share of the encoded sequences, and return
-        the parent's share."""
-        shares = _shares([len(ids) for ids, _, _ in encoded], self.count + 1)
+    def gradient(self, encoded):
+        """The mean joint loss of the encoded sequences `encoded`; their
+        mean gradient is left in `grad`.
+
+        Each helper computes one _shares slice and the parent the first.
+        Sequence i's gradient lands in row i; rows 1..k-1 are added to row
+        0 in order and the sum divided by k, and the losses are added one
+        at a time in order, so the bits do not depend on who computed what.
+        A helper's exception is re-raised here with its type, and a helper
+        that dies raises TrainingError; after either, close the group.
+        """
+        k = len(encoded)
+        shares = [[(i, encoded[i]) for i in share] for share in
+                  _shares([len(ids) for ids, _, _ in encoded], self.count + 1)]
         for n, (conn, share) in enumerate(zip(self._conns, shares[1:])):
             try:
-                conn.send([(i, encoded[i]) for i in share])
+                conn.send(share)
             except ConnectionError as exc:
                 raise TrainingError(f"gradient helper {n} exited") from exc
-        return shares[0]
-
-    def receive(self, losses):
-        """Wait for each helper's share and fill in `losses` by row; raise
-        the first helper exception."""
+        losses = dict(_share_gradients(shares[0], self.params, self._row_grads))
         for n, conn in enumerate(self._conns):
             try:
                 reply = conn.recv()
@@ -282,8 +274,14 @@ class GradientHelpers:
                 raise TrainingError(f"gradient helper {n} exited") from exc
             if isinstance(reply, Exception):
                 raise reply
-            for i, loss in reply:
-                losses[i] = loss
+            losses.update(reply)
+        for row in self._rows[1:k]:
+            self.grad += row
+        self.grad /= k
+        total = 0.0
+        for i in range(k):  # one at a time, in order: sum() may compensate
+            total += losses[i]
+        return total / k
 
     def close(self):
         """Close the pipes, which stops every helper once its current share
@@ -297,7 +295,6 @@ class GradientHelpers:
 @dataclass
 class TrainResult:
     params: "mdl.ModelParams"
-    config: "mdl.ModelConfig"
     history: list  # (step, train_loss, dev_punct_f1, dev_interregnum_f1, dev_either_f1)
     initial_loss: float
     final_loss: float
@@ -327,12 +324,15 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
     min(usable CPUs, `batch_size`) - 1 gradient helpers (GradientHelpers)
     and joins them before it returns or raises. `init_params` is only read,
     and the returned parameters are a copy that no later call touches.
-    An unlabeled utterance or a label outside `scheme`, or a corpus
-    utterance longer than `model_config.max_positions` (a dev one is tagged
-    through the stream decoder), raises ValueError before the first step.
+    An empty corpus or dev set, an unlabeled utterance or a label outside
+    `scheme`, or a corpus utterance longer than `model_config.max_positions`
+    (a dev one is tagged through the stream decoder), raises ValueError
+    before the first step.
     """
     if not corpus:
         raise ValueError("training corpus is empty")
+    if dev is not None and not dev:
+        raise ValueError("dev set is empty")
     limit = model_config.max_positions
     for what, seqs in (("corpus", corpus), ("dev", dev or ())):
         # iterate, never index: perfbench's StepClock counts indexed reads
@@ -375,7 +375,7 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
             if initial_loss is None:
                 initial_loss = loss
             final_loss = loss
-            clip_gradients(helpers, config.clip_norm, model_config.n_heads)
+            clip_gradients(helpers, config.clip_norm)
             lr = lr_schedule(step, model_config.d_model, config.warmup_steps)
             opt.step(params.vector, helpers.grad, lr)
 
@@ -393,5 +393,5 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
     finally:
         helpers.close()
 
-    return TrainResult(best_params or params.copy(), model_config,
-                       history, initial_loss, final_loss, step)
+    return TrainResult(best_params or params.copy(), history, initial_loss,
+                       final_loss, step)

@@ -214,6 +214,22 @@ def test_train_on_word_with_whitespace_exits_1(tmp_path, capsys):
     assert not (tmp_path / "m.ctt").exists()
 
 
+@pytest.mark.parametrize("dev_text", ["", "\n  \n\n"])
+def test_train_with_an_empty_dev_file_exits_1(tmp_path, capsys, dev_text):
+    corpus, dev = tmp_path / "c.tsv", tmp_path / "dev.tsv"
+    ckpt = tmp_path / "m.ctt"
+    run(["synth", "--seed", "15", "--count", "10", "--out", str(corpus)],
+        capsys)
+    dev.write_text(dev_text)
+    code, out, err = run(["train", "--corpus", str(corpus), "--dev", str(dev),
+                          "--out", str(ckpt), "--set", "max_steps=6",
+                          "--set", "eval_every=2"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "dev set is empty" in err
+    assert "Traceback" not in err and out == ""
+    assert not ckpt.exists()
+
+
 # Every --set/config-file key and its default, as the CLI has always had them.
 _KEYS_AND_DEFAULTS = {
     "d_model": 32, "n_layers": 4, "n_heads": 2, "d_ff": 64,

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import shutil
 import struct
 import zlib
@@ -15,7 +16,7 @@ from puncstream import decoding as dec
 from puncstream import model as mdl
 from puncstream import numcore as nc
 from puncstream import training as tr
-from puncstream.data import LabelScheme, Vocabulary
+from puncstream.data import LabelScheme, TokenSequence, Vocabulary
 from puncstream.masks import MaskSpec, effective_lookahead
 
 # init_params(config, default_rng(0)) for the config and vocabulary
@@ -405,6 +406,32 @@ def test_checkpoint_magic_and_shape_validation(tmp_path):
         mdl.save_model(path2, small_config(punct=3), bundle.params,
                        bundle.vocab, bundle.scheme)
     assert not path2.exists()
+
+
+@pytest.mark.parametrize("words, labels, named", [
+    (["new york", "please"], {}, "vocabulary word 'new york'"),
+    (["", "please"], {}, "vocabulary word ''"),
+    (["a\nb"], {}, "vocabulary word 'a\\nb'"),
+    (["please"], {"punct_labels": ("O", "FULL STOP")},
+     "punctuation label 'FULL STOP'"),
+    (["please"], {"disf_labels": ("O", "")}, "disfluency label ''"),
+])
+def test_save_model_refuses_a_word_or_label_load_model_would_split(
+        tmp_path, words, labels, named):
+    # the vocabulary and the label names are stored space-separated, so
+    # such a file would load with other words or labels, or not at all
+    scheme = LabelScheme(**labels)
+    vocab = Vocabulary.from_corpus(
+        [TokenSequence(words, ["O"] * len(words), ["O"] * len(words))],
+        min_freq=1)
+    config = small_config(vocab_size=len(vocab), punct=len(scheme.punct_labels),
+                          disf=len(scheme.disf_labels))
+    path = tmp_path / "model.ctt"
+    with pytest.raises(ValueError, match="^" + re.escape(
+            named + " is empty or contains whitespace") + "$"):
+        mdl.save_model(path, config, mdl.init_params(config, np.random.default_rng(0)),
+                       vocab, scheme)
+    assert not path.exists()
 
 
 def _saved(tmp_path, seed):

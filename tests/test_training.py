@@ -135,7 +135,7 @@ def test_clip_sums_wqkv_block_by_block():
              "layer0.wo": rng.normal(size=(8, 8))}
     helpers = gradient_group(grads)
     out = helpers.grads
-    tr.clip_gradients(helpers, 1.0, n_heads=2)
+    tr.clip_gradients(helpers, 1.0)
     sq = float((grads["embed"] ** 2).sum())
     for h in range(2):
         for c in range(3):
@@ -222,6 +222,20 @@ def test_empty_corpus_rejected():
                  vocab, dt.LabelScheme())
 
 
+def test_empty_dev_set_rejected_before_the_first_step(monkeypatch):
+    # every eval of an empty dev set scores 0.0, so the first eval's
+    # parameters would be returned whatever the later steps learned
+    corpus = labelled([3, 5, 8], seed=1)
+    vocab = dt.Vocabulary.from_corpus(corpus)
+    steps = []
+    monkeypatch.setattr(tr, "batch_gradients", lambda *args: steps.append(args))
+    with pytest.raises(ValueError, match="^dev set is empty$"):
+        tr.train(corpus, tr.TrainConfig(batch_size=2, max_steps=6, eval_every=2),
+                 small_config(vocab_size=len(vocab)), vocab, dt.LabelScheme(),
+                 dev=[])
+    assert steps == [] and multiprocessing.active_children() == []
+
+
 def test_batch_gradients_zero_for_uninvolved_head():
     # a batch whose gold labels are all class 0 still trains both heads, but
     # the punct head's gradient must not touch disf head parameters
@@ -276,8 +290,8 @@ def test_training_fingerprint_is_pinned_with_helpers(monkeypatch):
 def check_training_fingerprint(monkeypatch):
     clipped = []
 
-    def clip_and_count(helpers, clip_norm, n_heads=1):
-        norm = clip(helpers, clip_norm, n_heads)
+    def clip_and_count(helpers, clip_norm):
+        norm = clip(helpers, clip_norm)
         clipped.append(norm > clip_norm)
         return norm
 
@@ -476,7 +490,7 @@ def test_in_place_clip_and_adam_equal_the_out_of_place_reference_bit_for_bit():
         for name, g in drawn.items():
             helpers.grads[name][...] = g
         lr = float(rng.uniform(1e-4, 0.1))
-        norm = tr.clip_gradients(helpers, 1.0, n_heads=2)
+        norm = tr.clip_gradients(helpers, 1.0)
         opt.step(params.vector, helpers.grad, lr)
         ref_norm = reference_clip_and_adam(ref, drawn, state, lr, 1.0, 2)
         assert norm == ref_norm
