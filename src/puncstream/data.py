@@ -29,26 +29,28 @@ class EncodeError(ValueError):
     pass
 
 
+def _check_names(what, names):
+    """Refuse, as ValueError, a word or label in `names` that is empty or
+    holds whitespace: a checkpoint stores the vocabulary and the label
+    names space-separated, and streams split their input on whitespace."""
+    for name in names:
+        if name.split() != [name]:
+            raise ValueError(f"{what} {name!r} is empty or contains whitespace")
+
+
 @dataclass(frozen=True)
 class LabelScheme:
+    """The punctuation and disfluency label names, "O" first in each. A
+    name that is empty or holds whitespace raises ValueError (_check_names)."""
+
     punct_labels: tuple = ("O", "COMMA", "PERIOD", "QUESTION")
     disf_labels: tuple = ("O", "B-RM", "I-RM", "B-IM", "I-IM")
 
     def __post_init__(self):
         if self.punct_labels[:1] != ("O",) or self.disf_labels[:1] != ("O",):
             raise ValueError("label O must have index 0 in both schemes")
-
-    def punct_id(self, label):
-        try:
-            return self.punct_labels.index(label)
-        except ValueError:
-            raise EncodeError(f"unknown punctuation label {label!r}") from None
-
-    def disf_id(self, label):
-        try:
-            return self.disf_labels.index(label)
-        except ValueError:
-            raise EncodeError(f"unknown disfluency label {label!r}") from None
+        _check_names("punctuation label", self.punct_labels)
+        _check_names("disfluency label", self.disf_labels)
 
     def label_problem(self, seq):
         """Why `seq` cannot be trained on or scored with this scheme ("has
@@ -63,7 +65,7 @@ class LabelScheme:
         return None
 
 
-def validate_bio(labels, where=""):
+def validate_bio(labels):
     """Every I-X must follow a B-X or I-X of the same span type."""
     prev = "O"
     for i, lab in enumerate(labels):
@@ -71,7 +73,7 @@ def validate_bio(labels, where=""):
             kind = lab[2:]
             if prev not in (f"B-{kind}", f"I-{kind}"):
                 raise BioError(
-                    f"{where}token {i}: {lab} not preceded by B-{kind}/I-{kind}")
+                    f"token {i}: {lab} not preceded by B-{kind}/I-{kind}")
         prev = lab
 
 
@@ -100,13 +102,14 @@ class TokenSequence:
 
 
 class Vocabulary:
-    """Word <-> id map with reserved PAD and UNK ids."""
+    """Word <-> id map with reserved PAD (id 0) and UNK (id 1) ids. A word
+    that is empty or holds whitespace raises ValueError (_check_names)."""
 
     def __init__(self, words):
         self.words = [PAD_WORD, UNK_WORD] + [w for w in words
                                              if w not in (PAD_WORD, UNK_WORD)]
+        _check_names("vocabulary word", self.words[2:])
         self._ids = {w: i for i, w in enumerate(self.words)}
-        self.pad_id = 0
         self.unk_id = 1
 
     @classmethod
@@ -168,14 +171,11 @@ def parse_corpus(path, strict_bio=True):
                 raise ParseError(
                     f"{path}:{line_no}: expected 1 or 3 tab-separated columns, "
                     f"got {len(cols)}")
-            # a checkpoint stores the vocabulary space-separated, and streams
-            # split their input on whitespace
-            word = cols[0].lower()
-            if word.split() != [word]:
-                raise ParseError(
-                    f"{path}:{line_no}: word {cols[0]!r} is empty or "
-                    "contains whitespace")
-            words.append(word)
+            try:
+                _check_names("word", cols[:1])
+            except ValueError as e:
+                raise ParseError(f"{path}:{line_no}: {e}") from None
+            words.append(cols[0].lower())
             punct.append(cols[1] if len(cols) == 3 else None)
             disf.append(cols[2] if len(cols) == 3 else None)
             if (punct[-1] is None) != (punct[0] is None):
@@ -444,11 +444,19 @@ def truncation_augment(batch, rng, max_positions, probability=0.5):
 # ---------------------------------------------------------------------------
 
 
+def _label_id(kind, labels, label):
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise EncodeError(f"unknown {kind} label {label!r}") from None
+
+
 def encode(seq, vocab, scheme):
-    """Map a sequence to (word ids, punct ids, disf ids); OOV words -> UNK."""
+    """Map a sequence to (word ids, punct ids, disf ids); OOV words -> UNK,
+    and a label outside `scheme` raises EncodeError."""
     ids = [vocab.id_of(w) for w in seq.words]
     if seq.punct is None:
         return ids, None, None
     return (ids,
-            [scheme.punct_id(p) for p in seq.punct],
-            [scheme.disf_id(d) for d in seq.disf])
+            [_label_id("punctuation", scheme.punct_labels, p) for p in seq.punct],
+            [_label_id("disfluency", scheme.disf_labels, d) for d in seq.disf])

@@ -43,13 +43,6 @@ class EvalReport:
     disf: dict                  # interregnum / reparandum / either -> Scores
 
 
-@dataclass
-class LatencyReport:
-    histogram: dict             # max position change -> stream count
-    total_seconds: float = 0.0
-    words_per_second: float = 0.0
-
-
 def _disf_kind(label):
     if label.endswith("RM"):
         return "reparandum"
@@ -127,34 +120,25 @@ def report_keyvalues(report):
     return kv
 
 
-def max_position_change(revision_log):
-    """Largest back-to-front distance of a punctuation revision in one stream."""
-    return max((end - pos for end, pos in revision_log), default=0)
-
-
 def position_change_histogram(revision_logs):
-    """Histogram over streams of the max punctuation-position change."""
+    """{largest revision distance: number of streams}, a stream's distance
+    being the largest end - position in its revision log (0 if none)."""
     hist = {}
     for log in revision_logs:
-        d = max_position_change(log)
+        d = max((end - pos for end, pos in log), default=0)
         hist[d] = hist.get(d, 0) + 1
-    return LatencyReport(histogram=hist)
+    return hist
 
 
-def _median_report(times, n_words):
-    """LatencyReport of the median (upper median for even counts) run time."""
-    median = sorted(times)[len(times) // 2]
-    return LatencyReport(
-        histogram={},
-        total_seconds=median,
-        words_per_second=n_words / median if median > 0 else 0.0,
-    )
+def _median(times):
+    """The median run time, the upper median for an even count."""
+    return sorted(times)[len(times) // 2]
 
 
 def bench_streaming(tagger, words, policy, runs):
     """Median-of-runs wall time for streaming decode; warm-up pass first.
 
-    Returns (LatencyReport, revision log of the last run). Timing covers
+    Returns (median seconds, revision log of the last run). Timing covers
     inference only; the input is already in memory. An empty word list
     raises ValueError.
     """
@@ -168,11 +152,12 @@ def bench_streaming(tagger, words, policy, runs):
         t0 = time.perf_counter()
         _, state = stream_decode(words, tagger, policy)
         times.append(time.perf_counter() - t0)
-    return _median_report(times, len(words)), state.revision_log
+    return _median(times), state.revision_log
 
 
 def bench_rescore(tagger, words, frame_rate, runs, budget_seconds=None):
-    """Median-of-runs wall time for the no-truncation rescoring baseline.
+    """Median-of-runs wall time for the no-truncation rescoring baseline:
+    (median seconds, whether every run completed).
 
     Each run may be aborted once it exceeds `budget_seconds`; an aborted
     run's time is a strict lower bound on its true cost, so comparisons that
@@ -188,4 +173,4 @@ def bench_rescore(tagger, words, frame_rate, runs, budget_seconds=None):
         _, done = rescore_decode(words, tagger, frame_rate, deadline=deadline)
         times.append(time.perf_counter() - t0)
         completed = completed and done
-    return _median_report(times, len(words)), completed
+    return _median(times), completed

@@ -288,7 +288,6 @@ def forward(token_ids, config, params):
 
     `params` is a ModelParams, checked against the config (unpack_params).
     """
-    params = unpack_params(config, params)
     return heads_forward(encoder_forward(token_ids, config, params), params)
 
 
@@ -363,25 +362,36 @@ def _block_key(field):
     return "lookahead" if field == "mask_spec" else field
 
 
+def _check_counts(path, config, vocab, scheme):
+    """Raise CheckpointError unless the vocabulary has `config.vocab_size`
+    entries and the label scheme the config's label counts."""
+    if len(vocab) != config.vocab_size:
+        raise CheckpointError(
+            f"checkpoint {path}: vocabulary has {len(vocab)} entries but "
+            f"config says {config.vocab_size}")
+    if (len(scheme.punct_labels), len(scheme.disf_labels)) != \
+            (config.punct_label_count, config.disf_label_count):
+        raise CheckpointError(
+            f"checkpoint {path}: {len(scheme.punct_labels)} punct and "
+            f"{len(scheme.disf_labels)} disf label names but config says "
+            f"{config.punct_label_count} and {config.disf_label_count}")
+
+
 def save_model(path, config, params, vocab, scheme):
     """Write the config, the vocabulary, the label names and the parameter
     vector, then the CRC. `params` that do not fit `config` raise
-    ShapeMismatchError, and a word or label that is empty or holds
-    whitespace ValueError, before the file is opened.
+    ShapeMismatchError, and a vocabulary or label scheme of another size
+    than the config's CheckpointError, before the file is opened. Every
+    word and label can be stored: Vocabulary and LabelScheme refuse one
+    that is empty or holds whitespace.
 
     The config block holds ModelConfig's fields in declaration order, then
     the vocabulary without PAD/UNK, which are implicit, and the label names.
     """
     payload = np.asarray(unpack_params(config, params).vector, dtype="<f8").tobytes()
+    _check_counts(path, config, vocab, scheme)
     kv = {_block_key(f.name): getattr(config, f.name) for f in fields(config)}
     kv["lookahead"] = config.mask_spec.to_string()
-    for what, names in (("vocabulary word", vocab.words[2:]),
-                        ("punctuation label", scheme.punct_labels),
-                        ("disfluency label", scheme.disf_labels)):
-        for name in names:  # stored space-separated
-            if name.split() != [name]:
-                raise ValueError(f"{what} {name!r} is empty or contains "
-                                 "whitespace")
     kv["vocab"] = " ".join(vocab.words[2:])
     kv["punct_labels"] = " ".join(scheme.punct_labels)
     kv["disf_labels"] = " ".join(scheme.disf_labels)
@@ -442,16 +452,7 @@ def load_model(path):
                 f"checkpoint {path} has bytes past the end its config implies")
     if zlib.crc32(payload, zlib.crc32(magic + length + block)) != crc:
         raise CheckpointError(f"checkpoint {path} fails its CRC check")
-    if len(vocab) != config.vocab_size:
-        raise CheckpointError(
-            f"checkpoint {path}: vocabulary has {len(vocab)} entries but "
-            f"config says {config.vocab_size}")
-    if (len(scheme.punct_labels), len(scheme.disf_labels)) != \
-            (config.punct_label_count, config.disf_label_count):
-        raise CheckpointError(
-            f"checkpoint {path}: {len(scheme.punct_labels)} punct and "
-            f"{len(scheme.disf_labels)} disf label names but config says "
-            f"{config.punct_label_count} and {config.disf_label_count}")
+    _check_counts(path, config, vocab, scheme)
     params = ModelParams(config, np.frombuffer(payload, dtype="<f8").astype(np.float64))
     if not np.isfinite(params.vector).all():
         raise CheckpointError(f"checkpoint {path} has non-finite values in "

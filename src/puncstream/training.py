@@ -143,8 +143,8 @@ def batch_gradients(batch, model_config, params, vocab, scheme, helpers=None):
     by the next call on the group and by clip_gradients; copy them to keep
     them.
     """
-    if helpers is None:
-        helpers = GradientHelpers(model_config, params, len(batch), 0)
+    if helpers is None:  # at least one row; `gradient` refuses an empty batch
+        helpers = GradientHelpers(model_config, params, max(len(batch), 1), 0)
     loss = helpers.gradient([encode(seq, vocab, scheme) for seq in batch])
     return loss, helpers.grads
 
@@ -256,9 +256,14 @@ class GradientHelpers:
         0 in order and the sum divided by k, and the losses are added one
         at a time in order, so the bits do not depend on who computed what.
         A helper's exception is re-raised here with its type, and a helper
-        that dies raises TrainingError; after either, close the group.
+        that dies raises TrainingError; after either, close the group. No
+        sequences, or more than the group's rows, raise ValueError before
+        any share is sent.
         """
         k = len(encoded)
+        if not 1 <= k <= len(self._rows):
+            raise ValueError(f"a batch of {k} sequences for a group made for "
+                             f"1 to {len(self._rows)}")
         shares = [[(i, encoded[i]) for i in share] for share in
                   _shares([len(ids) for ids, _, _ in encoded], self.count + 1)]
         for n, (conn, share) in enumerate(zip(self._conns, shares[1:])):

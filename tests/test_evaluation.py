@@ -121,16 +121,14 @@ def test_format_report_contains_overall_row():
     assert "1.0000" in text
 
 
-def test_max_position_change():
-    assert ev.max_position_change([]) == 0
-    assert ev.max_position_change([(10, 8), (20, 5)]) == 15
-
-
 def test_position_change_histogram():
-    logs = [[], [(7, 7)], [(9, 4), (12, 10)]]
-    hist = ev.position_change_histogram(logs).histogram
-    assert hist == {0: 2, 5: 1}
-    assert sum(hist.values()) == len(logs)
+    # a stream's distance is the largest end - position in its log, 0 if none
+    for logs, expected in (([[], [(7, 7)], [(9, 4), (12, 10)]], {0: 2, 5: 1}),
+                           ([[]], {0: 1}),
+                           ([[(10, 8), (20, 5)]], {15: 1})):
+        hist = ev.position_change_histogram(logs)
+        assert hist == expected
+        assert sum(hist.values()) == len(logs)
 
 
 def test_bench_streaming_scales_with_input():
@@ -150,11 +148,11 @@ def test_bench_streaming_scales_with_input():
     words = ["w"] * 300
     short, _ = ev.bench_streaming(SleepStub(), words, policy, runs=3)
     long, _ = ev.bench_streaming(SleepStub(), words * 2, policy, runs=3)
-    assert short.total_seconds > 0
-    assert long.words_per_second > 0
+    assert short > 0
+    assert len(words * 2) / long > 0
     # doubling the stream should roughly double the time (generous margin
     # because the work per call is tiny)
-    ratio = long.total_seconds / short.total_seconds
+    ratio = long / short
     assert 1.3 < ratio < 3.5
 
 
@@ -165,10 +163,10 @@ def test_bench_rescore_reports_incomplete_on_tiny_budget():
             time.sleep(0.01)
             return ["O"] * len(words), ["O"] * len(words)
 
-    report, completed = ev.bench_rescore(Slow(), ["w"] * 30, frame_rate=1,
-                                         runs=1, budget_seconds=0.001)
+    seconds, completed = ev.bench_rescore(Slow(), ["w"] * 30, frame_rate=1,
+                                          runs=1, budget_seconds=0.001)
     assert not completed
-    assert report.total_seconds >= 0.001
+    assert seconds >= 0.001
 
 
 @pytest.mark.parametrize("runs", [0, -1])

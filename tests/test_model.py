@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import fill_tensor, random_bundle, rewrite_config_line, seal, small_config
@@ -419,19 +419,65 @@ def test_checkpoint_magic_and_shape_validation(tmp_path):
 def test_save_model_refuses_a_word_or_label_load_model_would_split(
         tmp_path, words, labels, named):
     # the vocabulary and the label names are stored space-separated, so
-    # such a file would load with other words or labels, or not at all
-    scheme = LabelScheme(**labels)
-    vocab = Vocabulary.from_corpus(
-        [TokenSequence(words, ["O"] * len(words), ["O"] * len(words))],
-        min_freq=1)
-    config = small_config(vocab_size=len(vocab), punct=len(scheme.punct_labels),
-                          disf=len(scheme.disf_labels))
+    # such a file would load with other words or labels, or not at all;
+    # the vocabulary or label scheme holding one is refused as it is built
     path = tmp_path / "model.ctt"
     with pytest.raises(ValueError, match="^" + re.escape(
             named + " is empty or contains whitespace") + "$"):
+        scheme = LabelScheme(**labels)
+        vocab = Vocabulary.from_corpus(
+            [TokenSequence(words, ["O"] * len(words), ["O"] * len(words))],
+            min_freq=1)
+        config = small_config(vocab_size=len(vocab),
+                              punct=len(scheme.punct_labels),
+                              disf=len(scheme.disf_labels))
         mdl.save_model(path, config, mdl.init_params(config, np.random.default_rng(0)),
                        vocab, scheme)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("vocab, scheme, message", [
+    (Vocabulary(["a", "b"]), LabelScheme(),
+     "vocabulary has 4 entries but config says 6"),
+    (Vocabulary(["a", "b", "c", "d"]), LabelScheme(("O", "PERIOD")),
+     "2 punct and 5 disf label names but config says 4 and 5"),
+    (Vocabulary(["a", "b", "c", "d"]), LabelScheme(disf_labels=("O", "B-IM")),
+     "4 punct and 2 disf label names but config says 4 and 5"),
+])
+def test_save_model_refuses_counts_other_than_the_configs(tmp_path, vocab, scheme,
+                                                          message):
+    # load_model would refuse such a file with the same message
+    config = small_config(vocab_size=6)
+    path = tmp_path / "model.ctt"
+    with pytest.raises(mdl.CheckpointError, match=message):
+        mdl.save_model(path, config, mdl.init_params(config, np.random.default_rng(0)),
+                       vocab, scheme)
+    assert not path.exists()
+
+
+_NAMES = st.lists(st.text(min_size=1, max_size=6), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=_NAMES, punct=_NAMES, disf=_NAMES)
+def test_any_vocabulary_and_scheme_that_construct_round_trip(tmp_path_factory,
+                                                             words, punct, disf):
+    try:
+        vocab = Vocabulary(words)
+        scheme = LabelScheme(("O", *punct), ("O", *disf))
+    except ValueError:
+        assume(False)
+    config = small_config(vocab_size=len(vocab), d_model=2, n_layers=1,
+                          d_ff=2, lookahead=(1,), punct=len(scheme.punct_labels),
+                          disf=len(scheme.disf_labels))
+    params = mdl.init_params(config, np.random.default_rng(0))
+    path = tmp_path_factory.mktemp("ckpt") / "model.ctt"
+    mdl.save_model(path, config, params, vocab, scheme)
+    loaded_config, loaded, loaded_vocab, loaded_scheme = mdl.load_model(path)
+    assert loaded_config == config
+    assert loaded_vocab.words == vocab.words
+    assert loaded_scheme == scheme
+    assert loaded.vector.tobytes() == params.vector.tobytes()
 
 
 def _saved(tmp_path, seed):

@@ -247,6 +247,36 @@ def test_batch_gradients_zero_for_uninvolved_head():
     assert np.all(np.isfinite(grads["embed"]))
 
 
+@pytest.mark.parametrize("count", [0, 1])
+def test_gradient_refuses_a_batch_the_group_has_no_rows_for(count):
+    # refused before any share is sent, so the helpers stay in step and the
+    # next batch's gradient is the one computed in one process
+    if count and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no helpers without the fork start method")
+    bundle = random_bundle(small_config(), seed=7)
+    seqs = labelled([2, 3, 4], seed=1)
+    encoded = [dt.encode(seq, bundle.vocab, bundle.scheme) for seq in seqs]
+    helpers = tr.GradientHelpers(bundle.config, bundle.params, 2, count)
+    try:
+        for batch in ([], encoded):
+            with pytest.raises(ValueError, match=f"a batch of {len(batch)} "
+                               "sequences for a group made for 1 to 2"):
+                helpers.gradient(batch)
+        loss = helpers.gradient(encoded[:2])
+        grad = helpers.grad.copy()
+    finally:
+        helpers.close()
+    alone_loss, alone = tr.batch_gradients(seqs[:2], bundle.config,
+                                           bundle.params, bundle.vocab,
+                                           bundle.scheme)
+    assert loss == alone_loss
+    assert grad.tobytes() == np.concatenate(
+        [g.ravel() for g in alone.values()]).tobytes()
+    with pytest.raises(ValueError, match="a batch of 0 sequences"):
+        tr.batch_gradients([], bundle.config, bundle.params, bundle.vocab,
+                           bundle.scheme)
+
+
 @pytest.mark.parametrize("clip_norm", [float("nan"), float("inf"), float("-inf"),
                                        0.0, -1.0])
 def test_train_config_rejects_clip_norm_not_finite_and_positive(clip_norm):
