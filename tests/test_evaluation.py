@@ -121,14 +121,17 @@ def test_format_report_contains_overall_row():
     assert "1.0000" in text
 
 
-def test_position_change_histogram():
+def test_max_position_change():
     # a stream's distance is the largest end - position in its log, 0 if none
-    for logs, expected in (([[], [(7, 7)], [(9, 4), (12, 10)]], {0: 2, 5: 1}),
-                           ([[]], {0: 1}),
-                           ([[(10, 8), (20, 5)]], {15: 1})):
-        hist = ev.position_change_histogram(logs)
-        assert hist == expected
-        assert sum(hist.values()) == len(logs)
+    assert ev.position_change_histogram([[]]) == {0: 1}
+    assert ev.position_change_histogram([[(10, 8), (20, 5)]]) == {15: 1}
+
+
+def test_position_change_histogram():
+    logs = [[], [(7, 7)], [(9, 4), (12, 10)]]
+    hist = ev.position_change_histogram(logs)
+    assert hist == {0: 2, 5: 1}
+    assert sum(hist.values()) == len(logs)
 
 
 def test_bench_streaming_scales_with_input():
