@@ -243,6 +243,10 @@ def main(argv=None):
     except (OSError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:  # numpy's names the size it could not allocate
+        print(f"error: out of memory: {e}" if str(e) else "error: out of memory",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -242,18 +242,19 @@ def unpack_params(config, params):
     return params
 
 
-def _encode(ids, config, params, saved=None):
+def _encode(ids, config, params, lengths, saved=None):
     """The encoder: numcore's kernels on the int64 ids `ids` and the arrays
     of the ModelParams `params`, with no shape checks and no Tensors.
-    Given a list `saved`, appends for each layer its input and what its
-    kernels return for their backwards (`loss_gradient`)."""
-    n = len(ids)
-    x = nc._embedding_lookup(params.embed, ids,
-                             _positions(n, config.d_model, config.max_positions))
+    `ids` holds one or more sequences one after another, of the lengths
+    `lengths`, each with its own positions and masks; the kernels run once
+    over all of them. Given a list `saved`, appends for each layer its input
+    and what its kernels return for their backwards (`loss_gradients`)."""
+    x = nc._embedding_lookup(params.embed, ids, nc._stack(
+        [_positions(n, config.d_model, config.max_positions) for n in lengths]))
     for lookahead, (wqkv, wo, g1, b1, w1, fb1, w2, fb2, g2, b2) in zip(
             config.mask_spec.per_layer_lookahead, params.layers):
-        mask = build_ct_mask(n, lookahead)
-        y, attention = nc._attention(x, wqkv, wo, mask, config.n_heads)
+        masks = [build_ct_mask(n, lookahead) for n in lengths]
+        y, attention = nc._attention(x, wqkv, wo, masks, config.n_heads)
         x1, norm1 = nc._add_layer_norm(x, y, g1, b1)
         y, inner = nc._feed_forward(x1, w1, fb1, w2, fb2)
         y, norm2 = nc._add_layer_norm(x1, y, g2, b2)
@@ -273,7 +274,7 @@ def encoder_forward(token_ids, config, params):
     add+norm2, on the arrays of `unpack_params(config, params)`.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
-    return nc._wrap(_encode(ids, config, unpack_params(config, params)))
+    return nc._wrap(_encode(ids, config, unpack_params(config, params), (len(ids),)))
 
 
 def heads_forward(hidden, params):
@@ -292,44 +293,85 @@ def forward(token_ids, config, params):
 
 
 def loss_gradient(token_ids, punct_ids, disf_ids, config, params, grads):
-    """The joint loss of one labeled sequence, the sum of the two heads'
-    token-mean cross entropies, as a float; its gradient is written into
-    `grads`, a name -> array map with an array of every parameter's shape.
+    """The joint loss of one labeled sequence as a float; its gradient is
+    written into `grads`, a name -> array map with an array of every
+    parameter's shape. This is loss_gradients' one-sequence case."""
+    return loss_gradients([(token_ids, punct_ids, disf_ids)], config, params,
+                          [grads])[0]
 
-    The forward is inference's own, `_encode` and `heads_forward`, keeping
-    what the kernels return for their backwards. These then run in reverse:
-    the heads', each layer's (last layer first) and the embedding's. Where
-    a gradient has several parts they add up as in a reverse-mode pass over
-    one op per product, sum, ReLU and norm, so the gradient has its bits:
-    the hidden states' adds the disf head's part before the punct head's,
-    and within a layer x's adds the norm2 residual, the FFN, the norm1
-    residual and then the attention blocks.
+
+def loss_gradients(encoded, config, params, rows):
+    """The joint losses of the labeled sequences `encoded`, (token ids,
+    punct ids, disf ids) triples, as floats, each the sum of the two heads'
+    token-mean cross entropies. Sequence i's gradient is written into
+    `rows[i]`, a name -> array map with an array of every parameter's shape.
+
+    Each sequence gets the bits it would get alone. The sequences of two or
+    more words run as one pack, stacked row by row (`_pack_loss_gradients`);
+    a one-word sequence runs alone, since numpy computes a one-row product
+    as a matrix-vector product, whose bits differ from the row's inside a
+    matrix product.
     """
     params = unpack_params(config, params)
-    ids = np.asarray(token_ids, dtype=np.int64)
+    packs = [[i] for i, (ids, _, _) in enumerate(encoded) if len(ids) == 1]
+    packs.append([i for i, (ids, _, _) in enumerate(encoded) if len(ids) != 1])
+    losses = {}
+    for pack in packs:
+        if pack:
+            losses.update(zip(pack, _pack_loss_gradients(
+                [encoded[i] for i in pack], config, params, [rows[i] for i in pack])))
+    return [losses[i] for i in range(len(encoded))]
+
+
+def _pack_loss_gradients(encoded, config, params, rows):
+    """loss_gradients on the sequences `encoded`, stacked row by row.
+
+    The forward is inference's own, `_encode` and `heads_forward`, over
+    all the rows, keeping what the kernels return for their backwards.
+    Each sequence's cross entropies and the heads' backwards run on its own
+    rows; the kernels' backwards then run in reverse, each layer's (last
+    layer first) and the embedding's, each sequence's parameter gradients
+    landing in its own row. Where a gradient has several parts they add up
+    as in a reverse-mode pass over one op per product, sum, ReLU and norm,
+    so the gradient has its bits: the hidden states' adds the disf head's
+    part before the punct head's, and within a layer x's adds the norm2
+    residual, the FFN, the norm1 residual and then the attention blocks.
+    """
+    lengths = [len(ids) for ids, _, _ in encoded]
+    segments, start = [], 0
+    for n in lengths:
+        segments.append(slice(start, start + n))
+        start += n
+    ids = nc._stack([np.asarray(ids, dtype=np.int64) for ids, _, _ in encoded])
     saved = []
-    hidden = nc._wrap(_encode(ids, config, params, saved))
+    hidden = nc._wrap(_encode(ids, config, params, lengths, saved))
     punct, disf = heads_forward(hidden, params)
-    punct_loss, punct_saved = nc._cross_entropy_mean(punct.data, punct_ids)
-    disf_loss, disf_saved = nc._cross_entropy_mean(disf.data, disf_ids)
-    g_punct = nc._cross_entropy_mean_backward(punct.data, punct_saved)
-    g_disf = nc._cross_entropy_mean_backward(disf.data, disf_saved)
-    for head, g in (("punct", g_punct), ("disf", g_disf)):
-        np.matmul(hidden.data.T, g, out=grads[f"{head}.w"])
-        np.add.reduce(g, axis=0, out=grads[f"{head}.b"])
-    g = g_disf @ params["disf.w"].data.T
-    g += g_punct @ params["punct.w"].data.T
+    g = np.empty(hidden.shape)
+    losses = []
+    for s, (_, punct_ids, disf_ids), grads in zip(segments, encoded, rows):
+        punct_loss, punct_saved = nc._cross_entropy_mean(punct.data[s], punct_ids)
+        disf_loss, disf_saved = nc._cross_entropy_mean(disf.data[s], disf_ids)
+        g_punct = nc._cross_entropy_mean_backward(punct.data[s], punct_saved)
+        g_disf = nc._cross_entropy_mean_backward(disf.data[s], disf_saved)
+        for head, gh in (("punct", g_punct), ("disf", g_disf)):
+            np.matmul(hidden.data[s].T, gh, out=grads[f"{head}.w"])
+            np.add.reduce(gh, axis=0, out=grads[f"{head}.b"])
+        np.matmul(g_disf, params["disf.w"].data.T, out=g[s])
+        g[s] += g_punct @ params["punct.w"].data.T
+        losses.append(float(punct_loss + disf_loss))
+    layer_grads = [list(zip(*map(layer, rows)))
+                   for layer in _layer_getters(config.n_layers)]
     for (x, attention, x1, norm1, inner, norm2), (wqkv, wo, g1, _, w1, _, w2, _, g2, _), \
             (gwqkv, gwo, gg1, gb1, gw1, gfb1, gw2, gfb2, gg2, gb2) in zip(
-                reversed(saved), reversed(params.layers),
-                reversed([layer(grads) for layer in _layer_getters(config.n_layers)])):
-        g = nc._add_layer_norm_backward(g, g2, norm2, gg2, gb2)
-        nc._feed_forward_backward(g, x1, w1, w2, inner, g, gw1, gfb1, gw2, gfb2)
-        g = nc._add_layer_norm_backward(g, g1, norm1, gg1, gb1)
-        nc._attention_backward(g, x, wqkv, wo, attention, config.n_heads, g,
-                               gwqkv, gwo)
-    nc._embedding_backward(g, ids, grads["embed"])
-    return float(punct_loss + disf_loss)
+                reversed(saved), reversed(params.layers), reversed(layer_grads)):
+        g = nc._add_layer_norm_backward(g, g2, norm2, segments, gg2, gb2)
+        nc._feed_forward_backward(g, x1, w1, w2, inner, segments, g, gw1, gfb1,
+                                  gw2, gfb2)
+        g = nc._add_layer_norm_backward(g, g1, norm1, segments, gg1, gb1)
+        nc._attention_backward(g, x, wqkv, wo, attention, config.n_heads,
+                               segments, g, gwqkv, gwo)
+    nc._embedding_backward(g, ids, segments, [grads["embed"] for grads in rows])
+    return losses
 
 
 def predict(token_ids, config, params):

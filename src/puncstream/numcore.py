@@ -17,6 +17,8 @@ plain arrays (`_attention`, `_add_layer_norm`, `_feed_forward`,
 and one backward (`_attention_backward` and so on) that takes those and the
 output's gradient. `model` runs the kernels as its one forward, for
 inference and for training, and the backwards in reverse for the gradient.
+The kernels take one sequence's rows or several sequences' rows stacked, so
+a training process computes its whole share of a batch in one pass.
 `_cross_entropy_mean` and `_cross_entropy_mean_backward` are the loss.
 `Tensor` and `matmul` serve the tagging heads' public forward.
 """
@@ -82,9 +84,19 @@ def matmul(a, b):
 # would, with the same numpy expressions in the same order. Its backward
 # does the same for that chain's backward, and where an input's gradient
 # has several parts, it adds them in the order that chain's reverse-mode
-# pass did, so gradients keep their bits. A backward writes parameter
-# gradients into the arrays it is given and adds the input's gradient into
-# `gx`, which may be `g` itself: every read of `g` comes first.
+# pass did, so gradients keep their bits.
+#
+# The arrays may hold several sequences' rows one after another. Row-wise
+# work (the norms, the ReLU, a bias) and untransposed products `x @ W` run
+# once over all rows: numpy gives a block of two or more rows the same bits
+# inside a taller product as on its own. Work whose bits depend on a
+# sequence's row count runs on each sequence's rows alone: the attention
+# core, every transposed product `g @ W.T`, the parameter-gradient products
+# `x.T @ g` and the sums over rows. A backward takes the sequences' row
+# slices, `segments`, and per parameter a list of arrays, one per sequence,
+# that it writes the sequence's gradient into; it adds the input's gradient
+# into `gx`, which may be `g` itself: every read of a sequence's rows of
+# `g` comes before the write to them.
 # ---------------------------------------------------------------------------
 
 
@@ -100,16 +112,20 @@ def _feed_forward(x, w1, b1, w2, b2):
     return out, inner
 
 
-def _feed_forward_backward(g, x, w1, w2, inner, gx, gw1, gb1, gw2, gb2):
-    """Write the gradients of w1, b1, w2 and b2 into gw1, gb1, gw2 and gb2,
-    and add x's into gx."""
-    gin = g @ w2.T
+def _feed_forward_backward(g, x, w1, w2, inner, segments, gx, gw1, gb1, gw2,
+                           gb2):
+    """Write each sequence's gradients of w1, b1, w2 and b2 into its arrays
+    in the lists gw1, gb1, gw2 and gb2, and add x's into gx."""
+    gin = np.empty_like(inner)
+    for s in segments:
+        np.matmul(g[s], w2.T, out=gin[s])
     gin *= inner > 0.0  # after the ReLU: positive exactly where it was
-    np.matmul(inner.T, g, out=gw2)
-    np.add.reduce(g, axis=0, out=gb2)
-    np.matmul(x.T, gin, out=gw1)
-    np.add.reduce(gin, axis=0, out=gb1)
-    gx += gin @ w1.T
+    for s, gw1_s, gb1_s, gw2_s, gb2_s in zip(segments, gw1, gb1, gw2, gb2):
+        np.matmul(inner[s].T, g[s], out=gw2_s)
+        np.add.reduce(g[s], axis=0, out=gb2_s)
+        np.matmul(x[s].T, gin[s], out=gw1_s)
+        np.add.reduce(gin[s], axis=0, out=gb1_s)
+        gx[s] += gin[s] @ w1.T
 
 
 def _add_layer_norm(x, y, gain, bias):
@@ -128,9 +144,10 @@ def _add_layer_norm(x, y, gain, bias):
     return out, (xhat, inv)
 
 
-def _add_layer_norm_backward(g, gain, saved, ggain, gbias):
-    """Write the gradients of gain and bias into ggain and gbias, and return
-    the gradient of x + y, which is x's and y's."""
+def _add_layer_norm_backward(g, gain, saved, segments, ggain, gbias):
+    """Write each sequence's gradients of gain and bias into its arrays in
+    the lists ggain and gbias, and return the gradient of x + y, which is
+    x's and y's."""
     xhat, inv = saved
     d = xhat.shape[-1]
     dx = g * gain
@@ -140,59 +157,82 @@ def _add_layer_norm_backward(g, gain, saved, ggain, gbias):
     dx -= mean
     dx -= proj
     dx *= inv
-    np.add.reduce(g * xhat, axis=0, out=ggain)
-    np.add.reduce(g, axis=0, out=gbias)
+    gxhat = g * xhat
+    for s, ggain_s, gbias_s in zip(segments, ggain, gbias):
+        np.add.reduce(gxhat[s], axis=0, out=ggain_s)
+        np.add.reduce(g[s], axis=0, out=gbias_s)
     return dx
 
 
-def _attention(x, wqkv, wo, mask, n_heads):
+def _attention(x, wqkv, wo, masks, n_heads):
     """The attention kernel: masked scaled dot-product self-attention of all
-    heads, then the output projection, and what the backward needs: the
-    per-head q, k and v, the attention weights, the heads' outputs side by
-    side and the score scale.
+    heads, then the output projection, and what the backward needs: per
+    sequence the per-head q, k and v and the attention weights, then the
+    heads' outputs side by side and the score scale.
 
-    `x` (n, d) is projected by `wqkv` (d, 3d), whose columns are
-    [q_0 .. q_{H-1} | k_0 .. | v_0 ..], each block d/H wide. `mask` is an
-    additive (n, n) array with entries in {0, -inf}, shared by every head;
+    `x` (N, d) holds the rows of one or more sequences one after another,
+    one sequence per entry of `masks`, an additive (n, n) array for a
+    sequence of n rows with entries in {0, -inf}, shared by every head;
     every row must have an open entry, as every build_ct_mask row does (a
-    position sees itself). The heads' outputs, side by side, are multiplied
-    by `wo` (d, d).
+    position sees itself). `x` is projected by `wqkv` (d, 3d), whose columns
+    are [q_0 .. q_{H-1} | k_0 .. | v_0 ..], each block d/H wide. The
+    projections and the heads' outputs, side by side, multiplied by `wo`
+    (d, d), are one product over all rows; the scores, the softmax and the
+    weighted sum are each sequence's own.
     """
-    n, d = x.shape
+    d = x.shape[1]
     dk = d // n_heads
     scale = 1.0 / math.sqrt(dk)  # the same correctly rounded root as np.sqrt
-    q, k, v = (x @ wqkv).reshape(n, 3, n_heads, dk).transpose(1, 2, 0, 3)
-    p = q @ k.transpose(0, 2, 1)
-    p *= scale
-    p += mask
-    p -= np.maximum.reduce(p, axis=-1, keepdims=True)
-    np.exp(p, out=p)  # exp(-inf) == 0 exactly
-    p /= np.add.reduce(p, axis=-1, keepdims=True)
-    heads = (p @ v).transpose(1, 0, 2).reshape(n, d)
-    return heads @ wo, (q, k, v, p, heads, scale)
+    qkv = x @ wqkv
+    per_sequence, heads, start = [], [], 0
+    for mask in masks:
+        n = len(mask)
+        q, k, v = qkv[start:start + n].reshape(n, 3, n_heads, dk).transpose(1, 2, 0, 3)
+        p = q @ k.transpose(0, 2, 1)
+        p *= scale
+        p += mask
+        p -= np.maximum.reduce(p, axis=-1, keepdims=True)
+        np.exp(p, out=p)  # exp(-inf) == 0 exactly
+        p /= np.add.reduce(p, axis=-1, keepdims=True)
+        heads.append((p @ v).transpose(1, 0, 2).reshape(n, d))
+        per_sequence.append((q, k, v, p))
+        start += n
+    heads = _stack(heads)
+    return heads @ wo, (per_sequence, heads, scale)
 
 
-def _attention_backward(g, x, wqkv, wo, saved, n_heads, gx, gwqkv, gwo):
-    """Write the gradients of wqkv and wo into gwqkv and gwo, and add x's
-    into gx one (head, projection) block at a time: last head first, v then
-    k then q. That is the order in which separate per-head projections (the
-    CTT1 layout) add up, so training gives the same bits as with them."""
-    q, k, v, p, heads, scale = saved
-    n, d = x.shape
+def _attention_backward(g, x, wqkv, wo, saved, n_heads, segments, gx, gwqkv,
+                        gwo):
+    """Write each sequence's gradients of wqkv and wo into its arrays in the
+    lists gwqkv and gwo, and add x's into gx one (head, projection) block at
+    a time: last head first, v then k then q. That is the order in which
+    separate per-head projections (the CTT1 layout) add up, so training
+    gives the same bits as with them. A sequence's blocks come from one
+    batched product over its (projection, head) pairs."""
+    per_sequence, heads, scale = saved
+    d = x.shape[1]
     dk = d // n_heads
-    np.matmul(heads.T, g, out=gwo)
-    g = (g @ wo.T).reshape(n, n_heads, dk).transpose(1, 0, 2)
-    gz = g @ v.transpose(0, 2, 1)
-    gz -= np.add.reduce(gz * p, axis=-1, keepdims=True)
-    gz *= p
-    gz *= scale
-    gqkv = np.stack((gz @ k, gz.transpose(0, 2, 1) @ q,
-                     p.transpose(0, 2, 1) @ g))  # (3, H, n, dk)
-    np.matmul(x.T, gqkv.transpose(2, 0, 1, 3).reshape(n, 3 * d), out=gwqkv)
-    w = wqkv.reshape(d, 3, n_heads, dk)
+    # block (c, h) of wqkv, transposed: the (d_k, d) map back to x
+    w = wqkv.reshape(d, 3, n_heads, dk).transpose(1, 2, 3, 0)
+    blocks = np.empty((3, n_heads, len(x), d))
+    for s, (q, k, v, p), gwqkv_s, gwo_s in zip(segments, per_sequence, gwqkv, gwo):
+        gs = g[s]
+        n = len(gs)
+        np.matmul(heads[s].T, gs, out=gwo_s)
+        gh = (gs @ wo.T).reshape(n, n_heads, dk).transpose(1, 0, 2)
+        gz = gh @ v.transpose(0, 2, 1)
+        gz -= np.add.reduce(gz * p, axis=-1, keepdims=True)
+        gz *= p
+        gz *= scale
+        gqkv = np.empty((3, n_heads, n, dk))
+        np.matmul(gz, k, out=gqkv[0])
+        np.matmul(gz.transpose(0, 2, 1), q, out=gqkv[1])
+        np.matmul(p.transpose(0, 2, 1), gh, out=gqkv[2])
+        np.matmul(x[s].T, gqkv.transpose(2, 0, 1, 3).reshape(n, 3 * d), out=gwqkv_s)
+        np.matmul(gqkv, w, out=blocks[:, :, s])
     for h in reversed(range(n_heads)):
         for c in (2, 1, 0):
-            gx += gqkv[c, h] @ w[:, c, h].T
+            gx += blocks[c, h]
 
 
 def _embedding_lookup(table, idx, positions):
@@ -206,10 +246,18 @@ def _embedding_lookup(table, idx, positions):
     return table[idx] + positions
 
 
-def _embedding_backward(g, idx, gtable):
-    """Write the table's gradient into gtable: g's rows added up by id."""
-    gtable.fill(0.0)
-    np.add.at(gtable, idx, g)
+def _embedding_backward(g, idx, segments, gtable):
+    """Write each sequence's gradient of the table into its array in the
+    list gtable: its rows of g added up by id."""
+    for s, gtable_s in zip(segments, gtable):
+        gtable_s.fill(0.0)
+        np.add.at(gtable_s, idx[s], g[s])
+
+
+def _stack(parts):
+    """The arrays `parts` one after another along the first axis: the one
+    array itself if there is one."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _cross_entropy_mean(logits, targets):

@@ -1,8 +1,9 @@
 """Joint multi-task loss, Adam with warm-up and clipping, and the train loop.
 
 Both tagging heads contribute a token-mean cross entropy; the total loss is
-their sum. A sequence's loss and gradient come from model.loss_gradient,
-which runs the model's one forward and its kernels' backwards. The
+their sum. Sequences' losses and gradients come from model.loss_gradients,
+which runs the model's one forward and its kernels' backwards on several
+sequences at once, each getting the bits it would get alone. The
 learning-rate schedule is the inverse-square-root ramp peaking at
 `warmup_steps`.
 
@@ -14,9 +15,10 @@ in place, and only dev-selected and returned ones are copied.
 A batch's sequences do not depend on each other until their gradients are
 summed, so `train` forks min(usable CPUs, `batch_size`) - 1 helper
 processes (`GradientHelpers`). `GradientHelpers.gradient` owns a batch's
-gradient: the helpers compute some of its per-sequence gradients while the
-parent computes the rest, each lands in its own row, and the rows are
-summed in sequence order, so the trained bits are those of one process.
+gradient: each helper computes a share of its sequences' gradients in one
+model.loss_gradients call while the parent computes the rest in another,
+each sequence's lands in its own row, and the rows are summed in sequence
+order, so the trained bits are those of one process.
 Nothing configures this: the count follows from the CPUs the process may
 use, and where the `fork` start method does not exist there are no helpers.
 """
@@ -63,7 +65,7 @@ class TrainConfig:
 
 def joint_loss(punct_logits, disf_logits, punct_ids, disf_ids):
     """Sum of the two heads' token-mean cross entropies (scalar tensor), as
-    model.loss_gradient computes it. A gold count other than the logits'
+    model.loss_gradients computes it. A gold count other than the logits'
     rows, or a label id out of range, raises ContractError."""
     return nc._wrap(np.array(nc._cross_entropy_mean(punct_logits.data, punct_ids)[0]
                              + nc._cross_entropy_mean(disf_logits.data, disf_ids)[0]))
@@ -80,21 +82,52 @@ def clip_gradients(helpers, clip_norm):
     """Scale the gradient vector `helpers.grad` of a GradientHelpers group in
     place so its global L2 norm is <= clip_norm; return the norm it had.
 
-    The squares are summed over each parameter's CTT1 blocks in turn
-    (model.param_blocks on the named views `helpers.grads`, with the heads
-    of `helpers.params.config`), so the norm, and with it training, has the
-    same bits as with one tensor per head and projection.
+    The squares are summed over each parameter's CTT1 blocks
+    (model.param_blocks, with the heads of `helpers.params.config`), and the
+    block sums added one at a time in block order, so the norm, and with it
+    training, has the same bits as with one tensor per head and projection.
+    The blocks of one size are gathered, squared and summed together
+    (`_norm_blocks`).
     """
-    if not np.isfinite(helpers.grad).all():
+    grad = helpers.grad
+    if not np.isfinite(grad).all():
         raise TrainingError("non-finite gradient; aborting")
-    n_heads, sq = helpers.params.config.n_heads, 0.0
-    for name, g in helpers.grads.items():
-        for part in mdl.param_blocks(name, g, n_heads):
-            sq += float((part * part).sum())
+    sums = []
+    for index in helpers._norm_gathers:
+        part = grad[index]  # a gather's copy is squared in place, a view not
+        part = np.multiply(part, part, out=part if part.flags.owndata else None)
+        sums.append(np.add.reduce(part, axis=-1))
+    sq = 0.0
+    for block_sum in np.concatenate(sums)[helpers._norm_order].tolist():
+        sq += block_sum
     norm = math.sqrt(sq)
     if norm > clip_norm:
-        helpers.grad *= clip_norm / norm
+        grad *= clip_norm / norm
     return norm
+
+
+def _norm_blocks(config, size):
+    """The CTT1 blocks of a gradient vector of `size` values for `config`
+    (model.param_blocks in param_shapes order), grouped by size: per size,
+    a (blocks, size) array of their vector indices, each block's in
+    row-major order, or, where one whole parameter is the only block of its
+    size, the index of a (1, size) view of it; and the permutation that
+    takes the groups' block sums, one group after another, to block
+    order."""
+    index = mdl.param_slots(config, np.arange(size))
+    blocks = [block.ravel() for name, a in index.items()
+              for block in mdl.param_blocks(name, a, config.n_heads)]
+    by_size = {}
+    for i, block in enumerate(blocks):
+        by_size.setdefault(block.size, []).append(i)
+    gathers = []
+    for group in by_size.values():
+        first = blocks[group[0]]
+        if len(group) == 1 and first[-1] - first[0] == first.size - 1:
+            gathers.append(np.s_[None, first[0]:first[-1] + 1])  # a (1, size) view
+        else:
+            gathers.append(np.stack([blocks[i] for i in group]))
+    return gathers, np.argsort(np.concatenate(list(by_size.values())))
 
 
 _BETA1 = 0.9
@@ -158,10 +191,14 @@ def _usable_cpus():
 
 
 # What one sequence's forward and backward cost beyond its words, in words.
-# On the CLI-default model (2 vCPUs, numpy 2.4.6, OpenBLAS 0.3.31, best of
-# 7 x 100 calls) model.loss_gradient took 0.77-0.87 ms at 6 words and
-# 1.65-1.75 ms at 48: about 21 us per word, plus a fixed cost of about 33.
-_SEQUENCE_COST_WORDS = 40
+# A share is one model.loss_gradients call, whose cost is a fixed cost per
+# call, the same for every share, plus a cost per sequence and per word. On
+# the CLI-default model (2 vCPUs, numpy 2.4.6, OpenBLAS 0.3.31), packs of 1,
+# 2, 4 and 8 sequences of 6, 12, 18 and 30 words, best of 15 x 20 calls,
+# fitted by least squares in six runs, cost 0.23-0.41 ms per sequence and
+# 23-32 us per word: 8-15 words per sequence, 11.5 in the median run. A
+# one-word sequence runs alone and so also costs a call's fixed cost.
+_SEQUENCE_COST_WORDS = 12
 
 
 def _shares(lengths, workers):
@@ -179,11 +216,13 @@ def _shares(lengths, workers):
 
 
 def _share_gradients(share, params, row_grads):
-    """(row, loss) for each (row, encoded sequence) pair of `share`, the
-    sequence's gradient (model.loss_gradient on `params.config`) written
-    into `row_grads[row]`."""
-    return [(i, mdl.loss_gradient(*enc, params.config, params, row_grads[i]))
-            for i, enc in share]
+    """(row, loss) for each (row, encoded sequence) pair of `share`, from
+    one model.loss_gradients call on `params.config` for the whole share,
+    each sequence's gradient written into `row_grads[row]`."""
+    rows = [i for i, _ in share]
+    return list(zip(rows, mdl.loss_gradients(
+        [enc for _, enc in share], params.config, params,
+        [row_grads[i] for i in rows])))
 
 
 def _helper_loop(conn, parent_ends, params, row_grads):
@@ -206,8 +245,8 @@ def _helper_loop(conn, parent_ends, params, row_grads):
 
 
 class GradientHelpers:
-    """A `train` call's buffers, and helper processes that compute some of
-    each batch's per-sequence gradients in `gradient`.
+    """A `train` call's buffers, and helper processes that each compute a
+    share of each batch's sequence gradients in `gradient`.
 
     `params` is a ModelParams holding a copy of the given parameters, so
     what the optimizer writes to `params.vector` is what the next forward
@@ -215,12 +254,17 @@ class GradientHelpers:
     named views by model.param_slots, the parameters' own layout) takes a
     sequence's gradient; row 0 is `grad`, whose named views are `grads`.
     All live in one shared mapping made before the fork. Parameters that do
-    not fit `model_config` raise ShapeMismatchError. The `count` helpers
-    (possibly none) are forked daemons that ignore SIGINT.
+    not fit `model_config` raise ShapeMismatchError, and a `batch_size`
+    below 1 ValueError, before the mapping is made. The `count` helpers
+    (possibly none) are forked daemons that ignore SIGINT. The clip norm's
+    gathers (`_norm_blocks`) are made here, once.
     """
 
     def __init__(self, model_config, params, batch_size, count):
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         size = mdl.unpack_params(model_config, params).vector.size
+        self._norm_gathers, self._norm_order = _norm_blocks(model_config, size)
         shared = np.frombuffer(mmap.mmap(-1, 8 * size * (batch_size + 1)), np.float64)
         self.params = mdl.ModelParams(model_config, shared[:size])
         self.params.vector[...] = params.vector
@@ -251,7 +295,8 @@ class GradientHelpers:
         """The mean joint loss of the encoded sequences `encoded`; their
         mean gradient is left in `grad`.
 
-        Each helper computes one _shares slice and the parent the first.
+        Each helper computes one _shares slice and the parent the first,
+        each a whole slice in one _share_gradients call.
         Sequence i's gradient lands in row i; rows 1..k-1 are added to row
         0 in order and the sum divided by k, and the losses are added one
         at a time in order, so the bits do not depend on who computed what.

@@ -230,6 +230,20 @@ def test_train_with_an_empty_dev_file_exits_1(tmp_path, capsys, dev_text):
     assert not ckpt.exists()
 
 
+def test_train_that_cannot_allocate_its_model_exits_1(tmp_path, capsys):
+    # d_ff=10**12 asks for petabytes of parameters, which numpy refuses at
+    # once; nothing of that size is ever allocated
+    corpus, ckpt = tmp_path / "c.tsv", tmp_path / "m.ctt"
+    run(["synth", "--seed", "15", "--count", "10", "--out", str(corpus)],
+        capsys)
+    code, out, err = run(["train", "--corpus", str(corpus), "--out", str(ckpt),
+                          "--set", "d_ff=1000000000000"], capsys)
+    assert code == 1
+    assert err.startswith("error: out of memory: ") and "PiB" in err
+    assert err.count("\n") == 1 and "Traceback" not in err and out == ""
+    assert not ckpt.exists()
+
+
 # Every --set/config-file key and its default, as the CLI has always had them.
 _KEYS_AND_DEFAULTS = {
     "d_model": 32, "n_layers": 4, "n_heads": 2, "d_ff": 64,

@@ -318,6 +318,44 @@ def test_loss_gradient_matches_the_taped_reference_bit_for_bit(case, data):
         assert np.array_equal(grads[name], expected[t]), name
 
 
+@st.composite
+def _packs(draw):
+    """The CLI-default model shape or a small one with other budgets, random
+    weights, and 1-8 labeled sequences of 1-60 words, one-word ones often."""
+    if draw(st.booleans()):
+        config = mdl.ModelConfig(40, 32, 4, 2, 64, MaskSpec((0, 0, 0, 9)), 4, 5)
+    else:
+        n_heads = draw(st.sampled_from([1, 2, 4]))
+        budgets = draw(st.lists(st.integers(0, 70), min_size=1, max_size=3))
+        config = mdl.ModelConfig(12, 4 * n_heads, len(budgets), n_heads, 8,
+                                 MaskSpec(tuple(budgets)), 4, 5)
+    params = mdl.init_params(config, np.random.default_rng(draw(st.integers(0, 999))))
+    lengths = draw(st.lists(st.one_of(st.just(1), st.integers(1, 60)),
+                            min_size=1, max_size=8))
+    encoded = [tuple(draw(st.lists(st.integers(0, count - 1), min_size=n, max_size=n))
+                     for count in (config.vocab_size, config.punct_label_count,
+                                   config.disf_label_count))
+               for n in lengths]
+    return config, params, encoded
+
+
+@settings(max_examples=40, deadline=None)
+@given(_packs())
+def test_loss_gradients_give_each_sequence_its_bits_alone(case):
+    # a pack's sequences are stacked row by row, yet each one's loss and
+    # gradient equal loss_gradient on that sequence alone, to the bit
+    config, params, encoded = case
+    rows = [{name: np.full(t.shape, np.nan) for name, t in params.items()}
+            for _ in encoded]
+    losses = mdl.loss_gradients(encoded, config, params, rows)
+    assert len(losses) == len(encoded)
+    for enc, loss, row in zip(encoded, losses, rows):
+        alone = {name: np.full(t.shape, np.nan) for name, t in params.items()}
+        assert mdl.loss_gradient(*enc, config, params, alone) == loss
+        for name, grad in alone.items():
+            assert np.array_equal(row[name], grad), name
+
+
 def test_unpack_params_names_every_tensor_that_does_not_fit():
     # a parameter that does not fit is refused where it is assigned, by name
     bundle = random_bundle(small_config())

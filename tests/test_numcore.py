@@ -229,13 +229,13 @@ def reference_loss(ids, punct_ids, disf_ids, config, params, tape=None):
 # finite-difference checks. Each starts its input's gradient at zero.
 
 def attention(x, wqkv, wo, mask, n_heads, tape=None):
-    out, saved = nc._attention(x.data, wqkv.data, wo.data, mask, n_heads)
+    out, saved = nc._attention(x.data, wqkv.data, wo.data, [mask], n_heads)
     out = Tensor(out)
     if tape is not None:
         def bwd(g):
             gx, gw, gwo = np.zeros(x.shape), np.empty(wqkv.shape), np.empty(wo.shape)
             nc._attention_backward(g, x.data, wqkv.data, wo.data, saved, n_heads,
-                                   gx, gw, gwo)
+                                   [slice(0, len(g))], gx, [gw], [gwo])
             return gx, gw, gwo
         tape.record(out, (x, wqkv, wo), bwd)
     return out
@@ -247,7 +247,8 @@ def add_layer_norm(x, y, gain, bias, tape=None):
     if tape is not None:
         def bwd(g):
             gg, gb = np.empty(gain.shape), np.empty(bias.shape)
-            dx = nc._add_layer_norm_backward(g, gain.data, saved, gg, gb)
+            dx = nc._add_layer_norm_backward(g, gain.data, saved,
+                                             [slice(0, len(g))], [gg], [gb])
             return dx, dx, gg, gb
         tape.record(out, (x, y, gain, bias), bwd)
     return out
@@ -260,7 +261,9 @@ def feed_forward(x, w1, b1, w2, b2, tape=None):
         def bwd(g):
             gx = np.zeros(x.shape)
             grads = [np.empty(t.shape) for t in (w1, b1, w2, b2)]
-            nc._feed_forward_backward(g, x.data, w1.data, w2.data, inner, gx, *grads)
+            nc._feed_forward_backward(g, x.data, w1.data, w2.data, inner,
+                                      [slice(0, len(g))], gx,
+                                      *([grad] for grad in grads))
             return (gx, *grads)
         tape.record(out, (x, w1, b1, w2, b2), bwd)
     return out
@@ -270,7 +273,7 @@ def fused_layer(x, ps, mask, n_heads):
     """One encoder layer as the four kernels on arrays: the output, and what
     fused_layer_backward needs."""
     a = {name: t.data for name, t in ps.items()}
-    y, att = nc._attention(x, a["wqkv"], a["wo"], mask, n_heads)
+    y, att = nc._attention(x, a["wqkv"], a["wo"], [mask], n_heads)
     x1, norm1 = nc._add_layer_norm(x, y, a["g1"], a["b1"])
     y, inner = nc._feed_forward(x1, a["w1"], a["fb1"], a["w2"], a["fb2"])
     out, norm2 = nc._add_layer_norm(x1, y, a["g2"], a["b2"])
@@ -283,12 +286,14 @@ def fused_layer_backward(g, x, ps, saved, n_heads):
     a = {name: t.data for name, t in ps.items()}
     att, x1, norm1, inner, norm2 = saved
     grads = {name: np.empty(t.shape) for name, t in ps.items()}
-    g = nc._add_layer_norm_backward(g, a["g2"], norm2, grads["g2"], grads["b2"])
-    nc._feed_forward_backward(g, x1, a["w1"], a["w2"], inner, g, grads["w1"],
-                              grads["fb1"], grads["w2"], grads["fb2"])
-    g = nc._add_layer_norm_backward(g, a["g1"], norm1, grads["g1"], grads["b1"])
-    nc._attention_backward(g, x, a["wqkv"], a["wo"], att, n_heads, g,
-                           grads["wqkv"], grads["wo"])
+    one = {name: [grad] for name, grad in grads.items()}
+    rows = [slice(0, len(g))]
+    g = nc._add_layer_norm_backward(g, a["g2"], norm2, rows, one["g2"], one["b2"])
+    nc._feed_forward_backward(g, x1, a["w1"], a["w2"], inner, rows, g, one["w1"],
+                              one["fb1"], one["w2"], one["fb2"])
+    g = nc._add_layer_norm_backward(g, a["g1"], norm1, rows, one["g1"], one["b1"])
+    nc._attention_backward(g, x, a["wqkv"], a["wo"], att, n_heads, rows, g,
+                           one["wqkv"], one["wo"])
     return g, grads
 
 
@@ -330,7 +335,7 @@ def _attention_probs(scores, mask):
     wqkv[:n, dk:dk + n] = np.eye(n)
     wqkv[:n, 2 * dk:2 * dk + n] = np.eye(n)
     out, _ = nc._attention(np.eye(n, dk), wqkv, np.eye(dk),
-                           np.asarray(mask, dtype=np.float64), 1)
+                           [np.asarray(mask, dtype=np.float64)], 1)
     return out[:, :n]
 
 
@@ -554,7 +559,7 @@ def _per_head(x, wqkv, n_heads):
 def test_multi_head_attention_matches_per_head_loop():
     n, n_heads, dk = 5, 2, 3
     x, wqkv, mask = _attention_inputs(n, n_heads, dk, 1, seed=7)
-    out, _ = nc._attention(x.data, wqkv.data, np.eye(n_heads * dk), mask, n_heads)
+    out, _ = nc._attention(x.data, wqkv.data, np.eye(n_heads * dk), [mask], n_heads)
     for h, (wq, wk, wv) in enumerate(_per_head(x.data, wqkv.data, n_heads)):
         q, k, v = x.data @ wq, x.data @ wk, x.data @ wv
         cols = slice(h * dk, (h + 1) * dk)
@@ -577,10 +582,10 @@ def test_multi_head_attention_gradients_have_per_head_bits():
     rng = np.random.default_rng(12)
     weights = rng.normal(size=(n, n_heads * dk))
     wo = Tensor(rng.normal(size=(n_heads * dk, n_heads * dk)))
-    _, saved = nc._attention(x.data, wqkv.data, wo.data, mask, n_heads)
+    _, saved = nc._attention(x.data, wqkv.data, wo.data, [mask], n_heads)
     grads = {x: weights.copy(), wqkv: np.empty(wqkv.shape), wo: np.empty(wo.shape)}
     nc._attention_backward(weights, x.data, wqkv.data, wo.data, saved, n_heads,
-                           grads[x], grads[wqkv], grads[wo])
+                           [slice(0, n)], grads[x], [grads[wqkv]], [grads[wo]])
 
     upstream = weights @ wo.data.T  # the gradient reaching the heads' outputs
     heads = np.empty((n, n_heads * dk))
@@ -655,7 +660,7 @@ def test_embedding_lookup_adds_positions_and_sends_gradient_to_the_table():
     out = nc._embedding_lookup(table, idx, positions)
     assert np.array_equal(out, table[[1, 3, 1]] + positions)
     gtable = np.full((5, 3), np.nan)
-    nc._embedding_backward(np.ones((3, 3)), idx, gtable)
+    nc._embedding_backward(np.ones((3, 3)), idx, [slice(0, 3)], [gtable])
     expected = np.zeros((5, 3))
     expected[1], expected[3] = 2.0, 1.0
     assert np.array_equal(gtable, expected)

@@ -106,6 +106,13 @@ def gradient_group(grads, config=None):
     return helpers
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_gradient_group_refuses_a_batch_size_below_1(batch_size):
+    config = small_config(vocab_size=5)
+    with pytest.raises(ValueError, match=f"^batch_size must be >= 1, got {batch_size}$"):
+        tr.GradientHelpers(config, mdl.ModelParams(config), batch_size, 0)
+
+
 def test_clip_leaves_small_gradients_untouched():
     helpers = gradient_group({"punct.b": np.array([0.3, 0.4, 0.0, 0.0])})  # norm 0.5
     before = helpers.grad.copy()
@@ -449,14 +456,14 @@ def small_training_run(monkeypatch, gradient_in_helpers):
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("no helpers without the fork start method")
     use_cpus(monkeypatch, 4)
-    parent, loss_gradient = os.getpid(), mdl.loss_gradient
+    parent, loss_gradients = os.getpid(), mdl.loss_gradients
 
     def gradient_by_process(*args, **kwargs):
         if os.getpid() == parent:
-            return loss_gradient(*args, **kwargs)
+            return loss_gradients(*args, **kwargs)
         return gradient_in_helpers()
 
-    monkeypatch.setattr(mdl, "loss_gradient", gradient_by_process)
+    monkeypatch.setattr(mdl, "loss_gradients", gradient_by_process)
     corpus = labelled([3, 5, 8, 13], seed=0)
     vocab = dt.Vocabulary.from_corpus(corpus)
     return tr.train(corpus, tr.TrainConfig(batch_size=4, max_steps=2),
