@@ -1,10 +1,12 @@
 """Command-line front end: synth / train / tag / stream / eval / bench.
 
 All randomness flows from --seed; every subcommand is reproducible from its
-inputs, seed, and config. Exit codes: 0 success, 1 runtime error, 2 usage.
+inputs, seed, and config. Exit codes: 0 success, 1 runtime error, 2 usage,
+130 Ctrl-C and 141 closed stdout (128 + SIGINT, SIGPIPE), both silent.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import fields
 
@@ -191,11 +193,14 @@ def _cmd_stream(args):
     tagger = _load_tagger(args.checkpoint)
     policy = dec.DecodePolicy(args.frame_rate, args.lookahead_words)
     words = (w.lower() for line in sys.stdin for w in line.split())
-    for triples in dec.stream_frames(dec.StreamState(), words, tagger, policy):
+    state = dec.StreamState()
+    for triples in dec.stream_frames(state, words, tagger, policy):
         for w, p, d in triples:
             sys.stdout.write(f"{w}\t{p}\t{d}\n")
         if triples:
             sys.stdout.flush()
+        state.emitted.clear()  # printed: an endless stdin keeps them bounded
+        state.revision_log.clear()
     return 0
 
 
@@ -240,6 +245,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except KeyboardInterrupt:  # words still in a stream buffer are not printed
+        return 130
+    except BrokenPipeError:  # Python's SIGPIPE recipe: flush to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (OSError, ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -292,14 +292,6 @@ def forward(token_ids, config, params):
     return heads_forward(encoder_forward(token_ids, config, params), params)
 
 
-def loss_gradient(token_ids, punct_ids, disf_ids, config, params, grads):
-    """The joint loss of one labeled sequence as a float; its gradient is
-    written into `grads`, a name -> array map with an array of every
-    parameter's shape. This is loss_gradients' one-sequence case."""
-    return loss_gradients([(token_ids, punct_ids, disf_ids)], config, params,
-                          [grads])[0]
-
-
 def loss_gradients(encoded, config, params, rows):
     """The joint losses of the labeled sequences `encoded`, (token ids,
     punct ids, disf ids) triples, as floats, each the sum of the two heads'
@@ -315,12 +307,11 @@ def loss_gradients(encoded, config, params, rows):
     params = unpack_params(config, params)
     packs = [[i] for i, (ids, _, _) in enumerate(encoded) if len(ids) == 1]
     packs.append([i for i, (ids, _, _) in enumerate(encoded) if len(ids) != 1])
-    losses = {}
-    for pack in packs:
-        if pack:
-            losses.update(zip(pack, _pack_loss_gradients(
-                [encoded[i] for i in pack], config, params, [rows[i] for i in pack])))
-    return [losses[i] for i in range(len(encoded))]
+    losses = np.empty(len(encoded))
+    for pack in filter(None, packs):
+        losses[pack] = _pack_loss_gradients([encoded[i] for i in pack], config,
+                                            params, [rows[i] for i in pack])
+    return losses.tolist()
 
 
 def _pack_loss_gradients(encoded, config, params, rows):

@@ -14,15 +14,16 @@ in place, and only dev-selected and returned ones are copied.
 
 A batch's sequences do not depend on each other until their gradients are
 summed, so `train` forks min(usable CPUs, `batch_size`) - 1 helper
-processes (`GradientHelpers`). `GradientHelpers.gradient` owns a batch's
-gradient: each helper computes a share of its sequences' gradients in one
-model.loss_gradients call while the parent computes the rest in another,
-each sequence's lands in its own row, and the rows are summed in sequence
-order, so the trained bits are those of one process.
-Nothing configures this: the count follows from the CPUs the process may
-use, and where the `fork` start method does not exist there are no helpers.
+processes, and `GradientHelpers.gradient` owns a batch's gradient: each
+process computes its share in one model.loss_gradients call, each
+sequence's gradient and loss land in its own row of shared memory, and the
+rows are summed in sequence order, so the trained bits are those of one
+process. Nothing configures this: the count follows from the CPUs the
+process may use, and where the `fork` start method does not exist there
+are no helpers.
 """
 
+import contextlib
 import math
 import mmap
 import multiprocessing
@@ -30,6 +31,7 @@ import os
 import random
 import signal
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,18 +89,19 @@ def clip_gradients(helpers, clip_norm):
     block sums added one at a time in block order, so the norm, and with it
     training, has the same bits as with one tensor per head and projection.
     The blocks of one size are gathered, squared and summed together
-    (`_norm_blocks`).
+    (`_norm_blocks`, built once per config).
     """
     grad = helpers.grad
     if not np.isfinite(grad).all():
         raise TrainingError("non-finite gradient; aborting")
+    gathers, order = _norm_blocks(helpers.params.config)
     sums = []
-    for index in helpers._norm_gathers:
+    for index in gathers:
         part = grad[index]  # a gather's copy is squared in place, a view not
         part = np.multiply(part, part, out=part if part.flags.owndata else None)
         sums.append(np.add.reduce(part, axis=-1))
     sq = 0.0
-    for block_sum in np.concatenate(sums)[helpers._norm_order].tolist():
+    for block_sum in np.concatenate(sums)[order].tolist():
         sq += block_sum
     norm = math.sqrt(sq)
     if norm > clip_norm:
@@ -106,15 +109,15 @@ def clip_gradients(helpers, clip_norm):
     return norm
 
 
-def _norm_blocks(config, size):
-    """The CTT1 blocks of a gradient vector of `size` values for `config`
-    (model.param_blocks in param_shapes order), grouped by size: per size,
-    a (blocks, size) array of their vector indices, each block's in
-    row-major order, or, where one whole parameter is the only block of its
-    size, the index of a (1, size) view of it; and the permutation that
-    takes the groups' block sums, one group after another, to block
-    order."""
-    index = mdl.param_slots(config, np.arange(size))
+@lru_cache(maxsize=16)
+def _norm_blocks(config):
+    """The CTT1 blocks of a gradient vector for `config` (model.param_blocks
+    in param_shapes order), grouped by size: per size, a (blocks, size)
+    array of their vector indices, each block's in row-major order, or,
+    where one whole parameter is the only block of its size, the index of a
+    (1, size) view of it; and the permutation that takes the groups' block
+    sums, one group after another, to block order. Cached per config."""
+    index = mdl.param_slots(config, np.arange(mdl._param_count(config)))
     blocks = [block.ravel() for name, a in index.items()
               for block in mdl.param_blocks(name, a, config.n_heads)]
     by_size = {}
@@ -173,8 +176,7 @@ def batch_gradients(batch, model_config, params, vocab, scheme, helpers=None):
     `helpers.gradient`. Without `helpers`, a GradientHelpers group without
     processes is made from `model_config` and `params`; with it, neither is
     read. The gradients returned, `helpers.grads`, are overwritten in place
-    by the next call on the group and by clip_gradients; copy them to keep
-    them.
+    by the next call on the group and by clip_gradients: copy to keep them.
     """
     if helpers is None:  # at least one row; `gradient` refuses an empty batch
         helpers = GradientHelpers(model_config, params, max(len(batch), 1), 0)
@@ -215,33 +217,31 @@ def _shares(lengths, workers):
     return shares
 
 
-def _share_gradients(share, params, row_grads):
-    """(row, loss) for each (row, encoded sequence) pair of `share`, from
-    one model.loss_gradients call on `params.config` for the whole share,
-    each sequence's gradient written into `row_grads[row]`."""
+def _share_gradients(share, params, row_grads, losses):
+    """One model.loss_gradients call on `params.config` for the (row,
+    encoded sequence) pairs of `share`, writing each sequence's gradient
+    into `row_grads[row]` and its loss into `losses[row]`."""
     rows = [i for i, _ in share]
-    return list(zip(rows, mdl.loss_gradients(
-        [enc for _, enc in share], params.config, params,
-        [row_grads[i] for i in rows])))
+    losses[rows] = mdl.loss_gradients([enc for _, enc in share], params.config,
+                                      params, [row_grads[i] for i in rows])
 
 
-def _helper_loop(conn, parent_ends, params, row_grads):
-    """A helper's life: for each share received, send back its
-    _share_gradients, or the exception raised, until the parent closes its
+def _helper_loop(conn, parent_ends, params, row_grads, losses):
+    """A helper's life: for each share received, run _share_gradients and
+    send back None, or the exception raised, until the parent closes its
     end of the pipe or exits."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for end in parent_ends:  # inherited copies; the parent's must be the last
         end.close()
-    try:
+    with contextlib.suppress(EOFError, ConnectionError):
         while True:
             share = conn.recv()
+            reply = None
             try:
-                reply = _share_gradients(share, params, row_grads)
+                _share_gradients(share, params, row_grads, losses)
             except Exception as exc:  # the parent re-raises it
                 reply = exc
             conn.send(reply)
-    except (EOFError, ConnectionError):
-        return
 
 
 class GradientHelpers:
@@ -252,23 +252,23 @@ class GradientHelpers:
     what the optimizer writes to `params.vector` is what the next forward
     reads, here and in the helpers. One row per sequence (`batch_size` x P,
     named views by model.param_slots, the parameters' own layout) takes a
-    sequence's gradient; row 0 is `grad`, whose named views are `grads`.
-    All live in one shared mapping made before the fork. Parameters that do
-    not fit `model_config` raise ShapeMismatchError, and a `batch_size`
-    below 1 ValueError, before the mapping is made. The `count` helpers
-    (possibly none) are forked daemons that ignore SIGINT. The clip norm's
-    gathers (`_norm_blocks`) are made here, once.
+    sequence's gradient and a loss slot per row its loss; row 0 is `grad`,
+    whose named views are `grads`. All live in one shared mapping made
+    before the fork. Parameters that do not fit `model_config` raise
+    ShapeMismatchError, and a `batch_size` below 1 ValueError, before the
+    mapping is made. The `count` helpers (possibly none) are forked daemons
+    that ignore SIGINT.
     """
 
     def __init__(self, model_config, params, batch_size, count):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         size = mdl.unpack_params(model_config, params).vector.size
-        self._norm_gathers, self._norm_order = _norm_blocks(model_config, size)
-        shared = np.frombuffer(mmap.mmap(-1, 8 * size * (batch_size + 1)), np.float64)
+        shared = np.frombuffer(mmap.mmap(-1, 8 * ((size + 1) * batch_size + size)), float)
         self.params = mdl.ModelParams(model_config, shared[:size])
         self.params.vector[...] = params.vector
-        self._rows = shared[size:].reshape(batch_size, size)
+        self._rows = shared[size:-batch_size].reshape(batch_size, size)
+        self._losses = shared[-batch_size:]
         self._row_grads = [mdl.param_slots(model_config, row) for row in self._rows]
         self.grad = self._rows[0]
         self.grads = self._row_grads[0]
@@ -280,7 +280,7 @@ class GradientHelpers:
                 proc = multiprocessing.get_context("fork").Process(
                     target=_helper_loop, daemon=True,
                     args=(child_conn, [*self._conns, conn], self.params,
-                          self._row_grads))
+                          self._row_grads, self._losses))
                 proc.start()
                 # closed at once, so no later helper inherits it and the
                 # parent sees EOF when this helper dies
@@ -297,13 +297,15 @@ class GradientHelpers:
 
         Each helper computes one _shares slice and the parent the first,
         each a whole slice in one _share_gradients call.
-        Sequence i's gradient lands in row i; rows 1..k-1 are added to row
-        0 in order and the sum divided by k, and the losses are added one
-        at a time in order, so the bits do not depend on who computed what.
-        A helper's exception is re-raised here with its type, and a helper
-        that dies raises TrainingError; after either, close the group. No
-        sequences, or more than the group's rows, raise ValueError before
-        any share is sent.
+        Sequence i's gradient lands in row i and its loss in slot i; rows
+        1..k-1 are added to row 0 in order and the sum divided by k, and the
+        losses are added one at a time in order, so the bits do not depend
+        on who computed what. Every helper replies before this returns or
+        raises, also after the parent's share raised (KeyboardInterrupt
+        too); then the parent's error, or else the first helper's with its
+        type, is raised, and the group stays in step. A helper that died
+        raises TrainingError; then close the group. No sequences, or more
+        than the group's rows, raise ValueError before any share is sent.
         """
         k = len(encoded)
         if not 1 <= k <= len(self._rows):
@@ -311,27 +313,25 @@ class GradientHelpers:
                              f"1 to {len(self._rows)}")
         shares = [[(i, encoded[i]) for i in share] for share in
                   _shares([len(ids) for ids, _, _ in encoded], self.count + 1)]
-        for n, (conn, share) in enumerate(zip(self._conns, shares[1:])):
-            try:
+        for conn, share in zip(self._conns, shares[1:]):
+            with contextlib.suppress(ConnectionError):  # recv raises below
                 conn.send(share)
-            except ConnectionError as exc:
-                raise TrainingError(f"gradient helper {n} exited") from exc
-        losses = dict(_share_gradients(shares[0], self.params, self._row_grads))
+        replies = []
+        try:
+            _share_gradients(shares[0], self.params, self._row_grads, self._losses)
+        except BaseException as exc:  # the helpers ignore SIGINT: hear them out
+            replies.append(exc)
         for n, conn in enumerate(self._conns):
             try:
-                reply = conn.recv()
+                replies.append(conn.recv())
             except (EOFError, ConnectionError) as exc:
                 raise TrainingError(f"gradient helper {n} exited") from exc
-            if isinstance(reply, Exception):
-                raise reply
-            losses.update(reply)
+        for error in filter(None, replies):
+            raise error
         for row in self._rows[1:k]:
             self.grad += row
         self.grad /= k
-        total = 0.0
-        for i in range(k):  # one at a time, in order: sum() may compensate
-            total += losses[i]
-        return total / k
+        return float(np.add.accumulate(self._losses[:k])[-1]) / k  # not pairwise
 
     def close(self):
         """Close the pipes, which stops every helper once its current share
@@ -355,8 +355,7 @@ def _dev_f1(dev_corpus, model_config, params, vocab, scheme):
     tagger = ModelTagger(model_config, params, vocab, scheme)
     preds = [tag_offline(seq.words, tagger) for seq in dev_corpus]
     report = score(preds, dev_corpus, scheme)
-    return (report.punct_overall.f1,
-            report.disf["interregnum"].f1,
+    return (report.punct_overall.f1, report.disf["interregnum"].f1,
             report.disf["either"].f1)
 
 
@@ -370,10 +369,9 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
     reached.
     Reproducible: identical seeds and inputs give identical parameters,
     whatever the number of CPUs. `init_params` that do not fit
-    `model_config` raise ShapeMismatchError. The call forks
-    min(usable CPUs, `batch_size`) - 1 gradient helpers (GradientHelpers)
-    and joins them before it returns or raises. `init_params` is only read,
-    and the returned parameters are a copy that no later call touches.
+    `model_config` raise ShapeMismatchError, and is only read; the returned
+    parameters are a copy that no later call touches. The gradient helpers
+    (GradientHelpers) are joined before the call returns or raises.
     An empty corpus or dev set, an unlabeled utterance or a label outside
     `scheme`, or a corpus utterance longer than `model_config.max_positions`
     (a dev one is tagged through the stream decoder), raises ValueError

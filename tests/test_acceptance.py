@@ -100,7 +100,7 @@ def test_criterion_3_gradient_check():
 
     names = params.names()
     grads = {n: np.empty(params[n].shape) for n in names}
-    mdl.loss_gradient(tokens, punct_ids, disf_ids, config, params, grads)
+    mdl.loss_gradients([(tokens, punct_ids, disf_ids)], config, params, [grads])
 
     h = 1e-5
     worst = 0.0

@@ -1,5 +1,10 @@
+import contextlib
 import io
 import os
+import signal
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -211,6 +216,17 @@ def test_train_on_word_with_whitespace_exits_1(tmp_path, capsys):
                           "--out", str(tmp_path / "m.ctt")], capsys)
     assert code == 1
     assert err.startswith("error:") and "c.tsv:2" in err
+    assert not (tmp_path / "m.ctt").exists()
+
+
+def test_train_on_mixed_labeled_and_unlabeled_lines_exits_1(tmp_path, capsys):
+    corpus = tmp_path / "c.tsv"
+    corpus.write_text("i\tO\tO\nwant\nflights\tPERIOD\tO\n\n")
+    code, out, err = run(["train", "--corpus", str(corpus),
+                          "--out", str(tmp_path / "m.ctt")], capsys)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        f"error: {corpus}:2: mixed labeled and unlabeled lines"]
     assert not (tmp_path / "m.ctt").exists()
 
 
@@ -637,3 +653,110 @@ def test_train_with_max_positions_16(tmp_path, capsys, lengths, code, message):
     else:
         assert err.startswith("error:") and message in err
         assert out == "" and not ckpt.exists()
+
+
+class _EndsBeforeEveryI:
+    """Ends a sentence at each word followed by "i" in the buffer, so a
+    word's label can change when its next word arrives."""
+
+    def tag(self, words):
+        return (["PERIOD" if nxt == "i" else "O" for nxt in words[1:] + [None]],
+                ["O"] * len(words))
+
+
+def test_stream_keeps_its_state_bounded_on_a_long_stdin(capsys, monkeypatch):
+    # the command drops each step's frozen triples and revisions once it has
+    # printed them, so at every step the state holds only that step's
+    text = "i want a flight to boston um " * 600
+    tagger = _EndsBeforeEveryI()
+    monkeypatch.setattr(cli, "_load_tagger", lambda path: tagger)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    triples, state = dec.stream_decode(text.split(), tagger, dec.DecodePolicy())
+    stream_frames, held = dec.stream_frames, []
+
+    def watched(state, words, tagger, policy):
+        for triples in stream_frames(state, words, tagger, policy):
+            held.append((len(state.emitted) - len(triples),
+                         len(state.revision_log), len(state.buffer_words)))
+            yield triples
+
+    monkeypatch.setattr(dec, "stream_frames", watched)
+    code, out, err = run(["stream", "--checkpoint", "unused.ctt"], capsys)
+    assert code == 0, err
+    assert out == "".join(f"{w}\t{p}\t{d}\n" for w, p, d in triples)
+    assert len(triples) == 4200 and len(state.revision_log) >= 100
+    assert len(held) == 1401
+    assert all(old == 0 and revisions <= 1 and buffered <= 16
+               for old, revisions, buffered in held)
+
+
+def _words_and_frozen(ckpt, count):
+    """`count` words, and the triples that `stream` freezes from them with
+    the default policy before it sees the end of its input."""
+    tagger = cli._load_tagger(ckpt)
+    words = [f"w{i % 10}" for i in range(count)]
+    state, policy, frozen = dec.StreamState(), dec.DecodePolicy(), []
+    for i in range(0, count, policy.frame_rate):
+        frozen += dec.stream_step(state, words[i:i + policy.frame_rate], tagger,
+                                  policy)
+    assert frozen and state.buffer_words
+    return words, [f"{w}\t{p}\t{d}\n" for w, p, d in frozen]
+
+
+@contextlib.contextmanager
+def _stream_process(ckpt):
+    """`puncstream stream` on the checkpoint `ckpt` in a child process,
+    with text pipes for stdin, stdout and stderr, and SIGINT at its default
+    (a parent may have ignored it), so the child's Python handles Ctrl-C.
+    A child that runs on for a minute is killed."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with subprocess.Popen(
+            [sys.executable, "-m", "puncstream.cli", "stream", "--checkpoint",
+             str(ckpt)], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL)) as proc:
+        timer = threading.Timer(60, proc.kill)
+        timer.start()
+        try:
+            yield proc
+        finally:
+            timer.cancel()
+            proc.kill()
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+def test_ctrl_c_ends_stream_with_exit_130_and_no_traceback(tmp_path):
+    # Ctrl-C stops at once: what was frozen is printed, the words still in
+    # the buffer are not, and stderr stays empty
+    ckpt = tmp_path / "m.ctt"
+    _save_model_that_never_ends_a_sentence(ckpt, max_positions=16)
+    words, frozen = _words_and_frozen(ckpt, 24)
+    with _stream_process(ckpt) as proc:
+        proc.stdin.write(" ".join(words) + "\n")
+        proc.stdin.flush()
+        printed = [proc.stdout.readline() for _ in frozen]
+        proc.send_signal(signal.SIGINT)  # while it waits for more words
+        code = proc.wait()
+        rest, err = proc.stdout.read(), proc.stderr.read()
+    assert printed == frozen
+    assert (code, rest, err) == (130, "", "")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX pipes")
+def test_a_closed_stdout_ends_stream_with_exit_141_and_empty_stderr(tmp_path):
+    # a reader that stops after two lines, as `head -2` does
+    ckpt = tmp_path / "m.ctt"
+    _save_model_that_never_ends_a_sentence(ckpt, max_positions=16)
+    words, frozen = _words_and_frozen(ckpt, 24)
+    with _stream_process(ckpt) as proc:
+        proc.stdin.write(" ".join(words) + "\n")
+        proc.stdin.flush()
+        head = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        proc.stdin.write(" ".join(words) + "\n")  # more lines to print
+        proc.stdin.close()
+        code, err = proc.wait(), proc.stderr.read()
+    assert head == frozen[:2]
+    assert (code, err) == (141, "")

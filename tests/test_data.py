@@ -45,6 +45,18 @@ def test_wrong_column_count_reports_line(tmp_path):
         dt.parse_corpus(path)
 
 
+@pytest.mark.parametrize("text, line_no", [
+    ("i\tO\tO\nwant\nflights\tPERIOD\tO\n\n", 2),
+    ("a\tO\tO\n\nhello\nworld\tPERIOD\tO\n\n", 4)])
+def test_mixed_labeled_and_unlabeled_lines_report_the_line(tmp_path, text,
+                                                          line_no):
+    path = tmp_path / "mixed.tsv"
+    path.write_text(text)
+    with pytest.raises(dt.ParseError) as info:
+        dt.parse_corpus(path)
+    assert str(info.value) == f"{path}:{line_no}: mixed labeled and unlabeled lines"
+
+
 @pytest.mark.parametrize("word", ["new york", "", "new\u00a0york"])
 def test_word_that_is_empty_or_holds_whitespace_rejected(tmp_path, word):
     # the vocabulary is saved space-separated; such a word would give a

@@ -312,8 +312,8 @@ def test_loss_gradient_matches_the_taped_reference_bit_for_bit(case, data):
     loss = reference_loss(ids, punct_ids, disf_ids, config, params, tape)
     expected = backward(loss, tape, wrt=[t for _, t in params.items()])
     grads = {name: np.full(t.shape, np.nan) for name, t in params.items()}
-    assert mdl.loss_gradient(ids, punct_ids, disf_ids, config, params, grads) \
-        == loss.item()
+    assert mdl.loss_gradients([(ids, punct_ids, disf_ids)], config, params,
+                              [grads]) == [loss.item()]
     for name, t in params.items():
         assert np.array_equal(grads[name], expected[t]), name
 
@@ -343,7 +343,7 @@ def _packs(draw):
 @given(_packs())
 def test_loss_gradients_give_each_sequence_its_bits_alone(case):
     # a pack's sequences are stacked row by row, yet each one's loss and
-    # gradient equal loss_gradient on that sequence alone, to the bit
+    # gradient equal loss_gradients on that sequence alone, to the bit
     config, params, encoded = case
     rows = [{name: np.full(t.shape, np.nan) for name, t in params.items()}
             for _ in encoded]
@@ -351,7 +351,7 @@ def test_loss_gradients_give_each_sequence_its_bits_alone(case):
     assert len(losses) == len(encoded)
     for enc, loss, row in zip(encoded, losses, rows):
         alone = {name: np.full(t.shape, np.nan) for name, t in params.items()}
-        assert mdl.loss_gradient(*enc, config, params, alone) == loss
+        assert mdl.loss_gradients([enc], config, params, [alone]) == [loss]
         for name, grad in alone.items():
             assert np.array_equal(row[name], grad), name
 

@@ -398,13 +398,14 @@ def labelled(lengths, seed):
 
 def sequential_batch_gradients(batch, model_config, params, vocab, scheme):
     """The reference: each sequence's loss and flat gradient
-    (model.loss_gradient, in `params` order) added to the running sums as
-    soon as it is computed, then both divided by the batch size."""
+    (model.loss_gradients on the sequence alone, in `params` order) added to
+    the running sums as soon as it is computed, then both divided by the
+    batch size."""
     total, acc = 0.0, None
     for seq in batch:
         grads = {name: np.empty(t.shape) for name, t in params.items()}
-        total += mdl.loss_gradient(*dt.encode(seq, vocab, scheme), model_config,
-                                   params, grads)
+        total += mdl.loss_gradients([dt.encode(seq, vocab, scheme)],
+                                    model_config, params, [grads])[0]
         flat = np.concatenate(list(grads.values()), axis=None)
         acc = flat if acc is None else acc + flat
     return total / len(batch), acc / len(batch)
@@ -485,6 +486,45 @@ def test_a_helper_that_dies_raises_training_error(monkeypatch):
     with pytest.raises(tr.TrainingError, match="gradient helper . exited"):
         small_training_run(monkeypatch, lambda: os._exit(3))
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("count, raised_in, error", [
+    (0, "parent", MemoryError), (0, "parent", KeyboardInterrupt),
+    (1, "parent", MemoryError), (1, "parent", KeyboardInterrupt),
+    (1, "helper", MemoryError)])
+def test_a_group_stays_in_step_after_an_error(monkeypatch, count, raised_in,
+                                              error):
+    # every helper is heard from before `gradient` raises, so no reply of
+    # the failed batch is left in a pipe: the next batch, of other lengths,
+    # gets the loss and gradient of one process, to the bit
+    if count and "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("no helpers without the fork start method")
+    parent, loss_gradients, failed = os.getpid(), mdl.loss_gradients, []
+
+    def fail_once(*args, **kwargs):  # each helper has its own `failed`
+        if (os.getpid() == parent) == (raised_in == "parent") and not failed:
+            failed.append(True)
+            raise error(f"raised in the {raised_in}")
+        return loss_gradients(*args, **kwargs)
+
+    monkeypatch.setattr(mdl, "loss_gradients", fail_once)
+    bundle = random_bundle(small_config(), seed=7)
+    first, then = labelled([2, 5, 3, 7], seed=2), labelled([6, 1, 4], seed=3)
+    helpers = tr.GradientHelpers(bundle.config, bundle.params, 4, count)
+    try:
+        with pytest.raises(error, match=f"raised in the {raised_in}"):
+            helpers.gradient([dt.encode(seq, bundle.vocab, bundle.scheme)
+                              for seq in first])
+        loss = helpers.gradient([dt.encode(seq, bundle.vocab, bundle.scheme)
+                                 for seq in then])
+        grad = helpers.grad.copy()
+    finally:
+        helpers.close()
+    alone_loss, alone = tr.batch_gradients(then, bundle.config, bundle.params,
+                                           bundle.vocab, bundle.scheme)
+    assert np.float64(loss).tobytes() == np.float64(alone_loss).tobytes()
+    assert grad.tobytes() == np.concatenate(
+        [g.ravel() for g in alone.values()]).tobytes()
 
 
 def reference_clip_and_adam(params, grads, state, lr, clip_norm, n_heads):
