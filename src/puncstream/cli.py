@@ -1,8 +1,10 @@
 """Command-line front end: synth / train / tag / stream / eval / bench.
 
 All randomness flows from --seed; every subcommand is reproducible from its
-inputs, seed, and config. Exit codes: 0 success, 1 runtime error, 2 usage,
-130 Ctrl-C and 141 closed stdout (128 + SIGINT, SIGPIPE), both silent.
+inputs, seed, and config. Exit codes: 0 success, 1 runtime error (an
+OSError, ValueError, RuntimeError, OverflowError or MemoryError, printed as
+one `error:` line), 2 usage, 130 Ctrl-C and 141 closed stdout (128 +
+SIGINT, SIGPIPE), both silent.
 """
 
 import argparse
@@ -250,7 +252,7 @@ def main(argv=None):
     except BrokenPipeError:  # Python's SIGPIPE recipe: flush to devnull at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (OSError, ValueError, RuntimeError) as e:
+    except (OSError, ValueError, RuntimeError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MemoryError as e:  # numpy's names the size it could not allocate

@@ -14,13 +14,15 @@ in place, and only dev-selected and returned ones are copied.
 
 A batch's sequences do not depend on each other until their gradients are
 summed, so `train` forks min(usable CPUs, `batch_size`) - 1 helper
-processes, and `GradientHelpers.gradient` owns a batch's gradient: each
-process computes its share in one model.loss_gradients call, each
-sequence's gradient and loss land in its own row of shared memory, and the
-rows are summed in sequence order, so the trained bits are those of one
-process. Nothing configures this: the count follows from the CPUs the
-process may use, and where the `fork` start method does not exist there
-are no helpers.
+processes, and `GradientHelpers.gradient` owns a batch's gradient: the
+batch is sorted longest first and dealt out and back over the processes,
+so each gets as many sequences as the next, give or take one; each process
+computes its share in one model.loss_gradients call, each sequence's
+gradient and loss land in its own row of shared memory, and the rows are
+summed in sequence order, so the trained bits are those of one process.
+Nothing configures this: the count follows from the CPUs the process may
+use, and where the `fork` start method does not exist there are no
+helpers.
 """
 
 import contextlib
@@ -30,6 +32,7 @@ import multiprocessing
 import os
 import random
 import signal
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,8 +61,11 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("batch_size", "warmup_steps", "max_steps", "eval_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            if value > sys.maxsize:  # more steps or rows than any run can have
+                raise ValueError(f"{name} must be <= {sys.maxsize}, got {value}")
         if not (math.isfinite(self.clip_norm) and self.clip_norm > 0):
             raise ValueError(
                 f"clip_norm must be finite and > 0, got {self.clip_norm}")
@@ -192,28 +198,16 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-# What one sequence's forward and backward cost beyond its words, in words.
-# A share is one model.loss_gradients call, whose cost is a fixed cost per
-# call, the same for every share, plus a cost per sequence and per word. On
-# the CLI-default model (2 vCPUs, numpy 2.4.6, OpenBLAS 0.3.31), packs of 1,
-# 2, 4 and 8 sequences of 6, 12, 18 and 30 words, best of 15 x 20 calls,
-# fitted by least squares in six runs, cost 0.23-0.41 ms per sequence and
-# 23-32 us per word: 8-15 words per sequence, 11.5 in the median run. A
-# one-word sequence runs alone and so also costs a call's fixed cost.
-_SEQUENCE_COST_WORDS = 12
-
-
 def _shares(lengths, workers):
-    """Sequence indices for each of `workers` workers, balanced by length:
-    longest first, each to the worker with the least work so far (the first
-    such worker on a tie), a sequence costing its length plus
-    _SEQUENCE_COST_WORDS."""
+    """Sequence indices for each of `workers` workers: sorted longest first
+    (ties in index order) and dealt out and back, to workers 0, 1, ...,
+    W-1, W-1, ..., 0, 0, 1, ... So every share holds as many sequences as
+    the next, give or take one, and what a sequence costs beyond its words
+    needs no measuring: it weighs the same in every share."""
     shares = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for i in sorted(range(len(lengths)), key=lambda i: -lengths[i]):
-        w = loads.index(min(loads))
-        shares[w].append(i)
-        loads[w] += lengths[i] + _SEQUENCE_COST_WORDS
+    for rank, i in enumerate(sorted(range(len(lengths)), key=lambda i: -lengths[i])):
+        lap, w = divmod(rank, workers)
+        shares[w if lap % 2 == 0 else workers - 1 - w].append(i)
     return shares
 
 
@@ -295,8 +289,9 @@ class GradientHelpers:
         """The mean joint loss of the encoded sequences `encoded`; their
         mean gradient is left in `grad`.
 
-        Each helper computes one _shares slice and the parent the first,
-        each a whole slice in one _share_gradients call.
+        The batch is dealt out and back by length (_shares); each helper
+        computes one share and the parent the first, which holds the
+        longest sequence, each a whole share in one _share_gradients call.
         Sequence i's gradient lands in row i and its loss in slot i; rows
         1..k-1 are added to row 0 in order and the sum divided by k, and the
         losses are added one at a time in order, so the bits do not depend

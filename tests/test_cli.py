@@ -8,6 +8,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import fill_tensor, random_bundle, rewrite_config_line, small_config
 from puncstream import cli
@@ -258,6 +260,69 @@ def test_train_that_cannot_allocate_its_model_exits_1(tmp_path, capsys):
     assert err.startswith("error: out of memory: ") and "PiB" in err
     assert err.count("\n") == 1 and "Traceback" not in err and out == ""
     assert not ckpt.exists()
+
+
+_FOUR_UTTERANCES = ("i\tO\tO\nwant\tO\tO\nflights\tPERIOD\tO\n\n"
+                    "uh\tO\tB-IM\nyes\tPERIOD\tO\n\n"
+                    "to\tO\tO\nto\tO\tO\nboston\tPERIOD\tO\n\n"
+                    "hello\tCOMMA\tO\nthere\tQUESTION\tO\n\n")
+
+
+@pytest.mark.parametrize("setting, message", [
+    # counts above sys.maxsize, refused before the first step: a warm-up too
+    # long for a float, and more gradient rows than a mapping can hold
+    ("warmup_steps=1" + "0" * 400, "warmup_steps must be <= "),
+    ("batch_size=1" + "0" * 30, "batch_size must be <= "),
+    # below sys.maxsize, but too many rows for a mapping's C size
+    ("batch_size=1" + "0" * 15, "too large to convert"),
+], ids=["warmup_steps=1e400", "batch_size=1e30", "batch_size=1e15"])
+def test_train_with_an_astronomical_count_exits_1(tmp_path, capsys, setting,
+                                                   message):
+    corpus, ckpt = tmp_path / "c.tsv", tmp_path / "m.ctt"
+    corpus.write_text(_FOUR_UTTERANCES)
+    code, out, err = run(["train", "--corpus", str(corpus), "--out", str(ckpt),
+                          "--set", "max_steps=1", "--set", setting], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not ckpt.exists()
+
+
+# Never mid-sized values such as d_model=5000 or batch_size=1000000: those
+# allocate gigabytes instead of failing.
+_ANY_VALUE = st.one_of(
+    st.integers(1, 12).map(str),
+    st.sampled_from(["0", "0.5", "2.5", "1e-300", "nan", "inf", ""]),
+    st.integers(max_value=-1).map(str),
+    st.text(max_size=12),
+    st.integers(10 ** 19, 10 ** 400).map(str),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=st.sampled_from(sorted(cli._DEFAULTS)), value=_ANY_VALUE)
+@example(key="warmup_steps", value=str(10 ** 400))
+@example(key="batch_size", value=str(10 ** 30))
+def test_train_with_any_one_setting_exits_0_or_1_with_one_error_line(
+        tmp_path_factory, key, value):
+    # one step on four utterances, unless the step count is what is drawn
+    root = tmp_path_factory.mktemp("setting")
+    corpus, ckpt = root / "c.tsv", root / "m.ctt"
+    corpus.write_text(_FOUR_UTTERANCES)
+    argv = ["train", "--corpus", str(corpus), "--dev", str(corpus),
+            "--out", str(ckpt), "--set", f"{key}={value}"]
+    if key != "max_steps":
+        argv += ["--set", "max_steps=1"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code == 0:
+        assert err.getvalue() == "" and ckpt.exists()
+    else:
+        assert code == 1 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in err.getvalue() and not ckpt.exists()
 
 
 # Every --set/config-file key and its default, as the CLI has always had them.

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -291,6 +292,15 @@ def test_train_config_rejects_clip_norm_not_finite_and_positive(clip_norm):
         tr.TrainConfig(clip_norm=clip_norm)
 
 
+@pytest.mark.parametrize("name", ["batch_size", "warmup_steps", "max_steps",
+                                  "eval_every"])
+def test_train_config_refuses_a_count_above_sys_maxsize(name):
+    assert getattr(tr.TrainConfig(**{name: sys.maxsize}), name) == sys.maxsize
+    with pytest.raises(ValueError, match=f"^{name} must be <= {sys.maxsize}, "
+                                         f"got {sys.maxsize + 1}$"):
+        tr.TrainConfig(**{name: sys.maxsize + 1})
+
+
 # SHA-256 of the little-endian float64 parameter vector, in param_shapes
 # order, that test_training_fingerprint_is_pinned trains (numpy 2.4.6,
 # OpenBLAS 0.3.31, x86-64). It is the training that the CTT2 checkpoint
@@ -449,6 +459,32 @@ def test_helpers_give_the_in_process_gradients_bit_for_bit(cpus, monkeypatch):
         assert multiprocessing.active_children() == []
         helped = forks and min(cpus, batch_size) > 1
         assert steps == [(helped, True)] * 3
+
+
+def test_shares_deal_longest_first_out_and_back():
+    # the three 9-word sequences go out in index order, the deal turns at
+    # the last worker and again at the first
+    assert tr._shares([5, 9, 9, 1, 7, 3, 9], 3) == [[1, 5, 3], [2, 0], [6, 4]]
+    assert tr._shares([4, 4, 4, 4], 2) == [[0, 3], [1, 2]]
+    assert tr._shares([], 3) == [[], [], []]
+
+
+def test_shares_hold_every_sequence_once_and_as_many_as_each_other():
+    rng = np.random.default_rng(0)
+    for workers, k in itertools.product(range(1, 9), range(9)):
+        # lengths 1-3 tie often; all equal; one long sequence among short
+        for lengths in [[2] * k, [40, *[1] * (k - 1)][:k]] + [
+                rng.integers(1, 4, size=k).tolist() for _ in range(6)]:
+            shares = tr._shares(lengths, workers)
+            assert len(shares) == workers
+            assert sorted(itertools.chain(*shares)) == list(range(k))
+            sizes = [len(share) for share in shares]
+            assert max(sizes) - min(sizes) <= 1
+            for share in shares:  # longest first, ties in index order
+                assert share == sorted(share, key=lambda i: (-lengths[i], i))
+            if workers == 2 and k >= 2:  # the two longest are split
+                first, second = sorted(range(k), key=lambda i: -lengths[i])[:2]
+                assert first in shares[0] and second in shares[1]
 
 
 def small_training_run(monkeypatch, gradient_in_helpers):
