@@ -409,8 +409,9 @@ def synth_generate(seed, n_utterances, grammar=None, event_log=None):
     return out
 
 
-def truncation_augment(batch, rng, max_positions, probability=0.5):
-    """Append a random-length prefix of another utterance to ~half the batch.
+def truncation_augment(batch, rng, max_positions):
+    """Append a random-length prefix of another utterance to each utterance
+    with probability one half (`rng.random() < 0.5`).
 
     The final appended word has its punctuation forced to O: the appended
     sentence is cut mid-stream, so the model cannot rely on always seeing an
@@ -421,7 +422,7 @@ def truncation_augment(batch, rng, max_positions, probability=0.5):
         raise ValueError("batch must be nonempty")
     out = []
     for seq in batch:
-        if probability <= 0 or rng.random() >= probability:
+        if rng.random() >= 0.5:
             out.append(seq)
             continue
         other = batch[rng.randrange(len(batch))]

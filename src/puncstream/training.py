@@ -86,26 +86,25 @@ def lr_schedule(step, d_model, warmup_steps):
     return d_model ** -0.5 * min(step ** -0.5, step * warmup_steps ** -1.5)
 
 
-def clip_gradients(helpers, clip_norm):
-    """Scale the gradient vector `helpers.grad` of a GradientHelpers group in
-    place so its global L2 norm is <= clip_norm; return the norm it had.
+def clip_gradients(grad, config, clip_norm):
+    """Scale the flat gradient vector `grad`, laid out in
+    model.param_shapes(`config`) order, in place so its global L2 norm is
+    <= clip_norm; return the norm it had.
 
     The squares are summed over each parameter's CTT1 blocks
-    (model.param_blocks, with the heads of `helpers.params.config`), and the
-    block sums added one at a time in block order, so the norm, and with it
-    training, has the same bits as with one tensor per head and projection.
-    The blocks of one size are gathered, squared and summed together
+    (model.param_blocks, with the heads of `config`), and the block sums
+    added one at a time in block order, so the norm, and with it training,
+    has the same bits as with one tensor per head and projection. The
+    blocks of one size are gathered, squared in place and summed together
     (`_norm_blocks`, built once per config).
     """
-    grad = helpers.grad
     if not np.isfinite(grad).all():
         raise TrainingError("non-finite gradient; aborting")
-    gathers, order = _norm_blocks(helpers.params.config)
+    gathers, order = _norm_blocks(config)
     sums = []
     for index in gathers:
-        part = grad[index]  # a gather's copy is squared in place, a view not
-        part = np.multiply(part, part, out=part if part.flags.owndata else None)
-        sums.append(np.add.reduce(part, axis=-1))
+        part = grad[index]
+        sums.append(np.add.reduce(np.multiply(part, part, out=part), axis=-1))
     sq = 0.0
     for block_sum in np.concatenate(sums)[order].tolist():
         sq += block_sum
@@ -119,23 +118,16 @@ def clip_gradients(helpers, clip_norm):
 def _norm_blocks(config):
     """The CTT1 blocks of a gradient vector for `config` (model.param_blocks
     in param_shapes order), grouped by size: per size, a (blocks, size)
-    array of their vector indices, each block's in row-major order, or,
-    where one whole parameter is the only block of its size, the index of a
-    (1, size) view of it; and the permutation that takes the groups' block
-    sums, one group after another, to block order. Cached per config."""
+    array of their vector indices, each block's in row-major order; and the
+    permutation that takes the groups' block sums, one group after another,
+    to block order. Cached per config."""
     index = mdl.param_slots(config, np.arange(mdl._param_count(config)))
     blocks = [block.ravel() for name, a in index.items()
               for block in mdl.param_blocks(name, a, config.n_heads)]
     by_size = {}
     for i, block in enumerate(blocks):
         by_size.setdefault(block.size, []).append(i)
-    gathers = []
-    for group in by_size.values():
-        first = blocks[group[0]]
-        if len(group) == 1 and first[-1] - first[0] == first.size - 1:
-            gathers.append(np.s_[None, first[0]:first[-1] + 1])  # a (1, size) view
-        else:
-            gathers.append(np.stack([blocks[i] for i in group]))
+    gathers = [np.stack([blocks[i] for i in group]) for group in by_size.values()]
     return gathers, np.argsort(np.concatenate(list(by_size.values())))
 
 
@@ -418,7 +410,7 @@ def train(corpus, config, model_config, vocab, scheme, dev=None,
             if initial_loss is None:
                 initial_loss = loss
             final_loss = loss
-            clip_gradients(helpers, config.clip_norm)
+            clip_gradients(helpers.grad, model_config, config.clip_norm)
             lr = lr_schedule(step, model_config.d_model, config.warmup_steps)
             opt.step(params.vector, helpers.grad, lr)
 

@@ -156,16 +156,33 @@ def test_every_generated_sequence_passes_bio():
         dt.validate_bio(seq.disf)
 
 
+class FixedDraw(random.Random):
+    """A seeded Random whose `random()` always returns `value`, so that
+    truncation_augment augments every utterance (below one half) or none.
+    Its integer draws are the seeded Random's own: binding `getrandbits`
+    keeps Random.__init_subclass__ from routing `randrange` and `randint`
+    through the overridden `random()`."""
+
+    getrandbits = random.Random.getrandbits
+
+    def __init__(self, seed, value):
+        super().__init__(seed)
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
 def test_truncation_augment_identity_at_zero_probability():
     batch = dt.synth_generate(6, 20, dt.GrammarConfig())
-    out = dt.truncation_augment(batch, random.Random(0), 512, probability=0.0)
+    out = dt.truncation_augment(batch, FixedDraw(0, 0.5), 512)
     assert out == batch
 
 
 def test_truncation_augment_lengths_and_final_punct():
     batch = dt.synth_generate(7, 40, dt.GrammarConfig())
-    rng = random.Random(1)
-    out = dt.truncation_augment(batch, rng, 512, probability=1.0)
+    rng = FixedDraw(1, 0.0)
+    out = dt.truncation_augment(batch, rng, 512)
     for before, after in zip(batch, out):
         extra = len(after.words) - len(before.words)
         assert 1 <= extra
@@ -179,9 +196,9 @@ def test_truncation_augment_cuts_the_prefix_to_max_positions():
     # left under the limit, and an utterance with no room left as it is
     batch = dt.synth_generate(7, 40, dt.GrammarConfig())
     limit = sorted(len(seq.words) for seq in batch)[len(batch) // 2] + 2
-    free, capped = random.Random(4), random.Random(4)
-    long = dt.truncation_augment(batch, free, 10 ** 6, probability=1.0)
-    short = dt.truncation_augment(batch, capped, limit, probability=1.0)
+    free, capped = FixedDraw(4, 0.0), FixedDraw(4, 0.0)
+    long = dt.truncation_augment(batch, free, 10 ** 6)
+    short = dt.truncation_augment(batch, capped, limit)
     assert free.getstate() == capped.getstate()
     for before, a, b in zip(batch, long, short):
         n = min(len(a.words), limit)

@@ -95,16 +95,17 @@ def test_lr_schedule_rejects_step_zero():
         tr.lr_schedule(0, 32, 400)
 
 
-def gradient_group(grads, config=None):
-    """A GradientHelpers group without processes for `config` (by default
-    small_config(vocab_size=5)) whose gradient holds `grads`, a name ->
-    array map, and zeros in every other parameter's slot. A zero slot adds
-    exact zeros to the clip norm."""
+def gradient_vector(grads, config=None):
+    """A gradient vector for `config` (by default small_config(vocab_size=5))
+    holding `grads`, a name -> array map, and zeros in every other
+    parameter's slot, and its named views (model.param_slots). A zero slot
+    adds exact zeros to the clip norm."""
     config = config or small_config(vocab_size=5)
-    helpers = tr.GradientHelpers(config, mdl.ModelParams(config), 1, 0)
+    grad = mdl.ModelParams(config).vector
+    slots = mdl.param_slots(config, grad)
     for name, g in grads.items():
-        helpers.grads[name][...] = g
-    return helpers
+        slots[name][...] = g
+    return grad, slots
 
 
 @pytest.mark.parametrize("batch_size", [0, -1])
@@ -115,18 +116,17 @@ def test_gradient_group_refuses_a_batch_size_below_1(batch_size):
 
 
 def test_clip_leaves_small_gradients_untouched():
-    helpers = gradient_group({"punct.b": np.array([0.3, 0.4, 0.0, 0.0])})  # norm 0.5
-    before = helpers.grad.copy()
-    norm = tr.clip_gradients(helpers, 1.0)
-    assert np.array_equal(helpers.grad, before) and norm == 0.5
+    grad, _ = gradient_vector({"punct.b": np.array([0.3, 0.4, 0.0, 0.0])})  # norm 0.5
+    before = grad.copy()
+    norm = tr.clip_gradients(grad, small_config(vocab_size=5), 1.0)
+    assert np.array_equal(grad, before) and norm == 0.5
 
 
 def test_clip_scales_to_exactly_the_threshold():
     grads = {"punct.b": np.array([3.0, 0.0, 0.0, 0.0]),
              "disf.b": np.array([4.0, 0.0, 0.0, 0.0, 0.0])}  # norm 5
-    helpers = gradient_group(grads)
-    out = helpers.grads
-    assert tr.clip_gradients(helpers, 1.0) == 5.0
+    grad, out = gradient_vector(grads)
+    assert tr.clip_gradients(grad, small_config(vocab_size=5), 1.0) == 5.0
     norm = math.sqrt(sum(float((g * g).sum()) for g in out.values()))
     assert abs(norm - 1.0) < 1e-12
     # direction preserved: cosine similarity 1 with the unclipped gradient
@@ -141,9 +141,8 @@ def test_clip_sums_wqkv_block_by_block():
     grads = {"embed": rng.normal(size=(5, 8)),
              "layer0.wqkv": rng.normal(size=(8, 24)),
              "layer0.wo": rng.normal(size=(8, 8))}
-    helpers = gradient_group(grads)
-    out = helpers.grads
-    tr.clip_gradients(helpers, 1.0)
+    grad, out = gradient_vector(grads)
+    tr.clip_gradients(grad, small_config(vocab_size=5), 1.0)
     sq = float((grads["embed"] ** 2).sum())
     for h in range(2):
         for c in range(3):
@@ -160,8 +159,8 @@ def test_clip_sums_wqkv_block_by_block():
 
 def test_clip_rejects_non_finite():
     with pytest.raises(tr.TrainingError):
-        tr.clip_gradients(
-            gradient_group({"punct.b": np.array([0.0, np.nan, 0.0, 0.0])}), 1.0)
+        grad, _ = gradient_vector({"punct.b": np.array([0.0, np.nan, 0.0, 0.0])})
+        tr.clip_gradients(grad, small_config(vocab_size=5), 1.0)
 
 
 def test_adam_zero_gradient_is_noop_on_fresh_state():
@@ -337,8 +336,8 @@ def test_training_fingerprint_is_pinned_with_helpers(monkeypatch):
 def check_training_fingerprint(monkeypatch):
     clipped = []
 
-    def clip_and_count(helpers, clip_norm):
-        norm = clip(helpers, clip_norm)
+    def clip_and_count(grad, config, clip_norm):
+        norm = clip(grad, config, clip_norm)
         clipped.append(norm > clip_norm)
         return norm
 
@@ -591,7 +590,7 @@ def test_in_place_clip_and_adam_equal_the_out_of_place_reference_bit_for_bit():
     shapes = mdl.param_shapes(config)
     size = sum(math.prod(s) for s in shapes.values())
     params = mdl.ModelParams(config, rng.normal(size=size))
-    helpers = gradient_group({}, config)
+    grad, slots = gradient_vector({}, config)
     ref = {n: t.data.copy() for n, t in params.items()}
     state = {"t": 0, "m": {n: np.zeros(s) for n, s in shapes.items()},
              "v": {n: np.zeros(s) for n, s in shapes.items()}}
@@ -601,10 +600,10 @@ def test_in_place_clip_and_adam_equal_the_out_of_place_reference_bit_for_bit():
         drawn = {n: scale * rng.normal(size=s) / math.sqrt(size)
                  for n, s in shapes.items()}
         for name, g in drawn.items():
-            helpers.grads[name][...] = g
+            slots[name][...] = g
         lr = float(rng.uniform(1e-4, 0.1))
-        norm = tr.clip_gradients(helpers, 1.0)
-        opt.step(params.vector, helpers.grad, lr)
+        norm = tr.clip_gradients(grad, config, 1.0)
+        opt.step(params.vector, grad, lr)
         ref_norm = reference_clip_and_adam(ref, drawn, state, lr, 1.0, 2)
         assert norm == ref_norm
         clipped.append(norm > 1.0)
