@@ -3,8 +3,8 @@
 All randomness flows from --seed; every subcommand is reproducible from its
 inputs, seed, and config. Exit codes: 0 success, 1 runtime error (an
 OSError, ValueError, RuntimeError, OverflowError or MemoryError, printed as
-one `error:` line), 2 usage, 130 Ctrl-C and 141 closed stdout (128 +
-SIGINT, SIGPIPE), both silent.
+one `error:` line of at most 240 characters), 2 usage, 130 Ctrl-C and 141
+closed stdout (128 + SIGINT, SIGPIPE), both silent.
 """
 
 import argparse
@@ -146,6 +146,7 @@ def _cmd_synth(args):
 def _cmd_train(args):
     cfg = load_run_config(args.config, args.set,
                           _MODEL_KEYS if args.init_checkpoint else ())
+    mdl.check_max_positions(cfg["max_positions"])
     corpus = dt.parse_corpus(args.corpus)
     dev = dt.parse_corpus(args.dev) if args.dev else None
     scheme = dt.LabelScheme()
@@ -242,6 +243,23 @@ _COMMANDS = {
 }
 
 
+# The longest `error:` line `main` prints. A message may echo a value in
+# full, and a 401-digit setting made a 443-character line.
+_ERROR_LINE_CHARS = 240
+
+
+def _error(message):
+    """Print `message` as one `error:` line of at most _ERROR_LINE_CHARS
+    characters, and return exit code 1. A longer line keeps its start and
+    its end and loses its middle, such as most of a 401-digit value."""
+    line = f"error: {message}"
+    if len(line) > _ERROR_LINE_CHARS:
+        keep = (_ERROR_LINE_CHARS - 3) // 2
+        line = f"{line[:keep]}...{line[-keep:]}"
+    print(line, file=sys.stderr)
+    return 1
+
+
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -253,12 +271,9 @@ def main(argv=None):
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (OSError, ValueError, RuntimeError, OverflowError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        return _error(str(e))
     except MemoryError as e:  # numpy's names the size it could not allocate
-        print(f"error: out of memory: {e}" if str(e) else "error: out of memory",
-              file=sys.stderr)
-        return 1
+        return _error(f"out of memory: {e}" if str(e) else "out of memory")
 
 
 if __name__ == "__main__":

@@ -122,6 +122,16 @@ def _emit(state, upto):
     return triples
 
 
+def _cap(tagger, policy):
+    """The tagger's `max_positions` (unbounded without one); a frame_rate
+    above it raises StreamError."""
+    cap = getattr(tagger, "max_positions", float("inf"))
+    if policy.frame_rate > cap:
+        raise StreamError(f"frame_rate {policy.frame_rate} exceeds the "
+                          f"tagger's max_positions {cap}")
+    return cap
+
+
 def stream_step(state, new_words, tagger, policy):
     """Consume up to frame_rate new words; returns newly frozen triples.
 
@@ -140,10 +150,7 @@ def stream_step(state, new_words, tagger, policy):
     if not 1 <= len(new_words) <= policy.frame_rate:
         raise StreamError(
             f"expected 1..{policy.frame_rate} new words, got {len(new_words)}")
-    cap = getattr(tagger, "max_positions", float("inf"))
-    if policy.frame_rate > cap:
-        raise StreamError(f"frame_rate {policy.frame_rate} exceeds the "
-                          f"tagger's max_positions {cap}")
+    cap = _cap(tagger, policy)
     state.buffer_words.extend(new_words)
     _retag(state, tagger)
     frozen = []
@@ -172,7 +179,10 @@ def finish(state, tagger):
 def stream_frames(state, words, tagger, policy):
     """Feed any iterable of words to stream_step in frames of frame_rate
     words (the last may be shorter), then finish; yields each call's newly
-    frozen triples as soon as it returns."""
+    frozen triples as soon as it returns. A frame_rate above the tagger's
+    `max_positions` raises StreamError before a word is read, so no frame
+    is read that could not be tagged."""
+    _cap(tagger, policy)
     words = iter(words)
     while frame := list(islice(words, policy.frame_rate)):
         yield stream_step(state, frame, tagger, policy)

@@ -30,6 +30,22 @@ class LengthError(ValueError):
     pass
 
 
+# The largest `max_positions` a stored model may have. A stream buffer at
+# the cap is re-tagged on every frame of `frame_rate` (3) words, and speech
+# brings three words in about 1.2 s. A CLI-default forward over 2048
+# positions took 0.49 s and peaked at 247 MB; over 4096 it took 2.0 s, so a
+# stream would fall behind speech, and peaked at 851 MB (2 Xeon vCPUs,
+# numpy 2.4.6 with OpenBLAS). A ModelConfig in memory may be larger.
+POSITIONS_CEILING = 2048
+
+
+def check_max_positions(max_positions):
+    """Raise LengthError if `max_positions` is above POSITIONS_CEILING."""
+    if max_positions > POSITIONS_CEILING:
+        raise LengthError(f"max_positions {max_positions} is above "
+                          f"{POSITIONS_CEILING}, the most a stored model may have")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
@@ -412,15 +428,17 @@ def _check_counts(path, config, vocab, scheme):
 
 def save_model(path, config, params, vocab, scheme):
     """Write the config, the vocabulary, the label names and the parameter
-    vector, then the CRC. `params` that do not fit `config` raise
-    ShapeMismatchError, and a vocabulary or label scheme of another size
-    than the config's CheckpointError, before the file is opened. Every
+    vector, then the CRC. A `max_positions` above POSITIONS_CEILING raises
+    LengthError, `params` that do not fit `config` ShapeMismatchError, and
+    a vocabulary or label scheme of another size than the config's
+    CheckpointError, before the file is opened. Every
     word and label can be stored: Vocabulary and LabelScheme refuse one
     that is empty or holds whitespace.
 
     The config block holds ModelConfig's fields in declaration order, then
     the vocabulary without PAD/UNK, which are implicit, and the label names.
     """
+    check_max_positions(config.max_positions)
     payload = np.asarray(unpack_params(config, params).vector, dtype="<f8").tobytes()
     _check_counts(path, config, vocab, scheme)
     kv = {_block_key(f.name): getattr(config, f.name) for f in fields(config)}
@@ -440,9 +458,10 @@ def load_model(path):
     """Inverse of save_model: (config, params, vocab, scheme).
 
     The file must be exactly as long as its config implies, and its CRC
-    must match; no read is larger than the file. The label names must match
-    the config's label counts and the vocabulary its size, and every weight
-    must be finite. Any malformed file raises CheckpointError.
+    must match; no read is larger than the file. `max_positions` may not be
+    above POSITIONS_CEILING, the label names must match the config's label
+    counts and the vocabulary its size, and every weight must be finite.
+    Any malformed file raises CheckpointError.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -471,6 +490,7 @@ def load_model(path):
             config = ModelConfig(**{
                 name: MaskSpec.from_string(v) if name == "mask_spec" else int(v)
                 for name, v in args.items()})
+            check_max_positions(config.max_positions)
             vocab = Vocabulary(kv["vocab"].split())
             scheme = LabelScheme(tuple(kv["punct_labels"].split()),
                                  tuple(kv["disf_labels"].split()))

@@ -26,6 +26,7 @@ helpers.
 """
 
 import contextlib
+import errno
 import math
 import mmap
 import multiprocessing
@@ -242,15 +243,24 @@ class GradientHelpers:
     whose named views are `grads`. All live in one shared mapping made
     before the fork. Parameters that do not fit `model_config` raise
     ShapeMismatchError, and a `batch_size` below 1 ValueError, before the
-    mapping is made. The `count` helpers (possibly none) are forked daemons
-    that ignore SIGINT.
+    mapping is made, and a mapping the system cannot provide raises
+    MemoryError naming its size. The `count` helpers (possibly none) are
+    forked daemons that ignore SIGINT.
     """
 
     def __init__(self, model_config, params, batch_size, count):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         size = mdl.unpack_params(model_config, params).vector.size
-        shared = np.frombuffer(mmap.mmap(-1, 8 * ((size + 1) * batch_size + size)), float)
+        nbytes = 8 * ((size + 1) * batch_size + size)
+        try:
+            mapping = mmap.mmap(-1, nbytes)
+        except OSError as exc:
+            if exc.errno != errno.ENOMEM:
+                raise
+            raise MemoryError(f"cannot map {nbytes} bytes for {batch_size} gradient "
+                              f"rows of {size} parameters") from None
+        shared = np.frombuffer(mapping, float)
         self.params = mdl.ModelParams(model_config, shared[:size])
         self.params.vector[...] = params.vector
         self._rows = shared[size:-batch_size].reshape(batch_size, size)

@@ -2,16 +2,18 @@ import contextlib
 import io
 import os
 import signal
+import struct
 import subprocess
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fill_tensor, random_bundle, rewrite_config_line, small_config
+from conftest import fill_tensor, random_bundle, rewrite_config_line, seal, small_config
 from puncstream import cli
 from puncstream import data as dt
 from puncstream import decoding as dec
@@ -275,7 +277,13 @@ _FOUR_UTTERANCES = ("i\tO\tO\nwant\tO\tO\nflights\tPERIOD\tO\n\n"
     ("batch_size=1" + "0" * 30, "batch_size must be <= "),
     # below sys.maxsize, but too many rows for a mapping's C size
     ("batch_size=1" + "0" * 15, "too large to convert"),
-], ids=["warmup_steps=1e400", "batch_size=1e30", "batch_size=1e15"])
+    # a C size, but more bytes than the address space: the kernel refuses
+    # the mapping at once, so nothing is allocated
+    ("batch_size=1" + "0" * 13, "out of memory: cannot map "),
+    # a stream cap no buffer would ever reach, refused before the corpus is read
+    ("max_positions=1" + "0" * 19, " is above 2048, the most a stored model may have"),
+], ids=["warmup_steps=1e400", "batch_size=1e30", "batch_size=1e15",
+        "batch_size=1e13", "max_positions=1e19"])
 def test_train_with_an_astronomical_count_exits_1(tmp_path, capsys, setting,
                                                    message):
     corpus, ckpt = tmp_path / "c.tsv", tmp_path / "m.ctt"
@@ -303,6 +311,7 @@ _ANY_VALUE = st.one_of(
 @given(key=st.sampled_from(sorted(cli._DEFAULTS)), value=_ANY_VALUE)
 @example(key="warmup_steps", value=str(10 ** 400))
 @example(key="batch_size", value=str(10 ** 30))
+@example(key="n_layers", value=str(10 ** 400))
 def test_train_with_any_one_setting_exits_0_or_1_with_one_error_line(
         tmp_path_factory, key, value):
     # one step on four utterances, unless the step count is what is drawn
@@ -322,6 +331,7 @@ def test_train_with_any_one_setting_exits_0_or_1_with_one_error_line(
         assert code == 1 and out.getvalue() == ""
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(lines[0]) <= 240
         assert "Traceback" not in err.getvalue() and not ckpt.exists()
 
 
@@ -825,3 +835,196 @@ def test_a_closed_stdout_ends_stream_with_exit_141_and_empty_stderr(tmp_path):
         code, err = proc.wait(), proc.stderr.read()
     assert head == frozen[:2]
     assert (code, err) == (141, "")
+
+
+# Generated inputs through cli.main: each run exits 0, or exits 1 with one
+# bounded `error:` line and no traceback.
+_TINY = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt3.ctt")
+
+
+def _main(argv, stdin=None):
+    """cli.main(argv) with the text file `stdin`, by default an empty one,
+    as its standard input: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", stdin or io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _exited_0_or_1_with_one_error_line(code, err):
+    assert code in (0, 1), err
+    if code == 0:
+        assert err == ""
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert len(lines[0]) <= 240 and "Traceback" not in err
+
+
+def _printed_words(out):
+    return [line.split("\t")[0] for line in out.split("\n")[:-1]]
+
+
+with open(_TINY, "rb") as _f:
+    _TINY_BYTES = _f.read()
+_TINY_BLOCK_END = 8 + struct.unpack_from("<I", _TINY_BYTES, 4)[0]
+_TINY_LINES = _TINY_BYTES[8:_TINY_BLOCK_END].decode().splitlines()
+
+
+def _with_block(lines):
+    """tiny_ctt3.ctt's bytes with `lines` for its config block and the old
+    CRC."""
+    block = "".join(f"{line}\n" for line in lines).encode("utf-8", "surrogatepass")
+    return (_TINY_BYTES[:4] + struct.pack("<I", len(block)) + block
+            + _TINY_BYTES[_TINY_BLOCK_END:])
+
+
+_CONFIG_VALUE = st.one_of(
+    st.integers(-2, 20).map(str),
+    st.sampled_from(["2048", "2049", str(10 ** 19), str(10 ** 400), "0,9",
+                     "2,2", "O PERIOD", "boston flight to um"]),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def _checkpoint_bytes(draw):
+    """tiny_ctt3.ctt as it is, truncated, with bytes changed or appended, or
+    with its config block swapped for a drawn one; then, if drawn, sealed
+    with a matching CRC, so a mutation also reaches the checks behind it."""
+    raw = _TINY_BYTES
+    kind = draw(st.sampled_from(["as is", "truncated", "changed", "appended",
+                                 "config swapped"]))
+    if kind == "truncated":
+        raw = raw[:draw(st.integers(0, len(raw) - 1))]
+    elif kind == "changed":
+        data = bytearray(raw)
+        for i, byte in draw(st.lists(st.tuples(st.integers(0, len(raw) - 1),
+                                               st.integers(0, 255)),
+                                     min_size=1, max_size=4)):
+            data[i] = byte
+        raw = bytes(data)
+    elif kind == "appended":
+        raw += draw(st.binary(min_size=1, max_size=16))
+    elif kind == "config swapped":
+        lines = list(_TINY_LINES)
+        for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=3)):
+            key = lines[i].partition("=")[0]
+            lines[i] = f"{key}={draw(_CONFIG_VALUE)}"
+        raw = _with_block(draw(st.permutations(lines)))
+    return seal(raw) if kind != "as is" and draw(st.booleans()) else raw
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=_checkpoint_bytes())
+@example(raw=seal(_with_block(line.replace("n_layers=1", f"n_layers={10 ** 400}")
+                              for line in _TINY_LINES)))
+def test_tag_and_stream_on_any_checkpoint_bytes_exit_0_or_1_with_one_error_line(
+        tmp_path_factory, raw):
+    root = tmp_path_factory.mktemp("checkpoint")
+    ckpt, corpus = root / "m.ctt", root / "c.tsv"
+    ckpt.write_bytes(raw)
+    words = "i want a flight to boston um to denver " * 3
+    corpus.write_text(words.replace(" ", "\n") + "\n")
+    code, out, err = _main(["tag", "--checkpoint", str(ckpt), "--input",
+                            str(corpus)])
+    _exited_0_or_1_with_one_error_line(code, err)
+    code, out, err = _main(["stream", "--checkpoint", str(ckpt)], io.StringIO(words))
+    _exited_0_or_1_with_one_error_line(code, err)
+    if code == 0:
+        assert _printed_words(out) == words.split()
+    if raw == _TINY_BYTES:
+        assert code == 0
+
+
+_ANY_CELL = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=200, max_size=400))
+
+
+@st.composite
+def _corpus_text(draw):
+    """Corpus text: 0 to 4 utterances of 1 to 8 lines, each followed by a
+    blank or whitespace-only line or by none. Without drawn faults every line holds a word,
+    a punctuation label and a B- or O disfluency label; each fault drawn
+    breaks that: any column count from 1 to 4 per line, unlabeled
+    utterances, any unicode in any cell (unknown labels among it), and
+    I- labels (BIO errors among them)."""
+    faults = draw(st.sets(st.sampled_from(["columns", "unlabeled", "text", "bio"])))
+    words = ["i", "want", "a", "flight", "to", "Boston", "um", "<unk>", "<pad>"]
+    punct = ["O", "COMMA", "PERIOD", "QUESTION"]
+    disf = ["O", "B-RM", "B-IM"] + (["I-RM", "I-IM"] if "bio" in faults else [])
+    cells = [st.sampled_from(words), st.sampled_from(punct),
+             st.sampled_from(disf), st.sampled_from(words)]
+    if "text" in faults:
+        cells = [st.one_of(cell, _ANY_CELL) for cell in cells]
+    utterances = []
+    for _ in range(draw(st.integers(0, 4))):
+        labeled = "unlabeled" not in faults or draw(st.booleans())
+        lines = []
+        for _ in range(draw(st.integers(1, 8))):
+            count = draw(st.integers(1, 4)) if "columns" in faults else 3 if labeled else 1
+            lines.append("\t".join(draw(cell) for cell in cells[:count]))
+        utterances.append("\n".join(lines) + "\n")
+    return "".join(utterance + draw(st.sampled_from(["\n", " \n", "\t\n", ""]))
+                   for utterance in utterances)
+
+
+@settings(max_examples=40, deadline=None)
+@given(text=_corpus_text(), other=_corpus_text())
+@example(text=f"i\tO\tO\nwant\t{'PERIOD ' * 40}\tO\n", other="")
+def test_train_tag_and_eval_on_any_corpus_text_exit_0_or_1_with_one_error_line(
+        tmp_path_factory, text, other):
+    root = tmp_path_factory.mktemp("corpus")
+    corpus, pred, ckpt = root / "c.tsv", root / "p.tsv", root / "m.ctt"
+    corpus.write_text(text, encoding="utf-8")
+    pred.write_text(other, encoding="utf-8")
+    code, _, err = _main(["train", "--corpus", str(corpus), "--out", str(ckpt),
+                          "--set", "max_steps=1", "--set", "d_model=8",
+                          "--set", "n_layers=1", "--set", "d_ff=16",
+                          "--set", "lookahead=9"])
+    _exited_0_or_1_with_one_error_line(code, err)
+    assert ckpt.exists() == (code == 0)
+    for argv in (["tag", "--checkpoint", _TINY, "--input", str(corpus)],
+                 ["eval", "--pred", str(pred), "--gold", str(corpus)],
+                 ["eval", "--pred", str(corpus), "--gold", str(corpus)]):
+        code, _, err = _main(argv)
+        _exited_0_or_1_with_one_error_line(code, err)
+
+
+_TOKEN = st.one_of(
+    st.sampled_from(["i", "want", "a", "flight", "to", "Boston", "um", "UH"]),
+    st.text(max_size=5),
+    st.text(min_size=300, max_size=2000),  # over-long tokens
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tokens=st.lists(_TOKEN, max_size=60),
+       breaks=st.lists(st.sampled_from([" ", "\n", "\t", "  ", " \n "]),
+                       min_size=60, max_size=60),
+       frame_rate=st.one_of(st.none(), st.integers(-1, 20)),
+       lookahead_words=st.one_of(st.none(), st.integers(-1, 20)))
+@example(tokens=["i"] * 17, breaks=[" "] * 60, frame_rate=17, lookahead_words=None)
+@example(tokens=[], breaks=[" "] * 60, frame_rate=17, lookahead_words=None)
+def test_stream_on_any_stdin_prints_every_word_once_in_order(
+        tokens, breaks, frame_rate, lookahead_words):
+    # up to 60 words through a 16-position model: runs past the cap, empty
+    # input, and frame rates above the cap among them
+    text = "".join(token + sep for token, sep in zip(tokens, breaks))
+    argv = ["stream", "--checkpoint", _TINY]
+    if frame_rate is not None:
+        argv += ["--frame-rate", str(frame_rate)]
+    if lookahead_words is not None:
+        argv += ["--lookahead-words", str(lookahead_words)]
+    stdin = io.StringIO(text)
+    code, out, err = _main(argv, stdin)
+    _exited_0_or_1_with_one_error_line(code, err)
+    frame_rate = 3 if frame_rate is None else frame_rate
+    lookahead_words = 6 if lookahead_words is None else lookahead_words
+    assert (code == 0) == (1 <= frame_rate <= 16 and lookahead_words >= 0)
+    if code == 0:
+        assert _printed_words(out) == [w.lower() for w in text.split()]
+    else:  # refused before a word is read, even from an endless stdin
+        assert stdin.tell() == 0 and out == ""

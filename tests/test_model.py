@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -620,6 +621,23 @@ def test_config_block_must_be_utf8_and_match_the_label_counts(
     rewrite_config_line(path, key, value)
     with pytest.raises(mdl.CheckpointError, match=message):
         mdl.load_model(path)
+
+
+def test_a_max_positions_above_the_ceiling_is_neither_loaded_nor_saved(tmp_path):
+    # the file's CRC is recomputed, so only the cap can refuse it
+    path = _golden_copy(tmp_path)
+    rewrite_config_line(path, b"max_positions", b"2048")
+    config, params, vocab, scheme = mdl.load_model(path)
+    assert config.max_positions == mdl.POSITIONS_CEILING == 2048
+    rewrite_config_line(path, b"max_positions", b"2049")
+    with pytest.raises(mdl.CheckpointError,
+                       match="max_positions 2049 is above 2048, the most"):
+        mdl.load_model(path)
+    wide = dataclasses.replace(config, max_positions=2049)  # fine in memory
+    out = tmp_path / "wide.ctt"
+    with pytest.raises(mdl.LengthError, match="max_positions 2049 is above 2048"):
+        mdl.save_model(out, wide, params, vocab, scheme)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name,value", [("embed", math.nan),
