@@ -946,11 +946,11 @@ _ANY_CELL = st.one_of(
 @st.composite
 def _corpus_text(draw):
     """Corpus text: 0 to 4 utterances of 1 to 8 lines, each followed by a
-    blank or whitespace-only line or by none. Without drawn faults every line holds a word,
-    a punctuation label and a B- or O disfluency label; each fault drawn
-    breaks that: any column count from 1 to 4 per line, unlabeled
-    utterances, any unicode in any cell (unknown labels among it), and
-    I- labels (BIO errors among them)."""
+    blank or whitespace-only line or by none. Without drawn faults every
+    line holds a word, a punctuation label and a B- or O disfluency label;
+    each fault drawn breaks that: any column count from 1 to 4 per line,
+    unlabeled utterances, any unicode in any cell (unknown labels and
+    over-long cells among it), and I- labels (BIO errors among them)."""
     faults = draw(st.sets(st.sampled_from(["columns", "unlabeled", "text", "bio"])))
     words = ["i", "want", "a", "flight", "to", "Boston", "um", "<unk>", "<pad>"]
     punct = ["O", "COMMA", "PERIOD", "QUESTION"]

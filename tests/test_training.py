@@ -158,8 +158,8 @@ def test_clip_sums_wqkv_block_by_block():
 
 
 def test_clip_rejects_non_finite():
+    grad, _ = gradient_vector({"punct.b": np.array([0.0, np.nan, 0.0, 0.0])})
     with pytest.raises(tr.TrainingError):
-        grad, _ = gradient_vector({"punct.b": np.array([0.0, np.nan, 0.0, 0.0])})
         tr.clip_gradients(grad, small_config(vocab_size=5), 1.0)
 
 
