@@ -11,7 +11,7 @@ place name is replaced by a sibling.
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 PAD_WORD = "<pad>"
 UNK_WORD = "<unk>"
@@ -85,16 +85,16 @@ class TokenSequence:
     punct: list = None
     disf: list = None
     # model predictions are not forced through BIO validation
-    strict_bio: bool = field(default=True, repr=False, compare=False)
+    strict_bio: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, strict_bio):
         n = len(self.words)
         if self.punct is not None and len(self.punct) != n:
             raise ValueError(f"{len(self.punct)} punct labels for {n} words")
         if self.disf is not None:
             if len(self.disf) != n:
                 raise ValueError(f"{len(self.disf)} disf labels for {n} words")
-            if self.strict_bio:
+            if strict_bio:
                 validate_bio(self.disf)
 
     def has_gold(self):
@@ -200,36 +200,32 @@ def write_corpus(path, seqs):
 # Synthetic grammar
 # ---------------------------------------------------------------------------
 
-_CITIES = ["boston", "denver", "seattle", "austin", "chicago",
-           "portland", "miami", "dallas"]
-_CITIES_SHIFTED = ["oslo", "madrid", "lisbon", "dublin",
-                   "prague", "vienna", "athens", "berlin"]
-_OBJECTS = ["flight", "hotel", "car", "ticket", "room", "cab"]
-_OBJECTS_SHIFTED = ["van", "boat", "bike", "suite", "tour", "ferry"]
-
-# Statement clauses end in "{prep} {city}" so sentence boundaries are
-# lexically cued; cities never appear mid-clause.
-_STATEMENTS = [
-    ("i", "want", "a", "{obj}", "to", "{city}"),
-    ("i", "need", "a", "{obj}", "to", "{city}"),
-    ("please", "book", "a", "{obj}", "in", "{city}"),
-    ("she", "wants", "a", "{obj}", "from", "{city}"),
-    ("we", "booked", "a", "{obj}", "near", "{city}"),
-]
-_QUESTIONS = [
-    ("do", "you", "have", "a", "{obj}", "in", "{city}"),
-    ("can", "i", "get", "a", "{obj}", "to", "{city}"),
-]
-_STATEMENTS_SHIFTED = [
-    ("they", "reserved", "a", "{obj}", "at", "{city}"),
-    ("he", "found", "a", "{obj}", "at", "{city}"),
-    ("please", "arrange", "a", "{obj}", "in", "{city}"),
-    ("we", "kept", "a", "{obj}", "near", "{city}"),
-]
-_QUESTIONS_SHIFTED = [
-    ("could", "we", "find", "a", "{obj}", "at", "{city}"),
-    ("do", "they", "have", "a", "{obj}", "in", "{city}"),
-]
+# Per travel domain: its (statements, questions, objects, cities). Statement
+# clauses end in "{prep} {city}" so sentence boundaries are lexically cued;
+# cities never appear mid-clause.
+_TRAVEL_GRAMMARS = {
+    "travel": (
+        [("i", "want", "a", "{obj}", "to", "{city}"),
+         ("i", "need", "a", "{obj}", "to", "{city}"),
+         ("please", "book", "a", "{obj}", "in", "{city}"),
+         ("she", "wants", "a", "{obj}", "from", "{city}"),
+         ("we", "booked", "a", "{obj}", "near", "{city}")],
+        [("do", "you", "have", "a", "{obj}", "in", "{city}"),
+         ("can", "i", "get", "a", "{obj}", "to", "{city}")],
+        ["flight", "hotel", "car", "ticket", "room", "cab"],
+        ["boston", "denver", "seattle", "austin", "chicago", "portland",
+         "miami", "dallas"]),
+    "travel-shifted": (
+        [("they", "reserved", "a", "{obj}", "at", "{city}"),
+         ("he", "found", "a", "{obj}", "at", "{city}"),
+         ("please", "arrange", "a", "{obj}", "in", "{city}"),
+         ("we", "kept", "a", "{obj}", "near", "{city}")],
+        [("could", "we", "find", "a", "{obj}", "at", "{city}"),
+         ("do", "they", "have", "a", "{obj}", "in", "{city}")],
+        ["van", "boat", "bike", "suite", "tour", "ferry"],
+        ["oslo", "madrid", "lisbon", "dublin", "prague", "vienna", "athens",
+         "berlin"]),
+}
 
 _FILLERS = [("um",), ("uh",), ("you", "know")]
 
@@ -246,7 +242,7 @@ _LATE_Q_TAILS = [
 ]
 
 
-GRAMMAR_DOMAINS = ("travel", "travel-shifted", "late-question")
+GRAMMAR_DOMAINS = (*_TRAVEL_GRAMMARS, "late-question")
 
 
 @dataclass
@@ -297,7 +293,7 @@ def _travel_sentence(rng, statements, questions, objects, cities):
 
 
 def _late_question_utterance(rng):
-    objects, cities = _OBJECTS, _CITIES
+    objects, cities = _TRAVEL_GRAMMARS["travel"][2:]
     clauses = []
     for _ in range(2):
         clause = _fill(rng.choice(_LATE_Q_CLAUSES), rng, objects, cities)
@@ -315,7 +311,7 @@ def _late_question_utterance(rng):
     return TokenSequence(words, punct, ["O"] * len(words))
 
 
-def _insert_repair(words, punct, disf, rng, cities, log):
+def _insert_repair(words, punct, disf, rng, cities):
     """Duplicate a clause-final "{prep} {city}" with a different city first.
 
     "to denver" -> "to boston (um) to denver", first pair B-RM I-RM.
@@ -334,13 +330,12 @@ def _insert_repair(words, punct, disf, rng, cities, log):
         ins_words += list(filler)
         ins_punct += ["O"] * len(filler)
         ins_disf += ["B-IM"] + ["I-IM"] * (len(filler) - 1)
-    log.append(("repair", len(ins_words)))
     return (words[:i] + ins_words + words[i:],
             punct[:i] + ins_punct + punct[i:],
             disf[:i] + ins_disf + disf[i:])
 
 
-def _insert_repetition(words, punct, disf, rng, log):
+def _insert_repetition(words, punct, disf, rng):
     """Duplicate a 1-3 word span; the first copy is the reparandum."""
     fluent = [i for i in range(len(words)) if disf[i] == "O"]
     if not fluent:
@@ -352,42 +347,32 @@ def _insert_repetition(words, punct, disf, rng, log):
         span += 1
     copy = words[start:start + span]
     rm = ["B-RM"] + ["I-RM"] * (span - 1)
-    log.append(("repetition", span))
     return (words[:start] + copy + words[start:],
             punct[:start] + ["O"] * span + punct[start:],
             disf[:start] + rm + disf[start:])
 
 
-def _insert_filler(words, punct, disf, rng, log):
+def _insert_filler(words, punct, disf, rng):
     filler = rng.choice(_FILLERS)
     # never split an existing B-/I- span
     spots = [i for i in range(len(words) + 1)
              if i == len(words) or not disf[i].startswith("I-")]
     i = rng.choice(spots)
     im = ["B-IM"] + ["I-IM"] * (len(filler) - 1)
-    log.append(("filler", len(filler)))
     return (words[:i] + list(filler) + words[i:],
             punct[:i] + ["O"] * len(filler) + punct[i:],
             disf[:i] + im + disf[i:])
 
 
-def synth_generate(seed, n_utterances, grammar=None, event_log=None):
+def synth_generate(seed, n_utterances, grammar=None):
     """Generate labeled utterances; deterministic for a fixed seed."""
     if n_utterances < 1:
         raise ValueError("n_utterances must be >= 1")
     cfg = grammar or GrammarConfig()
     rng = random.Random(seed)
-    log = event_log if event_log is not None else []
-    if cfg.domain == "travel":
-        statements, questions = _STATEMENTS, _QUESTIONS
-        objects, cities = _OBJECTS, _CITIES
-    elif cfg.domain == "travel-shifted":
-        statements, questions = _STATEMENTS_SHIFTED, _QUESTIONS_SHIFTED
-        objects, cities = _OBJECTS_SHIFTED, _CITIES_SHIFTED
-    elif cfg.domain == "late-question":
+    if cfg.domain == "late-question":
         return [_late_question_utterance(rng) for _ in range(n_utterances)]
-    else:
-        raise ValueError(f"unknown grammar domain {cfg.domain!r}")
+    statements, questions, objects, cities = _TRAVEL_GRAMMARS[cfg.domain]
 
     out = []
     for _ in range(n_utterances):
@@ -399,12 +384,11 @@ def synth_generate(seed, n_utterances, grammar=None, event_log=None):
             punct += sp
         disf = ["O"] * len(words)
         if rng.random() < cfg.p_repair:
-            words, punct, disf = _insert_repair(words, punct, disf, rng,
-                                                cities, log)
+            words, punct, disf = _insert_repair(words, punct, disf, rng, cities)
         if rng.random() < cfg.p_repetition:
-            words, punct, disf = _insert_repetition(words, punct, disf, rng, log)
+            words, punct, disf = _insert_repetition(words, punct, disf, rng)
         if rng.random() < cfg.p_filler:
-            words, punct, disf = _insert_filler(words, punct, disf, rng, log)
+            words, punct, disf = _insert_filler(words, punct, disf, rng)
         out.append(TokenSequence(words, punct, disf))
     return out
 

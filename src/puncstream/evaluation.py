@@ -7,6 +7,7 @@ derived from the BIO tags.
 """
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .decoding import rescore_decode, stream_decode
@@ -51,6 +52,23 @@ def _disf_kind(label):
     return None
 
 
+def _scores(pairs, classes, kind=lambda label: label):
+    """{class: Scores} for `classes` from a Counter of (predicted, gold)
+    labels, each read as the class `kind(label)`: a pair of one class is its
+    true positive, any other a false positive of the predicted class and a
+    false negative of the gold one."""
+    scores = {c: Scores() for c in classes}
+    unscored = Scores()
+    for (p, g), n in pairs.items():
+        p, g = kind(p), kind(g)
+        if p == g:
+            scores.get(p, unscored).tp += n
+        else:
+            scores.get(p, unscored).fp += n
+            scores.get(g, unscored).fn += n
+    return scores
+
+
 def score(pred, gold, scheme):
     """Compare aligned predicted and gold sequences; returns an EvalReport.
 
@@ -58,8 +76,7 @@ def score(pred, gold, scheme):
     """
     if len(pred) != len(gold):
         raise EvalError(f"{len(pred)} predicted vs {len(gold)} gold sequences")
-    punct = {lab: Scores() for lab in scheme.punct_labels if lab != "O"}
-    disf = {k: Scores() for k in ("interregnum", "reparandum", "either")}
+    punct_pairs, disf_pairs = Counter(), Counter()
     for idx, (p, g) in enumerate(zip(pred, gold)):
         for side, seq in (("predicted", p), ("gold", g)):
             if problem := scheme.label_problem(seq):
@@ -68,26 +85,12 @@ def score(pred, gold, scheme):
             raise EvalError(
                 f"utterance {idx}: {len(p.words)} predicted vs "
                 f"{len(g.words)} gold tokens")
-        for pp, gp in zip(p.punct, g.punct):
-            if gp != "O" and pp == gp:
-                punct[gp].tp += 1
-            else:
-                if pp != "O":
-                    punct[pp].fp += 1
-                if gp != "O":
-                    punct[gp].fn += 1
-        for pd, gd in zip(p.disf, g.disf):
-            pk, gk = _disf_kind(pd), _disf_kind(gd)
-            for kind, s in (("interregnum", disf["interregnum"]),
-                            ("reparandum", disf["reparandum"])):
-                phit, ghit = pk == kind, gk == kind
-                s.tp += phit and ghit
-                s.fp += phit and not ghit
-                s.fn += ghit and not phit
-            phit, ghit = pk is not None, gk is not None
-            disf["either"].tp += phit and ghit
-            disf["either"].fp += phit and not ghit
-            disf["either"].fn += ghit and not phit
+        punct_pairs.update(zip(p.punct, g.punct))
+        disf_pairs.update(zip(p.disf, g.disf))
+    punct = _scores(punct_pairs, [lab for lab in scheme.punct_labels if lab != "O"])
+    disf = _scores(disf_pairs, ("interregnum", "reparandum"), _disf_kind)
+    disf |= _scores(disf_pairs, ("either",),
+                    lambda label: _disf_kind(label) and "either")
     overall = Scores(tp=sum(s.tp for s in punct.values()),
                      fp=sum(s.fp for s in punct.values()),
                      fn=sum(s.fn for s in punct.values()))

@@ -118,10 +118,26 @@ def test_synth_zero_probabilities_is_fluent():
         assert seq.punct[-1] in ("PERIOD", "QUESTION")
 
 
-def test_synth_deterministic_and_counts_match_log():
-    grammar = dt.GrammarConfig(p_filler=0.3, p_repetition=0.3, p_repair=0.3)
+@pytest.fixture
+def insertions(monkeypatch):
+    """The (rule, words inserted) of every disfluency that the generator's
+    _insert_repair, _insert_repetition and _insert_filler insert, in order,
+    recorded by wrapping them."""
     log = []
-    a = dt.synth_generate(11, 300, grammar, event_log=log)
+    for rule in ("repair", "repetition", "filler"):
+        def spy(words, *args, rule=rule, insert=getattr(dt, f"_insert_{rule}")):
+            out = insert(words, *args)
+            if len(out[0]) > len(words):
+                log.append((rule, len(out[0]) - len(words)))
+            return out
+        monkeypatch.setattr(dt, f"_insert_{rule}", spy)
+    return log
+
+
+def test_synth_deterministic_and_counts_match_log(insertions):
+    grammar = dt.GrammarConfig(p_filler=0.3, p_repetition=0.3, p_repair=0.3)
+    a = dt.synth_generate(11, 300, grammar)
+    log = list(insertions)
     b = dt.synth_generate(11, 300, grammar)
     assert [(s.words, s.punct, s.disf) for s in a] == \
         [(s.words, s.punct, s.disf) for s in b]
@@ -136,14 +152,13 @@ def test_synth_deterministic_and_counts_match_log():
                             for kind, k in log if kind != "filler")
 
 
-def test_repetition_rule_by_construction():
+def test_repetition_rule_by_construction(insertions):
     words = ["i", "fly", "to", "boston"]
     punct = ["O", "O", "O", "PERIOD"]
     disf = ["O"] * 4
     rng = random.Random(0)
-    log = []
-    w, p, d = dt._insert_repetition(words, punct, disf, rng, log)
-    ((_, span),) = log
+    w, p, d = dt._insert_repetition(words, punct, disf, rng)
+    ((_, span),) = insertions
     start = next(i for i, lab in enumerate(d) if lab == "B-RM")
     assert w[start:start + span] == w[start + span:start + 2 * span]
     assert d[start:start + span] == ["B-RM"] + ["I-RM"] * (span - 1)

@@ -92,18 +92,34 @@ def test_score_against_brute_force_counter():
     gold, pred = [], []
     for _ in range(50):
         n = rng.randint(1, 10)
-        gold.append(_seq([rng.choice(scheme.punct_labels) for _ in range(n)]))
-        pred.append(_seq([rng.choice(scheme.punct_labels) for _ in range(n)]))
+        for seqs in (gold, pred):
+            seqs.append(_seq([rng.choice(scheme.punct_labels) for _ in range(n)],
+                             [rng.choice(scheme.disf_labels) for _ in range(n)]))
     report = ev.score(pred, gold, scheme)
-    for lab in ("COMMA", "PERIOD", "QUESTION"):
+
+    def brute_force(row, hit):
         tp = fp = fn = 0
         for p, g in zip(pred, gold):
-            for pp, gp in zip(p.punct, g.punct):
-                tp += pp == lab and gp == lab
-                fp += pp == lab and gp != lab
-                fn += pp != lab and gp == lab
+            for pl, gl in zip(getattr(p, row), getattr(g, row)):
+                tp += hit(pl) and hit(gl)
+                fp += hit(pl) and not hit(gl)
+                fn += hit(gl) and not hit(pl)
+        return tp, fp, fn
+
+    overall = [0, 0, 0]
+    for lab in ("COMMA", "PERIOD", "QUESTION"):
         s = report.punct[lab]
-        assert (s.tp, s.fp, s.fn) == (tp, fp, fn)
+        counts = brute_force("punct", lambda label: label == lab)
+        assert (s.tp, s.fp, s.fn) == counts
+        overall = [a + b for a, b in zip(overall, counts)]
+    o = report.punct_overall
+    assert [o.tp, o.fp, o.fn] == overall
+    for kind, hit in (("interregnum", lambda label: label.endswith("IM")),
+                      ("reparandum", lambda label: label.endswith("RM")),
+                      ("either", lambda label: label != "O")):
+        s = report.disf[kind]
+        assert (s.tp, s.fp, s.fn) == brute_force("disf", hit)
+    assert report.disf["either"].tp > 0 and report.disf["reparandum"].fp > 0
 
 
 def test_length_mismatch_rejected():
