@@ -426,12 +426,72 @@ def _check_counts(path, config, vocab, scheme):
             f"{config.punct_label_count} and {config.disf_label_count}")
 
 
+# Half of float64's largest value: the most a bound of _value_bounds may be,
+# which leaves room for rounding.
+_VALUE_LIMIT = float(np.finfo(np.float64).max) / 2
+
+
+def _value_bounds(config, params):
+    """Yield (parameter name, bound) for each step of the forward: the
+    parameter that the step applies and a bound on the magnitude of every
+    value the step computes, partial sums and squares included, for any
+    tokens.
+
+    The bounds follow from each parameter's largest magnitude and the sizes
+    alone, since a layer norm's output before its gain and bias lies within
+    sqrt(d_model) of zero, whatever its input.
+    """
+    top = {name: float(np.abs(w).max())
+           for name, w in param_slots(config, params.vector).items()}
+    d, dk, dff = config.d_model, config.d_k, config.d_ff
+
+    def add_norm(s, name):
+        """For the layer norm `name` of a sum whose entries are at most `s`:
+        a bound on its row sums and centred sums of squares, and its output's."""
+        return d * (s + 4 * s * s), (math.sqrt(d) * top[f"{name}.gain"]
+                                     + top[f"{name}.bias"])
+
+    x = top["embed"] + 1.0  # a token's row plus its positions, in [-1, 1]
+    yield "embed", x
+    for i in range(config.n_layers):
+        qkv = d * x * top[f"layer{i}.wqkv"]
+        yield f"layer{i}.wqkv", 2 * dk * qkv * qkv  # q.k less its row's largest
+        y = d * qkv * top[f"layer{i}.wo"]  # the heads' outputs average v's rows
+        sums, x = add_norm(x + y, f"layer{i}.norm1")
+        yield f"layer{i}.wo", sums
+        yield f"layer{i}.norm1.gain", x
+        inner = d * x * top[f"layer{i}.ff.w1"] + top[f"layer{i}.ff.b1"]
+        yield f"layer{i}.ff.w1", inner
+        y = dff * inner * top[f"layer{i}.ff.w2"] + top[f"layer{i}.ff.b2"]
+        sums, x = add_norm(x + y, f"layer{i}.norm2")
+        yield f"layer{i}.ff.w2", sums
+        yield f"layer{i}.norm2.gain", x
+    for head in ("punct", "disf"):  # logits, and logits less their row's largest
+        yield f"{head}.w", 2 * (d * x * top[f"{head}.w"] + top[f"{head}.b"])
+
+
+def _check_values(path, config, params):
+    """Raise CheckpointError, naming the parameter, if a weight is not
+    finite, or if one is so large that a forward could leave float64's
+    range (_value_bounds)."""
+    if not np.isfinite(params.vector).all():
+        raise CheckpointError(f"checkpoint {path} has non-finite values in "
+                              + ", ".join(name for name, t in params.items()
+                                          if not np.isfinite(t.data).all()))
+    for name, bound in _value_bounds(config, params):
+        if not bound <= _VALUE_LIMIT:  # a bound past a float's range is inf or nan
+            raise CheckpointError(
+                f"checkpoint {path} has weights so large that a forward could "
+                f"overflow float64 at {name}")
+
+
 def save_model(path, config, params, vocab, scheme):
     """Write the config, the vocabulary, the label names and the parameter
     vector, then the CRC. A `max_positions` above POSITIONS_CEILING raises
     LengthError, `params` that do not fit `config` ShapeMismatchError, and
-    a vocabulary or label scheme of another size than the config's
-    CheckpointError, before the file is opened. Every
+    a vocabulary or label scheme of another size than the config's, or a
+    weight that load_model would refuse (_check_values), CheckpointError,
+    before the file is opened. Every
     word and label can be stored: Vocabulary and LabelScheme refuse one
     that is empty or holds whitespace.
 
@@ -439,8 +499,10 @@ def save_model(path, config, params, vocab, scheme):
     the vocabulary without PAD/UNK, which are implicit, and the label names.
     """
     check_max_positions(config.max_positions)
-    payload = np.asarray(unpack_params(config, params).vector, dtype="<f8").tobytes()
+    params = unpack_params(config, params)
     _check_counts(path, config, vocab, scheme)
+    _check_values(path, config, params)
+    payload = np.asarray(params.vector, dtype="<f8").tobytes()
     kv = {_block_key(f.name): getattr(config, f.name) for f in fields(config)}
     kv["lookahead"] = config.mask_spec.to_string()
     kv["vocab"] = " ".join(vocab.words[2:])
@@ -460,7 +522,8 @@ def load_model(path):
     The file must be exactly as long as its config implies, and its CRC
     must match; no read is larger than the file. `max_positions` may not be
     above POSITIONS_CEILING, the label names must match the config's label
-    counts and the vocabulary its size, and every weight must be finite.
+    counts and the vocabulary its size, and every weight must be finite and
+    small enough that no forward leaves float64's range (_check_values).
     Any malformed file raises CheckpointError.
     """
     with open(path, "rb") as f:
@@ -507,8 +570,5 @@ def load_model(path):
         raise CheckpointError(f"checkpoint {path} fails its CRC check")
     _check_counts(path, config, vocab, scheme)
     params = ModelParams(config, np.frombuffer(payload, dtype="<f8").astype(np.float64))
-    if not np.isfinite(params.vector).all():
-        raise CheckpointError(f"checkpoint {path} has non-finite values in "
-                              + ", ".join(name for name, t in params.items()
-                                          if not np.isfinite(t.data).all()))
+    _check_values(path, config, params)
     return config, params, vocab, scheme

@@ -87,6 +87,14 @@ def fill_tensor(path, name, value):
         f.write(seal(bytes(raw)))
 
 
+def every_weight(raw, value):
+    """A checkpoint's bytes, `raw`, with every weight set to `value` (a
+    float) and the CRC re-sealed: the config block is left as it was."""
+    start = 8 + struct.unpack_from("<I", raw, 4)[0]
+    count = (len(raw) - start - 4) // 8
+    return seal(raw[:start] + struct.pack(f"<{count}d", *[value] * count) + raw[-4:])
+
+
 def random_bundle(config, seed=0):
     params = mdl.init_params(config, np.random.default_rng(seed))
     scheme = dt.LabelScheme()

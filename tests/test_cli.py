@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fill_tensor, random_bundle, rewrite_config_line, seal, small_config
+from conftest import (every_weight, fill_tensor, random_bundle, rewrite_config_line, seal,
+                      small_config)
 from puncstream import cli
 from puncstream import data as dt
 from puncstream import decoding as dec
@@ -920,6 +921,7 @@ def _checkpoint_bytes(draw):
 @given(raw=_checkpoint_bytes())
 @example(raw=seal(_with_block(line.replace("n_layers=1", f"n_layers={10 ** 400}")
                               for line in _TINY_LINES)))
+@example(raw=every_weight(_TINY_BYTES, 1e100))
 def test_tag_and_stream_on_any_checkpoint_bytes_exit_0_or_1_with_one_error_line(
         tmp_path_factory, raw):
     root = tmp_path_factory.mktemp("checkpoint")
@@ -936,6 +938,18 @@ def test_tag_and_stream_on_any_checkpoint_bytes_exit_0_or_1_with_one_error_line(
         assert _printed_words(out) == words.split()
     if raw == _TINY_BYTES:
         assert code == 0
+
+
+@pytest.mark.parametrize("command", ["tag", "stream"])
+def test_weights_a_forward_could_overflow_exit_1(tmp_path, command):
+    ckpt, corpus = tmp_path / "m.ctt", tmp_path / "c.tsv"
+    ckpt.write_bytes(every_weight(_TINY_BYTES, 1e100))
+    corpus.write_text("boston\nflight\n")
+    argv = ["tag", "--input", str(corpus)] if command == "tag" else ["stream"]
+    code, out, err = _main(argv + ["--checkpoint", str(ckpt)], io.StringIO("to boston"))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "so large that a forward could overflow" in err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 _ANY_CELL = st.one_of(
@@ -1028,3 +1042,54 @@ def test_stream_on_any_stdin_prints_every_word_once_in_order(
         assert _printed_words(out) == [w.lower() for w in text.split()]
     else:  # refused before a word is read, even from an endless stdin
         assert stdin.tell() == 0 and out == ""
+
+
+# Config-file values: small counts and flags, values holding "=", and text
+# without decimal digits, so that no drawn count allocates gigabytes.
+_FILE_VALUE = st.one_of(
+    st.integers(-1, 12).map(str),
+    st.sampled_from(["0.5", "yes", "off", "9", "0,9", "a=b", "=", "1=1", ""]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=8),
+)
+
+
+@st.composite
+def _config_file(draw):
+    """A config file's bytes: comments, blank and whitespace-only lines,
+    key=value lines (keys repeated, values holding "=", spaces around
+    either), lines of any text, and bytes that are not UTF-8."""
+    key = st.sampled_from(sorted(cli._DEFAULTS))
+    line = st.one_of(
+        st.sampled_from([b"", b"   ", b"\t", b"# a comment", b"  # max_steps=x"]),
+        st.builds(lambda k, v: f"{k}={v}".encode(), key, _FILE_VALUE),
+        st.builds(lambda k, v: f" {k} = {v} ".encode(), key, _FILE_VALUE),
+        st.text(max_size=12).map(lambda t: t.encode("utf-8", "surrogatepass")),
+        st.binary(min_size=1, max_size=4),
+    )
+    newline = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return b"".join(text + newline for text in draw(st.lists(line, max_size=8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=_config_file())
+@example(raw=b"# sizes\n\nbatch_size=3\n  batch_size = 2 \nclip_norm=0.5\n")
+@example(raw=b"batch_size=2\nlookahead=0=9\n")
+@example(raw=b"augment=no\n\xff\xfe\n")
+def test_train_on_any_config_file_exits_0_or_1_with_one_error_line(
+        tmp_path_factory, raw):
+    # one step of a tiny model: the sizes are set on the command line, which
+    # wins over the file, but the file's values for them are still parsed
+    root = tmp_path_factory.mktemp("config")
+    corpus, config, ckpt = root / "c.tsv", root / "run.cfg", root / "m.ctt"
+    corpus.write_text(_FOUR_UTTERANCES)
+    config.write_bytes(raw)
+    code, _, err = _main(["train", "--corpus", str(corpus), "--out", str(ckpt),
+                          "--config", str(config), "--set", "max_steps=1",
+                          "--set", "d_model=8", "--set", "n_layers=1",
+                          "--set", "d_ff=16", "--set", "lookahead=9"])
+    _exited_0_or_1_with_one_error_line(code, err)
+    assert ckpt.exists() == (code == 0)
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        assert code == 1

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import fill_tensor, random_bundle, rewrite_config_line, seal, small_config
+from conftest import (every_weight, fill_tensor, random_bundle, rewrite_config_line, seal,
+                      small_config)
 from test_numcore import Tape, backward, reference_forward, reference_loss
 from puncstream import decoding as dec
 from puncstream import model as mdl
@@ -650,6 +651,71 @@ def test_checkpoint_with_non_finite_weights_refused(tmp_path, name, value):
     assert os.path.getsize(path) == size
     with pytest.raises(mdl.CheckpointError, match=f"non-finite values in {name}$"):
         mdl.load_model(path)
+
+
+def test_weights_a_forward_could_overflow_are_neither_loaded_nor_saved(tmp_path):
+    # every weight 1e100: a query and a key of 4 * 1e100^2 each, whose
+    # product leaves float64's range; at 1e30 every value stays finite
+    with open(GOLDEN, "rb") as f:
+        raw = f.read()
+    path = tmp_path / "huge.ctt"
+    path.write_bytes(every_weight(raw, 1e100))
+    overflow = "has weights so large that a forward could overflow float64 at layer0.wqkv$"
+    with pytest.raises(mdl.CheckpointError, match=overflow):
+        mdl.load_model(path)
+    config, params, vocab, scheme = mdl.load_model(GOLDEN)
+    out = tmp_path / "out.ctt"
+    huge = mdl.ModelParams(config, np.full_like(params.vector, 1e100))
+    with pytest.raises(mdl.CheckpointError, match=overflow):
+        mdl.save_model(out, config, huge, vocab, scheme)
+    assert not out.exists()
+    path.write_bytes(every_weight(raw, 1e30))
+    config, params, vocab, scheme = mdl.load_model(path)
+    mdl.save_model(out, config, params, vocab, scheme)
+    with np.errstate(over="raise", invalid="raise"):
+        logits = mdl.forward([2, 3, 4, 5, 1, 0] * 2, config, params)
+    assert all(np.isfinite(t.data).all() for t in logits)
+
+
+def test_save_model_refuses_non_finite_weights(tmp_path):
+    bundle = random_bundle(small_config(), seed=17)
+    vector = bundle.params.vector.copy()
+    vector[5] = math.nan
+    out = tmp_path / "nan.ctt"
+    with pytest.raises(mdl.CheckpointError, match="non-finite values in embed$"):
+        mdl.save_model(out, bundle.config, mdl.ModelParams(bundle.config, vector),
+                       bundle.vocab, bundle.scheme)
+    assert not out.exists()
+
+
+def test_a_trained_checkpoint_loads(tmp_path, travel_bundle):
+    b = travel_bundle
+    path = tmp_path / "trained.ctt"
+    mdl.save_model(path, b.config, b.params, b.vocab, b.scheme)
+    config, params, _, _ = mdl.load_model(path)
+    assert params.vector.tobytes() == b.params.vector.tobytes()
+    # far from the limit: the largest bound is below 1e20
+    assert max(bound for _, bound in mdl._value_bounds(config, params)) < 1e20
+
+
+@settings(max_examples=60, deadline=None)
+@given(scales=st.lists(st.integers(-5, 80), min_size=15, max_size=15),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_a_model_within_the_bound_runs_a_forward_without_overflow(scales, seed):
+    # each parameter of a one-layer model scaled by 10**k, for any tokens
+    config = small_config(n_layers=1, lookahead=(2,))
+    rng = np.random.default_rng(seed)
+    params = mdl.ModelParams(config, rng.normal(size=mdl.ModelParams(config).vector.size))
+    for w, k in zip(mdl.param_slots(config, params.vector).values(), scales):
+        w *= 10.0 ** k
+    try:
+        mdl._check_values("m.ctt", config, params)
+    except mdl.CheckpointError:
+        assume(False)
+    ids = rng.integers(0, config.vocab_size, size=int(rng.integers(1, 40)))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        logits = mdl.forward(ids, config, params)
+    assert all(np.isfinite(t.data).all() for t in logits)
 
 
 @pytest.mark.parametrize("old,new", [
