@@ -1,15 +1,18 @@
 """Command-line front end: synth / train / tag / stream / eval / bench.
 
 All randomness flows from --seed; every subcommand is reproducible from its
-inputs, seed, and config. Exit codes: 0 success, 1 runtime error (an
-OSError, ValueError, RuntimeError, OverflowError or MemoryError, printed as
-one `error:` line of at most 240 characters), 2 usage, 130 Ctrl-C and 141
-closed stdout (128 + SIGINT, SIGPIPE), both silent.
+inputs, seed, and config. Corpus and config files are read by
+`data.text_lines`, which names the file and line of a byte that is not UTF-8.
+Exit codes: 0 success, 1 runtime error (an OSError, ValueError,
+RuntimeError, OverflowError or MemoryError, printed as one `error:` line of
+at most 240 characters), 2 usage, 130 Ctrl-C and 141 closed stdout (128 +
+SIGINT, SIGPIPE), both silent.
 """
 
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 
 from . import data as dt
@@ -48,7 +51,8 @@ class ConfigError(ValueError):
 
 def load_run_config(path=None, overrides=(), fixed=()):
     """Merge defaults, an optional key=value file, and --set overrides; a
-    key in `fixed`, one an --init-checkpoint fixes, may not be set."""
+    key in `fixed`, one an --init-checkpoint fixes, may not be set. An error
+    in the file, a byte that is not UTF-8 included, names its path:line."""
     cfg = dict(_DEFAULTS)
 
     def apply(key, value, where):
@@ -64,16 +68,14 @@ def load_run_config(path=None, overrides=(), fixed=()):
         except (KeyError, ValueError):
             raise ConfigError(f"{where}: bad value for {key}: {value!r}") from None
 
-    if path:
-        with open(path, encoding="utf-8") as f:
-            for line_no, line in enumerate(f, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{line_no}: expected key=value")
-                key, _, value = line.partition("=")
-                apply(key.strip(), value.strip(), f"{path}:{line_no}")
+    for line_no, line in dt.text_lines(path) if path else ():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{line_no}: expected key=value")
+        key, _, value = line.partition("=")
+        apply(key.strip(), value.strip(), f"{path}:{line_no}")
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set {item!r}: expected key=value")
@@ -138,7 +140,8 @@ def _cmd_synth(args):
                                p_repetition=args.p_repetition,
                                p_repair=args.p_repair)
     seqs = dt.synth_generate(args.seed, args.count, grammar)
-    dt.write_corpus(args.out, seqs)
+    with open(args.out, "w", encoding="utf-8") as f:
+        dt.write_corpus(f, seqs)
     print(f"wrote {len(seqs)} utterances to {args.out}")
     return 0
 
@@ -180,15 +183,10 @@ def _load_tagger(path):
 
 def _cmd_tag(args):
     tagger = _load_tagger(args.checkpoint)
-    seqs = dt.parse_corpus(args.input)
-    tagged = [dec.tag_offline(seq.words, tagger) for seq in seqs]
-    if args.out:
-        dt.write_corpus(args.out, tagged)
-    else:
-        for seq in tagged:
-            for w, p, d in zip(seq.words, seq.punct, seq.disf):
-                sys.stdout.write(f"{w}\t{p}\t{d}\n")
-            sys.stdout.write("\n")
+    tagged = [dec.tag_offline(seq.words, tagger) for seq in dt.parse_corpus(args.input)]
+    out = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    with out as f:
+        dt.write_corpus(f, tagged)
     return 0
 
 

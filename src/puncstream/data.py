@@ -12,6 +12,7 @@ place name is replaced by a sibling.
 import random
 from collections import Counter
 from dataclasses import InitVar, dataclass
+from itertools import groupby
 
 PAD_WORD = "<pad>"
 UNK_WORD = "<unk>"
@@ -132,68 +133,61 @@ class Vocabulary:
 # ---------------------------------------------------------------------------
 
 
-def parse_corpus(path, strict_bio=True):
-    """Read the tab-separated corpus format; reports line numbers on failure.
-
-    `strict_bio=False` skips BIO validation (model prediction files).
-    """
-    seqs = []
-    words, punct, disf = [], [], []
-    start_line = 1
-
-    def flush(line_no):
-        nonlocal words, punct, disf
-        if not words:
-            return
-        has_labels = any(p is not None for p in punct)
-        try:
-            seq = TokenSequence(
-                words,
-                punct if has_labels else None,
-                disf if has_labels else None,
-                strict_bio=strict_bio,
-            )
-        except (ValueError, BioError) as e:
-            raise ParseError(f"{path}:{start_line}: {e}") from None
-        seqs.append(seq)
-        words, punct, disf = [], [], []
-
-    line_no = 0
-    with open(path, encoding="utf-8") as f:
+def text_lines(path):
+    """Yield (line number, text without its newline) for each line of the
+    UTF-8 file `path`, lines ending at \\n, \\r\\n or \\r. A byte that is not
+    UTF-8 raises ParseError naming path:line and the byte's column."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for line_no, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                flush(line_no)
-                start_line = line_no + 1
-                continue
-            cols = line.split("\t")
-            if len(cols) not in (1, 3):
-                raise ParseError(
-                    f"{path}:{line_no}: expected 1 or 3 tab-separated columns, "
-                    f"got {len(cols)}")
             try:
-                _check_names("word", cols[:1])
-            except ValueError as e:
-                raise ParseError(f"{path}:{line_no}: {e}") from None
-            words.append(cols[0].lower())
-            punct.append(cols[1] if len(cols) == 3 else None)
-            disf.append(cols[2] if len(cols) == 3 else None)
-            if (punct[-1] is None) != (punct[0] is None):
-                raise ParseError(
-                    f"{path}:{line_no}: mixed labeled and unlabeled lines")
-    flush(line_no)
-    return seqs
+                line.encode("utf-8")
+            except UnicodeEncodeError as e:  # an escaped byte, U+DC80-U+DCFF
+                byte, column = ord(line[e.start]) - 0xDC00, e.start + 1
+                raise ParseError(f"{path}:{line_no}: byte 0x{byte:02x} in column "
+                                 f"{column} is not UTF-8") from None
+            yield line_no, line.rstrip("\n")
 
 
-def write_corpus(path, seqs):
-    with open(path, "w", encoding="utf-8") as f:
-        for seq in seqs:
-            for i, w in enumerate(seq.words):
-                if seq.has_gold():
-                    f.write(f"{w}\t{seq.punct[i]}\t{seq.disf[i]}\n")
-                else:
-                    f.write(f"{w}\n")
-            f.write("\n")
+def parse_corpus(path, strict_bio=True):
+    """Read the corpus format, one TokenSequence per run of non-blank lines.
+    A fault raises ParseError naming path:line: the line of a bad byte, a
+    bad column count or word, or a labeled line among unlabeled ones, and an
+    utterance's first line for its BIO error. `strict_bio=False` skips BIO
+    validation (model prediction files)."""
+    runs = groupby(text_lines(path), key=lambda numbered: bool(numbered[1].strip()))
+    return [_utterance(path, lines, strict_bio) for nonblank, lines in runs if nonblank]
+
+
+def _utterance(path, lines, strict_bio):
+    rows = []
+    for line_no, line in lines:
+        cols = line.split("\t")
+        try:
+            if len(cols) not in (1, 3):
+                raise ValueError("expected 1 or 3 tab-separated columns, "
+                                 f"got {len(cols)}")
+            _check_names("word", cols[:1])
+            if rows and len(cols) != len(rows[0]):
+                raise ValueError("mixed labeled and unlabeled lines")
+        except ValueError as e:
+            raise ParseError(f"{path}:{line_no}: {e}") from None
+        if not rows:
+            first = line_no
+        rows.append(cols)
+    words, *labels = zip(*rows)
+    try:
+        return TokenSequence([w.lower() for w in words], *map(list, labels),
+                             strict_bio=strict_bio)
+    except ValueError as e:
+        raise ParseError(f"{path}:{first}: {e}") from None
+
+
+def write_corpus(f, seqs):
+    """Write `seqs` to the open text file `f` in the corpus format."""
+    for seq in seqs:
+        rows = zip(seq.words, seq.punct, seq.disf) if seq.has_gold() else zip(seq.words)
+        f.writelines("\t".join(row) + "\n" for row in rows)
+        f.write("\n")
 
 
 # ---------------------------------------------------------------------------

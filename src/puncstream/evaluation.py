@@ -72,7 +72,8 @@ def _scores(pairs, classes, kind=lambda label: label):
 def score(pred, gold, scheme):
     """Compare aligned predicted and gold sequences; returns an EvalReport.
 
-    Raises EvalError on an unlabeled utterance or a label outside `scheme`.
+    Raises EvalError on an unlabeled utterance, a label outside `scheme`, or
+    predicted words that differ from the gold ones, naming the first.
     """
     if len(pred) != len(gold):
         raise EvalError(f"{len(pred)} predicted vs {len(gold)} gold sequences")
@@ -85,6 +86,10 @@ def score(pred, gold, scheme):
             raise EvalError(
                 f"utterance {idx}: {len(p.words)} predicted vs "
                 f"{len(g.words)} gold tokens")
+        if p.words != g.words:
+            i = [a == b for a, b in zip(p.words, g.words)].index(False)
+            raise EvalError(f"utterance {idx} token {i}: predicted word "
+                            f"{p.words[i]!r} vs gold {g.words[i]!r}")
         punct_pairs.update(zip(p.punct, g.punct))
         disf_pairs.update(zip(p.disf, g.disf))
     punct = _scores(punct_pairs, [lab for lab in scheme.punct_labels if lab != "O"])

@@ -690,6 +690,8 @@ def test_train_refuses_unlabeled_or_unknown_labels(tmp_path, capsys, corpus,
      "predicted utterance 0 has unknown disfluency label 'B-XX'"),
     (_LABELED, "i\tO\tO\nwant\tO\tB-XX\nit\tPERIOD\tO\n\n",
      "gold utterance 0 has unknown disfluency label 'B-XX'"),
+    ("you\tO\tO\nsee\tPERIOD\tO\n\n", "i\tO\tO\nwant\tPERIOD\tO\n\n",
+     "utterance 0 token 0: predicted word 'you' vs gold 'i'"),
 ])
 def test_eval_refuses_unlabeled_or_unknown_labels(tmp_path, capsys, pred,
                                                   gold, message):
@@ -952,9 +954,52 @@ def test_weights_a_forward_could_overflow_exit_1(tmp_path, command):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+# Every file the CLI reads, with the other files each command needs: the
+# file under test holds a byte that is not UTF-8 on its line 2.
+_BAD_BYTE_CASES = {
+    "train --corpus": ["train", "--corpus", "{bad}", "--out", "{ckpt}"],
+    "train --dev": ["train", "--corpus", "{good}", "--dev", "{bad}", "--out", "{ckpt}"],
+    "train --config": ["train", "--corpus", "{good}", "--config", "{bad}",
+                       "--out", "{ckpt}"],
+    "tag --input": ["tag", "--checkpoint", _TINY, "--input", "{bad}"],
+    "eval --pred": ["eval", "--pred", "{bad}", "--gold", "{good}"],
+    "eval --gold": ["eval", "--pred", "{good}", "--gold", "{bad}"],
+    "bench --corpus": ["bench", "--checkpoint", _TINY, "--corpus", "{bad}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_BYTE_CASES))
+def test_a_byte_that_is_not_utf8_exits_1_naming_file_and_line(tmp_path, case):
+    good, bad, ckpt = tmp_path / "good.tsv", tmp_path / "bad", tmp_path / "m.ctt"
+    good.write_text(_FOUR_UTTERANCES)
+    bad.write_bytes(b"max_steps=1\nbatch_size\xff=2\n" if case.endswith("--config")
+                    else b"i\tO\tO\nw\xffnt\tPERIOD\tO\n\n")
+    paths = {"good": good, "bad": bad, "ckpt": ckpt}
+    code, out, err = _main([arg.format(**paths) for arg in _BAD_BYTE_CASES[case]])
+    assert code == 1 and out == "" and not ckpt.exists()
+    column = 11 if case.endswith("--config") else 2
+    assert err == f"error: {bad}:2: byte 0xff in column {column} is not UTF-8\n"
+
+
+def test_tag_prints_to_stdout_the_bytes_it_writes_to_out(tmp_path):
+    corpus, pred = tmp_path / "c.tsv", tmp_path / "p.tsv"
+    corpus.write_text(_FOUR_UTTERANCES + "Boston\nflight\n\n")
+    code, out, err = _main(["tag", "--checkpoint", _TINY, "--input", str(corpus)])
+    assert code == 0, err
+    code, _, err = _main(["tag", "--checkpoint", _TINY, "--input", str(corpus),
+                          "--out", str(pred)])
+    assert code == 0, err
+    assert out.encode("utf-8") == pred.read_bytes()
+    assert out.count("\n\n") == 5
+
+
 _ANY_CELL = st.one_of(
     st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
     st.text(st.characters(blacklist_categories=("Cs",)), min_size=200, max_size=400))
+
+
+_ANY_BYTES = st.binary(min_size=1, max_size=4).map(
+    lambda raw: raw.decode("utf-8", "surrogateescape"))
 
 
 @st.composite
@@ -964,8 +1009,10 @@ def _corpus_text(draw):
     line holds a word, a punctuation label and a B- or O disfluency label;
     each fault drawn breaks that: any column count from 1 to 4 per line,
     unlabeled utterances, any unicode in any cell (unknown labels and
-    over-long cells among it), and I- labels (BIO errors among them)."""
-    faults = draw(st.sets(st.sampled_from(["columns", "unlabeled", "text", "bio"])))
+    over-long cells among it), I- labels (BIO errors among them), and any
+    bytes in any cell, held as surrogate escapes where they are not UTF-8."""
+    faults = draw(st.sets(st.sampled_from(["columns", "unlabeled", "text", "bio",
+                                           "bytes"])))
     words = ["i", "want", "a", "flight", "to", "Boston", "um", "<unk>", "<pad>"]
     punct = ["O", "COMMA", "PERIOD", "QUESTION"]
     disf = ["O", "B-RM", "B-IM"] + (["I-RM", "I-IM"] if "bio" in faults else [])
@@ -973,6 +1020,8 @@ def _corpus_text(draw):
              st.sampled_from(disf), st.sampled_from(words)]
     if "text" in faults:
         cells = [st.one_of(cell, _ANY_CELL) for cell in cells]
+    if "bytes" in faults:
+        cells = [st.one_of(cell, _ANY_BYTES) for cell in cells]
     utterances = []
     for _ in range(draw(st.integers(0, 4))):
         labeled = "unlabeled" not in faults or draw(st.booleans())
@@ -988,18 +1037,23 @@ def _corpus_text(draw):
 @settings(max_examples=40, deadline=None)
 @given(text=_corpus_text(), other=_corpus_text())
 @example(text=f"i\tO\tO\nwant\t{'PERIOD ' * 40}\tO\n", other="")
+@example(text="i\tO\tO\nw\udcffnt\tPERIOD\tO\n", other="")
 def test_train_tag_and_eval_on_any_corpus_text_exit_0_or_1_with_one_error_line(
         tmp_path_factory, text, other):
     root = tmp_path_factory.mktemp("corpus")
     corpus, pred, ckpt = root / "c.tsv", root / "p.tsv", root / "m.ctt"
-    corpus.write_text(text, encoding="utf-8")
-    pred.write_text(other, encoding="utf-8")
+    corpus.write_text(text, encoding="utf-8", errors="surrogateescape")
+    pred.write_text(other, encoding="utf-8", errors="surrogateescape")
     code, _, err = _main(["train", "--corpus", str(corpus), "--out", str(ckpt),
                           "--set", "max_steps=1", "--set", "d_model=8",
                           "--set", "n_layers=1", "--set", "d_ff=16",
                           "--set", "lookahead=9"])
     _exited_0_or_1_with_one_error_line(code, err)
     assert ckpt.exists() == (code == 0)
+    try:
+        corpus.read_bytes().decode("utf-8")
+    except UnicodeDecodeError:  # refused while parsing, perhaps at an earlier line
+        assert code == 1 and err.startswith(f"error: {corpus}:")
     for argv in (["tag", "--checkpoint", _TINY, "--input", str(corpus)],
                  ["eval", "--pred", str(pred), "--gold", str(corpus)],
                  ["eval", "--pred", str(corpus), "--gold", str(corpus)]):

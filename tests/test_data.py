@@ -14,14 +14,16 @@ FLIGHT_DISF = ["O", "O", "O", "O", "B-RM", "I-RM", "B-IM", "O", "O"]
 def test_flight_example_round_trips_byte_identically(tmp_path):
     seq = dt.TokenSequence(FLIGHT_WORDS, FLIGHT_PUNCT, FLIGHT_DISF)
     path = tmp_path / "one.tsv"
-    dt.write_corpus(path, [seq])
+    with open(path, "w", encoding="utf-8") as f:
+        dt.write_corpus(f, [seq])
     first = path.read_bytes()
     parsed = dt.parse_corpus(path)
     assert len(parsed) == 1
     assert parsed[0].words == FLIGHT_WORDS
     assert parsed[0].punct == FLIGHT_PUNCT
     assert parsed[0].disf == FLIGHT_DISF
-    dt.write_corpus(path, parsed)
+    with open(path, "w", encoding="utf-8") as f:
+        dt.write_corpus(f, parsed)
     assert path.read_bytes() == first
 
 
@@ -277,7 +279,8 @@ def test_generate_write_parse_round_trip(seed, count):
     seqs = dt.synth_generate(seed, count, grammar)
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "c.tsv")
-        dt.write_corpus(path, seqs)
+        with open(path, "w", encoding="utf-8") as f:
+            dt.write_corpus(f, seqs)
         parsed = dt.parse_corpus(path)
     assert [(s.words, s.punct, s.disf) for s in parsed] == \
         [(s.words, s.punct, s.disf) for s in seqs]

@@ -130,6 +130,14 @@ def test_length_mismatch_rejected():
         ev.score([_seq(["O"])], [_seq(["O", "O"])], scheme)
 
 
+def test_predicted_words_that_differ_from_gold_rejected():
+    gold = [_seq(["PERIOD"]), dt.TokenSequence(["i", "want"], ["O", "PERIOD"], ["O", "O"])]
+    pred = [_seq(["PERIOD"]), dt.TokenSequence(["i", "wont"], ["O", "PERIOD"], ["O", "O"])]
+    with pytest.raises(ev.EvalError) as info:
+        ev.score(pred, gold, dt.LabelScheme())
+    assert str(info.value) == "utterance 1 token 1: predicted word 'wont' vs gold 'want'"
+
+
 def test_format_report_contains_overall_row():
     gold = [_seq(["PERIOD"])]
     text = ev.format_report(ev.score(gold, gold, dt.LabelScheme()))
