@@ -1,8 +1,10 @@
 """Command-line front end: synth / train / tag / stream / eval / bench.
 
 All randomness flows from --seed; every subcommand is reproducible from its
-inputs, seed, and config. Corpus and config files are read by
-`data.text_lines`, which names the file and line of a byte that is not UTF-8.
+inputs, seed, and config. Corpus and config files, and `stream`'s stdin as
+`<stdin>`, are read by `data.text_lines`, which names the file and line of a
+byte that is not UTF-8. Run as a program, stdin and stdout are UTF-8 whatever
+the locale, and a closed stdin is an empty stream.
 Exit codes: 0 success, 1 runtime error (an OSError, ValueError,
 RuntimeError, OverflowError or MemoryError, printed as one `error:` line of
 at most 240 characters), 2 usage, 130 Ctrl-C and 141 closed stdout (128 +
@@ -193,7 +195,8 @@ def _cmd_tag(args):
 def _cmd_stream(args):
     tagger = _load_tagger(args.checkpoint)
     policy = dec.DecodePolicy(args.frame_rate, args.lookahead_words)
-    words = (w.lower() for line in sys.stdin for w in line.split())
+    lines = dt.text_lines("<stdin>", sys.stdin or ())  # closed: no words
+    words = (w.lower() for _, line in lines for w in line.split())
     state = dec.StreamState()
     for triples in dec.stream_frames(state, words, tagger, policy):
         for w, p, d in triples:
@@ -259,6 +262,11 @@ def _error(message):
 
 
 def main(argv=None):
+    if argv is None:  # UTF-8 whatever the locale; lines end as in text_lines
+        for stream, errors in ((sys.stdin, "surrogateescape"), (sys.stdout, "strict"),
+                               (sys.stderr, "backslashreplace")):
+            if stream:  # None if the process started with it closed
+                stream.reconfigure(encoding="utf-8", errors=errors, newline=None)
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

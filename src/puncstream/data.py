@@ -11,6 +11,7 @@ place name is replaced by a sibling.
 
 import random
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import InitVar, dataclass
 from itertools import groupby
 
@@ -33,16 +34,21 @@ class EncodeError(ValueError):
 def _check_names(what, names):
     """Refuse, as ValueError, a word or label in `names` that is empty or
     holds whitespace: a checkpoint stores the vocabulary and the label
-    names space-separated, and streams split their input on whitespace."""
+    names space-separated, and streams split their input on whitespace.
+    A name given twice is refused too, since it would name two ids."""
     for name in names:
         if name.split() != [name]:
             raise ValueError(f"{what} {name!r} is empty or contains whitespace")
+    for name, count in Counter(names).items():
+        if count > 1:
+            raise ValueError(f"{what} {name!r} is repeated")
 
 
 @dataclass(frozen=True)
 class LabelScheme:
     """The punctuation and disfluency label names, "O" first in each. A
-    name that is empty or holds whitespace raises ValueError (_check_names)."""
+    name that is empty, holds whitespace or is repeated in its scheme raises
+    ValueError (_check_names)."""
 
     punct_labels: tuple = ("O", "COMMA", "PERIOD", "QUESTION")
     disf_labels: tuple = ("O", "B-RM", "I-RM", "B-IM", "I-IM")
@@ -104,7 +110,8 @@ class TokenSequence:
 
 class Vocabulary:
     """Word <-> id map with reserved PAD (id 0) and UNK (id 1) ids. A word
-    that is empty or holds whitespace raises ValueError (_check_names)."""
+    that is empty, holds whitespace or is repeated raises ValueError
+    (_check_names)."""
 
     def __init__(self, words):
         self.words = [PAD_WORD, UNK_WORD] + [w for w in words
@@ -133,11 +140,14 @@ class Vocabulary:
 # ---------------------------------------------------------------------------
 
 
-def text_lines(path):
+def text_lines(path, file=None):
     """Yield (line number, text without its newline) for each line of the
-    UTF-8 file `path`, lines ending at \\n, \\r\\n or \\r. A byte that is not
-    UTF-8 raises ParseError naming path:line and the byte's column."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+    UTF-8 file `path`, lines ending at \\n, \\r\\n or \\r; or, given `file`,
+    of that open text file, read with errors="surrogateescape", under the
+    name `path` (such as "<stdin>"). A byte that is not UTF-8 raises
+    ParseError naming path:line and the byte's column."""
+    with open(path, encoding="utf-8", errors="surrogateescape") if file is None \
+            else nullcontext(file) as f:
         for line_no, line in enumerate(f, 1):
             try:
                 line.encode("utf-8")

@@ -138,9 +138,16 @@ def position_change_histogram(revision_logs):
     return hist
 
 
-def _median(times):
-    """The median run time, the upper median for an even count."""
-    return sorted(times)[len(times) // 2]
+def _timed(call, runs):
+    """Time `runs` calls of `call(start)`, `start` being the call's
+    time.perf_counter() start: (the median time, the upper one for an even
+    count, and the list of the calls' results)."""
+    times, results = [], []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        results.append(call(t0))
+        times.append(time.perf_counter() - t0)
+    return sorted(times)[runs // 2], results
 
 
 def bench_streaming(tagger, words, policy, runs):
@@ -155,12 +162,9 @@ def bench_streaming(tagger, words, policy, runs):
     if not words:
         raise ValueError("bench_streaming: empty word list")
     stream_decode(words[:min(len(words), 50)], tagger, policy)  # warm-up
-    times = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        _, state = stream_decode(words, tagger, policy)
-        times.append(time.perf_counter() - t0)
-    return _median(times), state.revision_log
+    seconds, logs = _timed(
+        lambda t0: stream_decode(words, tagger, policy)[1].revision_log, runs)
+    return seconds, logs[-1]
 
 
 def bench_rescore(tagger, words, frame_rate, runs, budget_seconds=None):
@@ -173,12 +177,7 @@ def bench_rescore(tagger, words, frame_rate, runs, budget_seconds=None):
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    times = []
-    completed = True
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        deadline = None if budget_seconds is None else t0 + budget_seconds
-        _, done = rescore_decode(words, tagger, frame_rate, deadline=deadline)
-        times.append(time.perf_counter() - t0)
-        completed = completed and done
-    return _median(times), completed
+    seconds, completed = _timed(lambda t0: rescore_decode(
+        words, tagger, frame_rate,
+        deadline=None if budget_seconds is None else t0 + budget_seconds)[1], runs)
+    return seconds, all(completed)

@@ -130,27 +130,6 @@ def travel_bundle():
 
 
 @pytest.fixture(scope="session")
-def repair_bundle():
-    """Smaller tagger trained with the repair rule enabled, so repaired
-    phrases like "to boston um to denver" carry reparandum labels."""
-    grammar = dt.GrammarConfig("travel", p_filler=0.15, p_repetition=0.10,
-                               p_repair=0.15)
-    corpus = dt.synth_generate(30, 3000, grammar)
-    dev = dt.synth_generate(31, 100, grammar)
-    test = dt.synth_generate(32, 200, grammar)
-    vocab = dt.Vocabulary.from_corpus(corpus)
-    scheme = dt.LabelScheme()
-    config = mdl.ModelConfig(len(vocab), 32, 2, 2, 64, MaskSpec((0, 9)),
-                             len(scheme.punct_labels), len(scheme.disf_labels))
-    result = tr.train(corpus, tr.TrainConfig(batch_size=8, max_steps=1500,
-                                             eval_every=250, seed=2),
-                      config, vocab, scheme, dev=dev)
-    return ModelBundle(config, result.params, vocab, scheme,
-                       ModelTagger(config, result.params, vocab, scheme),
-                       test, result)
-
-
-@pytest.fixture(scope="session")
 def adversarial_bundle():
     """Full-attention tagger trained on the late-question grammar, where a
     trailing particle flips clause-end periods to question marks."""

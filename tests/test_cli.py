@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import os
 import signal
@@ -21,6 +22,7 @@ from puncstream import decoding as dec
 from puncstream import model as mdl
 from puncstream import numcore as nc
 from puncstream import training as tr
+from puncstream.masks import MaskSpec
 
 
 def run(argv, capsys):
@@ -350,6 +352,22 @@ def test_config_keys_and_defaults_unchanged():
     assert cfg == _KEYS_AND_DEFAULTS
     assert [type(cfg[k]) for k in _KEYS_AND_DEFAULTS] == \
         [type(v) for v in _KEYS_AND_DEFAULTS.values()]
+
+
+def test_perfbench_sets_up_the_cli_default_model(monkeypatch):
+    # perfbench/workloads.py repeats the CLI's default sizes by hand
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+    monkeypatch.syspath_prepend(bench)  # for the modules it imports
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  os.path.join(bench, "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    config = workloads.cli_model_config(dt.Vocabulary([]))
+    defaults = cli.load_run_config()
+    sizes = ("d_model", "n_layers", "n_heads", "d_ff", "max_positions")
+    assert [getattr(config, k) for k in sizes] == [defaults[k] for k in sizes]
+    assert config.mask_spec == MaskSpec.from_string(defaults["lookahead"])
 
 
 def test_config_values_parse_by_default_type():
@@ -954,6 +972,21 @@ def test_weights_a_forward_could_overflow_exit_1(tmp_path, command):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value, repeated", [
+    (b"vocab", b"boston flight boston um", "vocabulary word 'boston'"),
+    (b"punct_labels", b"O PERIOD PERIOD QUESTION", "punctuation label 'PERIOD'"),
+])
+def test_a_checkpoint_that_repeats_a_word_or_label_exits_1(tmp_path, key, value,
+                                                           repeated):
+    # a repeated name would stand for two ids, and only the last is read
+    ckpt = tmp_path / "m.ctt"
+    ckpt.write_bytes(_TINY_BYTES)
+    rewrite_config_line(ckpt, key, value)
+    code, out, err = _main(["stream", "--checkpoint", str(ckpt)], io.StringIO("to boston"))
+    assert (code, out) == (1, "")
+    assert err == f"error: checkpoint {ckpt} has a bad config: {repeated} is repeated\n"
+
+
 # Every file the CLI reads, with the other files each command needs: the
 # file under test holds a byte that is not UTF-8 on its line 2.
 _BAD_BYTE_CASES = {
@@ -991,6 +1024,67 @@ def test_tag_prints_to_stdout_the_bytes_it_writes_to_out(tmp_path):
     assert code == 0, err
     assert out.encode("utf-8") == pred.read_bytes()
     assert out.count("\n\n") == 5
+
+
+# Settings that each chose the codec of stdin and stdout before both were
+# fixed to UTF-8.
+_LOCALE_SETTINGS = ["LC_ALL=C", "LC_ALL=C.UTF-8", "PYTHONIOENCODING=utf-8",
+                    "PYTHONIOENCODING=latin-1", "PYTHONIOENCODING=ascii"]
+
+
+def _cli_process(argv, setting=None, stdin=b"", **popen):
+    """`python -m puncstream.cli` with `argv`, the bytes `stdin`, and the
+    environment's locale and codec variables dropped but for `setting`, a
+    NAME=VALUE string: (exit code, stdout bytes, stderr bytes)."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "LC_ALL", "LC_CTYPE", "LANG", "PYTHONIOENCODING", "PYTHONUTF8")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update([setting.split("=", 1)] if setting else [])
+    done = subprocess.run([sys.executable, "-m", "puncstream.cli", *argv],
+                          input=stdin, capture_output=True, timeout=60, env=env,
+                          **popen)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("setting", _LOCALE_SETTINGS)
+def test_stream_reads_stdin_as_utf8_whatever_the_locale(setting):
+    for stdin in (b"i want a flight\ni w\xffnt a flight to boston\n",
+                  b"i want a flight\ri w\xffnt\r\n"):  # lines end as in files
+        code, out, err = _cli_process(["stream", "--checkpoint", _TINY], setting, stdin)
+        assert (code, err) == (1, b"error: <stdin>:2: byte 0xff in column 4 is not UTF-8\n")
+    code, out, err = _cli_process(["stream", "--checkpoint", _TINY], setting,
+                                  "I want a Café\r\nto boston".encode())
+    assert (code, err) == (0, b"")
+    assert _printed_words(out.decode("utf-8")) == ["i", "want", "a", "café", "to", "boston"]
+
+
+@pytest.mark.parametrize("setting", _LOCALE_SETTINGS)
+def test_tag_prints_utf8_whatever_the_locale(tmp_path, setting):
+    corpus, pred = tmp_path / "c.tsv", tmp_path / "p.tsv"
+    corpus.write_text("i\ncafé\nflight\n\n", encoding="utf-8")
+    argv = ["tag", "--checkpoint", _TINY, "--input", str(corpus)]
+    code, out, err = _cli_process(argv, setting)
+    assert (code, err) == (0, b"")
+    assert _cli_process(argv + ["--out", str(pred)], setting) == (0, b"", b"")
+    assert out == pred.read_bytes() and b"caf\xc3\xa9\t" in out
+    missing = ["tag", "--checkpoint", str(tmp_path / "café.ctt"), "--input", str(corpus)]
+    code, _, err = _cli_process(missing, setting)  # and stderr too
+    assert code == 1 and err.startswith(b"error: ") and "café.ctt".encode() in err
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX file descriptors")
+@pytest.mark.parametrize("argv, fd", [(["stream", "--checkpoint", _TINY], 0),
+                                      (["synth", "--count", "2", "--out", "{out}"], 1)],
+                         ids=["stream's stdin", "synth's stdout"])
+def test_a_closed_stdin_or_stdout_is_left_alone(tmp_path, argv, fd):
+    # a closed stdin is an empty stream, and a closed stdout drops the report
+    out = tmp_path / "c.tsv"
+    argv = [arg.format(out=out) for arg in argv]
+    code, printed, err = _cli_process(argv, stdin=None,
+                                      preexec_fn=lambda: os.close(fd))
+    assert (code, printed, err) == (0, b"", b"")
+    assert out.exists() == (argv[0] == "synth")
 
 
 _ANY_CELL = st.one_of(

@@ -106,6 +106,19 @@ def test_bio_validation():
         dt.validate_bio(["B-IM", "I-RM"])
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: dt.Vocabulary(["a", "b", "a"]), "vocabulary word 'a' is repeated"),
+    (lambda: dt.LabelScheme(("O", "PERIOD", "PERIOD", "QUESTION")),
+     "punctuation label 'PERIOD' is repeated"),
+    (lambda: dt.LabelScheme(disf_labels=("O", "B-RM", "O")),
+     "disfluency label 'O' is repeated"),
+])
+def test_a_repeated_word_or_label_rejected(build, message):
+    # a repeated name would stand for two ids, and only the last is read
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_scheme_requires_o_first():
     with pytest.raises(ValueError):
         dt.LabelScheme(punct_labels=("COMMA", "O"))
