@@ -1,10 +1,12 @@
 """Command-line front end: synth / train / tag / stream / eval / bench.
 
 All randomness flows from --seed; every subcommand is reproducible from its
-inputs, seed, and config. Corpus and config files, and `stream`'s stdin as
-`<stdin>`, are read by `data.text_lines`, which names the file and line of a
-byte that is not UTF-8. Run as a program, stdin and stdout are UTF-8 whatever
-the locale, and a closed stdin is an empty stream.
+inputs, seed, and config. A new model has one encoder layer per budget of
+its `lookahead` setting. Corpus and config files are read by
+`data.text_lines`, and `stream`'s stdin, as `<stdin>`, by `data.text_words`
+as its bytes arrive; both name the file and line of a byte that is not
+UTF-8. Run as a program, stdout is UTF-8 whatever the locale too, and a
+closed stdin is an empty stream.
 Exit codes: 0 success, 1 runtime error (an OSError, ValueError,
 RuntimeError, OverflowError or MemoryError, printed as one `error:` line of
 at most 240 characters), 2 usage, 130 Ctrl-C and 141 closed stdout (128 +
@@ -25,17 +27,17 @@ from . import training as tr
 from .masks import MaskSpec
 
 # Config file keys (flat key=value) with their defaults: every TrainConfig
-# field but `seed` (a flag), ModelConfig's `max_positions`, and the sizes and
-# vocabulary cut-off of a new model. A value is parsed by its default's type.
-# Command-line --set overrides file values; unknown keys are rejected.
-# A checkpoint fixes the _MODEL_KEYS, so `train --init-checkpoint` refuses
-# them.
-_MODEL_KEYS = ("d_model", "n_layers", "n_heads", "d_ff", "lookahead",
-               "min_freq", "max_positions")
+# field but `seed` (a flag), ModelConfig's `max_positions`, and the sizes,
+# look-ahead budgets and vocabulary cut-off of a new model. The budget list
+# sets the layer count: one layer per budget. A value is parsed by its
+# default's type. Command-line --set overrides file values; unknown keys are
+# rejected. A checkpoint fixes the _MODEL_KEYS, so `train --init-checkpoint`
+# refuses them.
+_MODEL_KEYS = ("d_model", "n_heads", "d_ff", "lookahead", "min_freq",
+               "max_positions")
 _DEFAULTS = {
-    "d_model": 32, "n_layers": 4, "n_heads": 2, "d_ff": 64,
-    "lookahead": "0,0,0,9", "min_freq": 2,
-    "max_positions": mdl.ModelConfig.max_positions,
+    "d_model": 32, "n_heads": 2, "d_ff": 64, "lookahead": "0,0,0,9",
+    "min_freq": 2, "max_positions": mdl.ModelConfig.max_positions,
     **{f.name: f.default for f in fields(tr.TrainConfig) if f.name != "seed"},
 }
 _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -160,9 +162,11 @@ def _cmd_train(args):
         model_config, init, vocab, scheme = mdl.load_model(args.init_checkpoint)
     else:
         vocab = dt.Vocabulary.from_corpus(corpus, min_freq=cfg["min_freq"])
+        mask_spec = MaskSpec.from_string(cfg["lookahead"])
         model_config = mdl.ModelConfig(
             vocab_size=len(vocab),
-            mask_spec=MaskSpec.from_string(cfg["lookahead"]),
+            n_layers=len(mask_spec),
+            mask_spec=mask_spec,
             punct_label_count=len(scheme.punct_labels),
             disf_label_count=len(scheme.disf_labels),
             **_fields_of(mdl.ModelConfig, cfg),
@@ -195,8 +199,8 @@ def _cmd_tag(args):
 def _cmd_stream(args):
     tagger = _load_tagger(args.checkpoint)
     policy = dec.DecodePolicy(args.frame_rate, args.lookahead_words)
-    lines = dt.text_lines("<stdin>", sys.stdin or ())  # closed: no words
-    words = (w.lower() for _, line in lines for w in line.split())
+    # a closed stdin, None, is an empty stream
+    words = dt.text_words("<stdin>", sys.stdin.buffer) if sys.stdin else ()
     state = dec.StreamState()
     for triples in dec.stream_frames(state, words, tagger, policy):
         for w, p, d in triples:
@@ -262,8 +266,8 @@ def _error(message):
 
 
 def main(argv=None):
-    if argv is None:  # UTF-8 whatever the locale; lines end as in text_lines
-        for stream, errors in ((sys.stdin, "surrogateescape"), (sys.stdout, "strict"),
+    if argv is None:  # UTF-8 whatever the locale
+        for stream, errors in ((sys.stdout, "strict"),
                                (sys.stderr, "backslashreplace")):
             if stream:  # None if the process started with it closed
                 stream.reconfigure(encoding="utf-8", errors=errors, newline=None)

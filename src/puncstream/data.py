@@ -9,11 +9,13 @@ probabilities: fillers (interregnum), span repetitions, and repairs where a
 place name is replaced by a sibling.
 """
 
+import codecs
+import io
 import random
 from collections import Counter
-from contextlib import nullcontext
 from dataclasses import InitVar, dataclass
-from itertools import groupby
+from functools import partial
+from itertools import chain, groupby
 
 PAD_WORD = "<pad>"
 UNK_WORD = "<unk>"
@@ -140,22 +142,74 @@ class Vocabulary:
 # ---------------------------------------------------------------------------
 
 
-def text_lines(path, file=None):
+# Bytes asked for per read of a corpus or config file or of stdin: a reader
+# holds one read's text at a time.
+_CHUNK_BYTES = 1 << 13
+
+# The longest word `text_words` accepts, in characters: far above any
+# vocabulary word, and a bound on what a run of input without whitespace
+# can make a stream hold.
+MAX_WORD_CHARS = 4096
+
+
+def _text_pieces(path, file):
+    """Decode the open binary file `file`, named `path` (such as "<stdin>"),
+    as UTF-8 with lines ending at \\n, \\r\\n or \\r, one read at a time.
+    Yield (line number, text, ended) for each piece of a line as its read
+    returns it, `ended` once the line's newline or the end of the file ends
+    the line. A byte that is not UTF-8 raises ParseError naming path:line
+    and the byte's column."""
+    decoder = io.IncrementalNewlineDecoder(
+        codecs.getincrementaldecoder("utf-8")("surrogateescape"), translate=True)
+    line_no, column = 1, 0
+
+    def checked(text):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as e:  # an escaped byte, U+DC80-U+DCFF
+            byte = ord(text[e.start]) - 0xDC00
+            raise ParseError(f"{path}:{line_no}: byte 0x{byte:02x} in column "
+                             f"{column + e.start + 1} is not UTF-8") from None
+        return text
+
+    for chunk in chain(iter(partial(file.read1, _CHUNK_BYTES), b""), [None]):
+        *lines, rest = decoder.decode(chunk or b"", final=chunk is None).split("\n")
+        for line in lines:
+            yield line_no, checked(line), True
+            line_no, column = line_no + 1, 0
+        if rest or chunk is None and column:
+            yield line_no, checked(rest), chunk is None
+            column += len(rest)
+
+
+def text_lines(path):
     """Yield (line number, text without its newline) for each line of the
-    UTF-8 file `path`, lines ending at \\n, \\r\\n or \\r; or, given `file`,
-    of that open text file, read with errors="surrogateescape", under the
-    name `path` (such as "<stdin>"). A byte that is not UTF-8 raises
-    ParseError naming path:line and the byte's column."""
-    with open(path, encoding="utf-8", errors="surrogateescape") if file is None \
-            else nullcontext(file) as f:
-        for line_no, line in enumerate(f, 1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as e:  # an escaped byte, U+DC80-U+DCFF
-                byte, column = ord(line[e.start]) - 0xDC00, e.start + 1
-                raise ParseError(f"{path}:{line_no}: byte 0x{byte:02x} in column "
-                                 f"{column} is not UTF-8") from None
-            yield line_no, line.rstrip("\n")
+    UTF-8 file `path`, lines ending at \\n, \\r\\n or \\r. A byte that is
+    not UTF-8 raises ParseError naming path:line and the byte's column
+    (_text_pieces)."""
+    with open(path, "rb") as f:
+        pieces = []
+        for line_no, piece, ended in _text_pieces(path, f):
+            pieces.append(piece)
+            if ended:
+                yield line_no, "".join(pieces)
+                pieces.clear()
+
+
+def text_words(path, file):
+    """Yield each word of the open binary file `file`, named `path`,
+    lowercased, as soon as whitespace or the end of the file ends it; words
+    split as str.split() splits them. The text is read by _text_pieces, so
+    between reads only one partial word is held. A word longer than
+    MAX_WORD_CHARS raises ParseError naming path:line."""
+    word = ""
+    for line_no, piece, ended in _text_pieces(path, file):
+        words = (word + piece).split()
+        word = "" if ended or piece[-1:].isspace() or not words else words.pop()
+        if any(len(w) > MAX_WORD_CHARS for w in (*words, word)):
+            raise ParseError(f"{path}:{line_no}: a word is longer than "
+                             f"{MAX_WORD_CHARS} characters")
+        yield from (w.lower() for w in words)
 
 
 def parse_corpus(path, strict_bio=True):

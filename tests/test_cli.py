@@ -31,6 +31,34 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+class _BinaryStdin(io.BufferedIOBase):
+    """The bytes `data` as a binary stdin that serves at most `size` bytes
+    a read. `served` counts the bytes served, and `before_read`, if given,
+    is called before each read."""
+
+    def __init__(self, data, size=1 << 16, before_read=None):
+        self.data, self.size, self.served = data, size, 0
+        self.before_read = before_read
+
+    def readable(self):
+        return True
+
+    def read1(self, size=-1):
+        if self.before_read:
+            self.before_read()
+        n = self.size if size < 0 else min(size, self.size)
+        chunk = self.data[self.served:self.served + n]
+        self.served += len(chunk)
+        return chunk
+
+
+def _stdin(text, **kwargs):
+    """A text stdin over a _BinaryStdin, made with `kwargs`, of the UTF-8
+    bytes of `text`, a surrogate escape standing for the byte it holds."""
+    data = text.encode("utf-8", "surrogateescape")
+    return io.TextIOWrapper(_BinaryStdin(data, **kwargs), encoding="utf-8")
+
+
 def test_synth_is_deterministic(tmp_path, capsys):
     a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
     for out in (a, b):
@@ -62,8 +90,8 @@ def test_full_pipeline_synth_train_tag_eval(tmp_path, capsys):
 
     code, out, err = run(
         ["train", "--corpus", str(corpus), "--out", str(ckpt), "--seed", "0",
-         "--set", "max_steps=25", "--set", "d_model=8", "--set", "n_layers=2",
-         "--set", "n_heads=2", "--set", "d_ff=16", "--set", "lookahead=0,9"],
+         "--set", "max_steps=25", "--set", "d_model=8", "--set", "n_heads=2",
+         "--set", "d_ff=16", "--set", "lookahead=0,9"],
         capsys)
     assert code == 0, err
     assert "trained 25 steps" in out
@@ -99,8 +127,8 @@ def test_tag_to_stdout(tmp_path, capsys):
     ckpt = tmp_path / "m.ctt"
     run(["synth", "--seed", "7", "--count", "60", "--out", str(corpus)], capsys)
     run(["train", "--corpus", str(corpus), "--out", str(ckpt),
-         "--set", "max_steps=5", "--set", "d_model=8", "--set", "n_layers=1",
-         "--set", "d_ff=16", "--set", "lookahead=9"], capsys)
+         "--set", "max_steps=5", "--set", "d_model=8", "--set", "d_ff=16",
+         "--set", "lookahead=9"], capsys)
     code, out, _ = run(["tag", "--checkpoint", str(ckpt),
                         "--input", str(corpus)], capsys)
     assert code == 0
@@ -113,10 +141,10 @@ def test_stream_reads_stdin(tmp_path, capsys, monkeypatch):
     ckpt = tmp_path / "m.ctt"
     run(["synth", "--seed", "8", "--count", "60", "--out", str(corpus)], capsys)
     run(["train", "--corpus", str(corpus), "--out", str(ckpt),
-         "--set", "max_steps=5", "--set", "d_model=8", "--set", "n_layers=1",
-         "--set", "d_ff=16", "--set", "lookahead=9"], capsys)
+         "--set", "max_steps=5", "--set", "d_model=8", "--set", "d_ff=16",
+         "--set", "lookahead=9"], capsys)
     words = "i want a flight to boston i need a car to denver"
-    monkeypatch.setattr("sys.stdin", io.StringIO(words + "\n"))
+    monkeypatch.setattr("sys.stdin", _stdin(words + "\n"))
     code, out, err = run(["stream", "--checkpoint", str(ckpt),
                           "--frame-rate", "3", "--lookahead-words", "2"],
                          capsys)
@@ -130,8 +158,8 @@ def test_bench_prints_histogram(tmp_path, capsys):
     ckpt = tmp_path / "m.ctt"
     run(["synth", "--seed", "9", "--count", "40", "--out", str(corpus)], capsys)
     run(["train", "--corpus", str(corpus), "--out", str(ckpt),
-         "--set", "max_steps=5", "--set", "d_model=8", "--set", "n_layers=1",
-         "--set", "d_ff=16", "--set", "lookahead=9"], capsys)
+         "--set", "max_steps=5", "--set", "d_model=8", "--set", "d_ff=16",
+         "--set", "lookahead=9"], capsys)
     bench_in = tmp_path / "bench.tsv"
     run(["synth", "--seed", "10", "--count", "10", "--out", str(bench_in)],
         capsys)
@@ -165,7 +193,7 @@ def test_config_file_merge_and_override(tmp_path):
     cfg = cli.load_run_config(str(cfg_file), ["max_steps=10"])
     assert cfg["d_model"] == 16
     assert cfg["max_steps"] == 10          # --set wins over the file
-    assert cfg["n_layers"] == 4            # untouched default
+    assert cfg["n_heads"] == 2             # untouched default
     with pytest.raises(cli.ConfigError, match="expected key=value"):
         cli.load_run_config(None, ["oops"])
     bad = tmp_path / "bad.cfg"
@@ -189,8 +217,8 @@ def test_tag_with_zero_head_checkpoint_exits_1(tmp_path, capsys):
     ckpt = tmp_path / "m.ctt"
     run(["synth", "--seed", "12", "--count", "20", "--out", str(corpus)], capsys)
     run(["train", "--corpus", str(corpus), "--out", str(ckpt),
-         "--set", "max_steps=1", "--set", "d_model=8", "--set", "n_layers=1",
-         "--set", "d_ff=16", "--set", "lookahead=9"], capsys)
+         "--set", "max_steps=1", "--set", "d_model=8", "--set", "d_ff=16",
+         "--set", "lookahead=9"], capsys)
     raw = ckpt.read_bytes()
     assert raw.count(b"\nn_heads=2\n") == 1
     ckpt.write_bytes(raw.replace(b"\nn_heads=2\n", b"\nn_heads=0\n"))
@@ -314,7 +342,7 @@ _ANY_VALUE = st.one_of(
 @given(key=st.sampled_from(sorted(cli._DEFAULTS)), value=_ANY_VALUE)
 @example(key="warmup_steps", value=str(10 ** 400))
 @example(key="batch_size", value=str(10 ** 30))
-@example(key="n_layers", value=str(10 ** 400))
+@example(key="n_heads", value=str(10 ** 400))
 def test_train_with_any_one_setting_exits_0_or_1_with_one_error_line(
         tmp_path_factory, key, value):
     # one step on four utterances, unless the step count is what is drawn
@@ -338,9 +366,9 @@ def test_train_with_any_one_setting_exits_0_or_1_with_one_error_line(
         assert "Traceback" not in err.getvalue() and not ckpt.exists()
 
 
-# Every --set/config-file key and its default, as the CLI has always had them.
+# Every --set/config-file key and its default.
 _KEYS_AND_DEFAULTS = {
-    "d_model": 32, "n_layers": 4, "n_heads": 2, "d_ff": 64,
+    "d_model": 32, "n_heads": 2, "d_ff": 64,
     "lookahead": "0,0,0,9", "max_positions": 512, "min_freq": 2,
     "batch_size": 8, "warmup_steps": 400, "max_steps": 2000,
     "clip_norm": 1.0, "augment": True, "eval_every": 100,
@@ -365,9 +393,10 @@ def test_perfbench_sets_up_the_cli_default_model(monkeypatch):
     spec.loader.exec_module(workloads)
     config = workloads.cli_model_config(dt.Vocabulary([]))
     defaults = cli.load_run_config()
-    sizes = ("d_model", "n_layers", "n_heads", "d_ff", "max_positions")
+    sizes = ("d_model", "n_heads", "d_ff", "max_positions")
     assert [getattr(config, k) for k in sizes] == [defaults[k] for k in sizes]
-    assert config.mask_spec == MaskSpec.from_string(defaults["lookahead"])
+    budgets = MaskSpec.from_string(defaults["lookahead"])
+    assert config.mask_spec == budgets and config.n_layers == len(budgets)
 
 
 def test_config_values_parse_by_default_type():
@@ -412,6 +441,31 @@ def test_train_defaults_reach_the_library(tmp_path, capsys, monkeypatch):
     assert kw == {"dev": None, "init_params": None}
 
 
+def test_train_builds_one_layer_per_lookahead_budget(tmp_path, capsys):
+    corpus, ckpt = tmp_path / "c.tsv", tmp_path / "m.ctt"
+    corpus.write_text(_FOUR_UTTERANCES)
+    code, out, err = run(["train", "--corpus", str(corpus), "--out", str(ckpt),
+                          "--set", "max_steps=1", "--set", "d_model=8",
+                          "--set", "d_ff=16", "--set", "lookahead=0,9"], capsys)
+    assert code == 0, err
+    raw = ckpt.read_bytes()
+    header = raw[8:8 + struct.unpack_from("<I", raw, 4)[0]].decode().splitlines()
+    assert "n_layers=2" in header and "lookahead=0,9" in header
+
+
+def test_n_layers_is_an_unknown_config_key(tmp_path, capsys):
+    # the budget list sets the layer count, so there is no second setting
+    corpus, config, ckpt = tmp_path / "c.tsv", tmp_path / "run.cfg", tmp_path / "m.ctt"
+    corpus.write_text(_FOUR_UTTERANCES)
+    config.write_text("max_steps=1\nn_layers=2\n")
+    argv = ["train", "--corpus", str(corpus), "--out", str(ckpt)]
+    for given, where in ((["--set", "n_layers=2"], "--set"),
+                         (["--config", str(config)], f"{config}:2")):
+        code, out, err = run(argv + given, capsys)
+        assert (code, out) == (1, "") and not ckpt.exists()
+        assert err == f"error: {where}: unknown config key 'n_layers'\n"
+
+
 def test_seed_is_a_flag_not_a_config_key(tmp_path, capsys):
     corpus = tmp_path / "c.tsv"
     run(["synth", "--seed", "14", "--count", "10", "--out", str(corpus)],
@@ -438,8 +492,8 @@ def test_train_rejects_bad_settings(tmp_path, capsys, sets, dev, message):
     run(["synth", "--seed", "15", "--count", "10", "--out", str(corpus)],
         capsys)
     argv = ["train", "--corpus", str(corpus), "--out", str(ckpt),
-            "--set", "max_steps=2", "--set", "d_model=8", "--set", "n_layers=1",
-            "--set", "d_ff=16", "--set", "lookahead=9"]
+            "--set", "max_steps=2", "--set", "d_model=8", "--set", "d_ff=16",
+            "--set", "lookahead=9"]
     if dev:
         argv += ["--dev", str(corpus)]
     for item in sets:
@@ -455,7 +509,7 @@ def test_train_rejects_bad_settings(tmp_path, capsys, sets, dev, message):
     (["d_model=16"], None, "--set: d_model"),
     (["max_steps=2", "lookahead=0,9", "n_heads=1"], None, "--set: lookahead"),
     ([], "max_positions=64\nmin_freq=1\n", "run.cfg:1: max_positions"),
-    (["d_ff=64"], "# sizes\nn_layers=3\n", "run.cfg:2: n_layers"),
+    (["d_ff=64"], "# sizes\nn_heads=1\n", "run.cfg:2: n_heads"),
 ])
 def test_train_with_init_checkpoint_refuses_model_settings(tmp_path, capsys,
                                                           sets, lines, named):
@@ -501,7 +555,7 @@ def test_stream_prints_the_triples_of_stream_decode(capsys, monkeypatch,
             "and a hotel please")
     monkeypatch.setattr(cli, "_load_tagger",
                         lambda path: _EveryCityEndsASentence())
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", _stdin(text))
     code, out, err = run(["stream", "--checkpoint", "unused.ctt"] + flags,
                          capsys)
     assert code == 0, err
@@ -636,7 +690,7 @@ def test_stream_of_700_fillers_prints_700_triples(tmp_path, capsys,
                                                   monkeypatch):
     ckpt = tmp_path / "m.ctt"
     _save_model_that_never_ends_a_sentence(ckpt, max_positions=512)
-    monkeypatch.setattr("sys.stdin", io.StringIO("um " * 700 + "\n"))
+    monkeypatch.setattr("sys.stdin", _stdin("um " * 700 + "\n"))
     code, out, err = run(["stream", "--checkpoint", str(ckpt)], capsys)
     assert code == 0, err
     lines = out.splitlines()
@@ -660,7 +714,7 @@ def test_stream_with_a_frame_rate_above_the_cap_exits_1(tmp_path, capsys,
                                                         monkeypatch):
     ckpt = tmp_path / "m.ctt"
     _save_model_that_never_ends_a_sentence(ckpt, max_positions=16)
-    monkeypatch.setattr("sys.stdin", io.StringIO("i want a flight\n"))
+    monkeypatch.setattr("sys.stdin", _stdin("i want a flight\n"))
     code, out, err = run(["stream", "--checkpoint", str(ckpt),
                           "--frame-rate", "17"], capsys)
     assert code == 1
@@ -685,8 +739,8 @@ def test_train_refuses_unlabeled_or_unknown_labels(tmp_path, capsys, corpus,
     ckpt = tmp_path / "m.ctt"
     (tmp_path / "c.tsv").write_text(corpus)
     argv = ["train", "--corpus", str(tmp_path / "c.tsv"), "--out", str(ckpt),
-            "--set", "max_steps=2", "--set", "d_model=8", "--set", "n_layers=1",
-            "--set", "d_ff=16", "--set", "lookahead=9", "--set", "eval_every=1"]
+            "--set", "max_steps=2", "--set", "d_model=8", "--set", "d_ff=16",
+            "--set", "lookahead=9", "--set", "eval_every=1"]
     if dev is not None:
         (tmp_path / "dev.tsv").write_text(dev)
         argv += ["--dev", str(tmp_path / "dev.tsv")]
@@ -740,8 +794,7 @@ def test_train_with_max_positions_16(tmp_path, capsys, lengths, code, message):
     got, out, err = run(["train", "--corpus", str(tmp_path / "c.tsv"),
                          "--out", str(ckpt), "--set", "max_positions=16",
                          "--set", "max_steps=4", "--set", "d_model=8",
-                         "--set", "n_layers=1", "--set", "d_ff=16",
-                         "--set", "lookahead=9"], capsys)
+                         "--set", "d_ff=16", "--set", "lookahead=9"], capsys)
     assert got == code
     assert "Traceback" not in err
     if message is None:
@@ -766,7 +819,7 @@ def test_stream_keeps_its_state_bounded_on_a_long_stdin(capsys, monkeypatch):
     text = "i want a flight to boston um " * 600
     tagger = _EndsBeforeEveryI()
     monkeypatch.setattr(cli, "_load_tagger", lambda path: tagger)
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", _stdin(text))
     triples, state = dec.stream_decode(text.split(), tagger, dec.DecodePolicy())
     stream_frames, held = dec.stream_frames, []
 
@@ -864,11 +917,11 @@ _TINY = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt3.ctt")
 
 
 def _main(argv, stdin=None):
-    """cli.main(argv) with the text file `stdin`, by default an empty one,
-    as its standard input: (exit code, stdout, stderr)."""
+    """cli.main(argv) with `stdin`, by default an empty _stdin, as its
+    standard input: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            mock.patch("sys.stdin", stdin or io.StringIO()):
+            mock.patch("sys.stdin", stdin or _stdin("")):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
 
@@ -952,7 +1005,7 @@ def test_tag_and_stream_on_any_checkpoint_bytes_exit_0_or_1_with_one_error_line(
     code, out, err = _main(["tag", "--checkpoint", str(ckpt), "--input",
                             str(corpus)])
     _exited_0_or_1_with_one_error_line(code, err)
-    code, out, err = _main(["stream", "--checkpoint", str(ckpt)], io.StringIO(words))
+    code, out, err = _main(["stream", "--checkpoint", str(ckpt)], _stdin(words))
     _exited_0_or_1_with_one_error_line(code, err)
     if code == 0:
         assert _printed_words(out) == words.split()
@@ -966,7 +1019,7 @@ def test_weights_a_forward_could_overflow_exit_1(tmp_path, command):
     ckpt.write_bytes(every_weight(_TINY_BYTES, 1e100))
     corpus.write_text("boston\nflight\n")
     argv = ["tag", "--input", str(corpus)] if command == "tag" else ["stream"]
-    code, out, err = _main(argv + ["--checkpoint", str(ckpt)], io.StringIO("to boston"))
+    code, out, err = _main(argv + ["--checkpoint", str(ckpt)], _stdin("to boston"))
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "so large that a forward could overflow" in err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -982,7 +1035,7 @@ def test_a_checkpoint_that_repeats_a_word_or_label_exits_1(tmp_path, key, value,
     ckpt = tmp_path / "m.ctt"
     ckpt.write_bytes(_TINY_BYTES)
     rewrite_config_line(ckpt, key, value)
-    code, out, err = _main(["stream", "--checkpoint", str(ckpt)], io.StringIO("to boston"))
+    code, out, err = _main(["stream", "--checkpoint", str(ckpt)], _stdin("to boston"))
     assert (code, out) == (1, "")
     assert err == f"error: checkpoint {ckpt} has a bad config: {repeated} is repeated\n"
 
@@ -1140,8 +1193,7 @@ def test_train_tag_and_eval_on_any_corpus_text_exit_0_or_1_with_one_error_line(
     pred.write_text(other, encoding="utf-8", errors="surrogateescape")
     code, _, err = _main(["train", "--corpus", str(corpus), "--out", str(ckpt),
                           "--set", "max_steps=1", "--set", "d_model=8",
-                          "--set", "n_layers=1", "--set", "d_ff=16",
-                          "--set", "lookahead=9"])
+                          "--set", "d_ff=16", "--set", "lookahead=9"])
     _exited_0_or_1_with_one_error_line(code, err)
     assert ckpt.exists() == (code == 0)
     try:
@@ -1159,37 +1211,106 @@ _TOKEN = st.one_of(
     st.sampled_from(["i", "want", "a", "flight", "to", "Boston", "um", "UH"]),
     st.text(max_size=5),
     st.text(min_size=300, max_size=2000),  # over-long tokens
+    _ANY_BYTES,  # bytes that are not UTF-8 among them
 )
+
+
+def _breaks(separators):
+    return st.lists(st.sampled_from(separators), min_size=60, max_size=60)
 
 
 @settings(max_examples=60, deadline=None)
 @given(tokens=st.lists(_TOKEN, max_size=60),
-       breaks=st.lists(st.sampled_from([" ", "\n", "\t", "  ", " \n "]),
-                       min_size=60, max_size=60),
+       breaks=st.one_of(_breaks(["", " ", "\n", "\t", "  ", " \n ", "\r", "\r\n"]),
+                        _breaks(["", " ", "\t", "  "])),  # no newline
        frame_rate=st.one_of(st.none(), st.integers(-1, 20)),
-       lookahead_words=st.one_of(st.none(), st.integers(-1, 20)))
-@example(tokens=["i"] * 17, breaks=[" "] * 60, frame_rate=17, lookahead_words=None)
-@example(tokens=[], breaks=[" "] * 60, frame_rate=17, lookahead_words=None)
+       lookahead_words=st.one_of(st.none(), st.integers(-1, 20)),
+       size=st.integers(1, 8))
+@example(tokens=["i"] * 17, breaks=[" "] * 60, frame_rate=17, lookahead_words=None,
+         size=8)
+@example(tokens=[], breaks=[" "] * 60, frame_rate=17, lookahead_words=None, size=8)
+@example(tokens=["to", "Café", "w\udcffnt", "boston"], breaks=["\r"] * 60,
+         frame_rate=None, lookahead_words=None, size=1)
 def test_stream_on_any_stdin_prints_every_word_once_in_order(
-        tokens, breaks, frame_rate, lookahead_words):
-    # up to 60 words through a 16-position model: runs past the cap, empty
-    # input, and frame rates above the cap among them
+        tokens, breaks, frame_rate, lookahead_words, size):
+    # up to 60 words through a 16-position model, read `size` bytes at a
+    # time: runs past the cap, empty input, input without a newline, bytes
+    # that are not UTF-8, and frame rates above the cap among them
     text = "".join(token + sep for token, sep in zip(tokens, breaks))
     argv = ["stream", "--checkpoint", _TINY]
     if frame_rate is not None:
         argv += ["--frame-rate", str(frame_rate)]
     if lookahead_words is not None:
         argv += ["--lookahead-words", str(lookahead_words)]
-    stdin = io.StringIO(text)
+    stdin = _stdin(text, size=size)
     code, out, err = _main(argv, stdin)
     _exited_0_or_1_with_one_error_line(code, err)
     frame_rate = 3 if frame_rate is None else frame_rate
     lookahead_words = 6 if lookahead_words is None else lookahead_words
-    assert (code == 0) == (1 <= frame_rate <= 16 and lookahead_words >= 0)
-    if code == 0:
-        assert _printed_words(out) == [w.lower() for w in text.split()]
-    else:  # refused before a word is read, even from an endless stdin
-        assert stdin.tell() == 0 and out == ""
+    raw = stdin.buffer.data
+    words = [w.lower() for w in raw.decode("utf-8", "surrogateescape").split()]
+    printed = _printed_words(out)
+    if not (1 <= frame_rate <= 16 and lookahead_words >= 0):
+        # refused before a word is read, even from an endless stdin
+        assert code == 1 and stdin.buffer.served == 0 and out == ""
+    elif _is_utf8(raw):
+        assert code == 0 and printed == words
+    else:  # the words read before the byte that is not UTF-8, in order
+        assert code == 1 and err.startswith("error: <stdin>:")
+        assert err.endswith(" is not UTF-8\n") and printed == words[:len(printed)]
+
+
+def _is_utf8(raw):
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def test_stream_prints_triples_before_a_stdin_without_newline_ends(monkeypatch):
+    # 5 bytes a read and no newline, the last word never ended by
+    # whitespace: at each read every word that whitespace has ended has
+    # reached the decoder, so the reader holds one read and one partial
+    # word, and what the decoder has frozen is printed before stdin ends
+    text = "i want a flight to boston um i need a car to denver " * 10 + "please"
+    tagger, policy = _EveryCityEndsASentence(), dec.DecodePolicy()
+    monkeypatch.setattr(cli, "_load_tagger", lambda path: tagger)
+    stream_frames, taken, reads = dec.stream_frames, [], []
+
+    def watched(state, words, tagger, policy):
+        words = (taken.append(w) or w for w in words)
+        return stream_frames(state, words, tagger, policy)
+
+    monkeypatch.setattr(dec, "stream_frames", watched)
+    stdin = _stdin(text, size=5, before_read=lambda: reads.append(
+        (stdin.buffer.served, len(taken), sys.stdout.getvalue())))
+    code, out, err = _main(["stream", "--checkpoint", "unused.ctt"], stdin)
+    assert code == 0, err
+    triples, _ = dec.stream_decode(text.split(), tagger, policy)
+    assert out == "".join(f"{w}\t{p}\t{d}\n" for w, p, d in triples)
+    for served, words_taken, _ in reads:
+        read = text[:served]
+        assert words_taken == len(read[:read.rfind(" ") + 1].split())
+    ended, state, frozen = text.split()[:-1], dec.StreamState(), []
+    for i in range(0, len(ended) - len(ended) % policy.frame_rate, policy.frame_rate):
+        frozen += dec.stream_step(state, ended[i:i + policy.frame_rate], tagger, policy)
+    assert frozen and reads[-1] == (len(text), len(ended),
+                                    "".join(f"{w}\t{p}\t{d}\n" for w, p, d in frozen))
+
+
+def test_stream_refuses_a_word_longer_than_the_limit(monkeypatch):
+    # a run without whitespace is refused as soon as it passes the limit,
+    # before the rest of stdin is read
+    monkeypatch.setattr(cli, "_load_tagger", lambda path: _EveryCityEndsASentence())
+    limit, argv = dt.MAX_WORD_CHARS, ["stream", "--checkpoint", "unused.ctt"]
+    code, out, err = _main(argv, _stdin("to boston\n" + "a" * limit + " b", size=1000))
+    assert code == 0 and _printed_words(out) == ["to", "boston", "a" * limit, "b"]
+    stdin = _stdin("to boston\nand " + "a" * (10 * limit), size=1000)
+    code, out, err = _main(argv, stdin)
+    assert code == 1
+    assert err == f"error: <stdin>:2: a word is longer than {limit} characters\n"
+    assert stdin.buffer.served < len(stdin.buffer.data)
 
 
 # Config-file values: small counts and flags, values holding "=", and text
@@ -1233,8 +1354,8 @@ def test_train_on_any_config_file_exits_0_or_1_with_one_error_line(
     config.write_bytes(raw)
     code, _, err = _main(["train", "--corpus", str(corpus), "--out", str(ckpt),
                           "--config", str(config), "--set", "max_steps=1",
-                          "--set", "d_model=8", "--set", "n_layers=1",
-                          "--set", "d_ff=16", "--set", "lookahead=9"])
+                          "--set", "d_model=8", "--set", "d_ff=16",
+                          "--set", "lookahead=9"])
     _exited_0_or_1_with_one_error_line(code, err)
     assert ckpt.exists() == (code == 0)
     try:
