@@ -16,6 +16,7 @@ SIGINT, SIGPIPE), both silent.
 import argparse
 import os
 import sys
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import fields
 
@@ -31,15 +32,13 @@ from .masks import MaskSpec
 # look-ahead budgets and vocabulary cut-off of a new model. The budget list
 # sets the layer count: one layer per budget. A value is parsed by its
 # default's type. Command-line --set overrides file values; unknown keys are
-# rejected. A checkpoint fixes the _MODEL_KEYS, so `train --init-checkpoint`
-# refuses them.
-_MODEL_KEYS = ("d_model", "n_heads", "d_ff", "lookahead", "min_freq",
-               "max_positions")
-_DEFAULTS = {
-    "d_model": 32, "n_heads": 2, "d_ff": 64, "lookahead": "0,0,0,9",
-    "min_freq": 2, "max_positions": mdl.ModelConfig.max_positions,
-    **{f.name: f.default for f in fields(tr.TrainConfig) if f.name != "seed"},
-}
+# rejected. A checkpoint fixes the keys of _MODEL_DEFAULTS, so
+# `train --init-checkpoint` refuses them.
+_MODEL_DEFAULTS = {"d_model": 32, "n_heads": 2, "d_ff": 64,
+                   "lookahead": "0,0,0,9", "min_freq": 2,
+                   "max_positions": mdl.ModelConfig.max_positions}
+_DEFAULTS = {**_MODEL_DEFAULTS, **{f.name: f.default for f in fields(tr.TrainConfig)
+                                   if f.name != "seed"}}
 _BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
           **dict.fromkeys(("0", "false", "no", "off"), False)}
 
@@ -96,6 +95,7 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("synth", help="generate a synthetic labeled corpus")
+    s.set_defaults(run=_cmd_synth)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.add_argument("--count", type=int, default=1000)
@@ -105,6 +105,7 @@ def _build_parser():
     s.add_argument("--p-repair", type=float, default=0.0)
 
     s = sub.add_parser("train", help="train a model")
+    s.set_defaults(run=_cmd_train)
     s.add_argument("--corpus", required=True)
     s.add_argument("--dev")
     s.add_argument("--config")
@@ -114,20 +115,24 @@ def _build_parser():
     s.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
 
     s = sub.add_parser("tag", help="tag a corpus file offline")
+    s.set_defaults(run=_cmd_tag)
     s.add_argument("--checkpoint", required=True)
     s.add_argument("--input", required=True)
     s.add_argument("--out")
 
     stream = sub.add_parser("stream", help="tag a word stream from stdin")
+    stream.set_defaults(run=_cmd_stream)
     stream.add_argument("--checkpoint", required=True)
 
     s = sub.add_parser("eval", help="score predictions against gold labels")
+    s.set_defaults(run=_cmd_eval)
     s.add_argument("--pred", required=True)
     s.add_argument("--gold", required=True)
     s.add_argument("--dump", action="store_true",
                    help="also print machine-readable key=value lines")
 
     bench = sub.add_parser("bench", help="report throughput and revision histogram")
+    bench.set_defaults(run=_cmd_bench)
     bench.add_argument("--checkpoint", required=True)
     bench.add_argument("--corpus", required=True)
     bench.add_argument("--runs", type=int, default=5)
@@ -152,7 +157,7 @@ def _cmd_synth(args):
 
 def _cmd_train(args):
     cfg = load_run_config(args.config, args.set,
-                          _MODEL_KEYS if args.init_checkpoint else ())
+                          _MODEL_DEFAULTS if args.init_checkpoint else ())
     mdl.check_max_positions(cfg["max_positions"])
     corpus = dt.parse_corpus(args.corpus)
     dev = dt.parse_corpus(args.dev) if args.dev else None
@@ -230,22 +235,12 @@ def _cmd_bench(args):
     words = [w for seq in seqs for w in seq.words]
     seconds, revision_log = ev.bench_streaming(tagger, words, policy,
                                                runs=args.runs)
-    hist = ev.position_change_histogram([revision_log])
+    hist = Counter(end - pos for end, pos in revision_log)
     print(f"total_seconds\t{seconds:.4f}")
     print(f"words_per_second\t{len(words) / seconds:.1f}")
-    for bucket in sorted(hist):
-        print(f"{bucket}\t{hist[bucket]}")
+    for distance in sorted(hist):  # revisions that many words back
+        print(f"{distance}\t{hist[distance]}")
     return 0
-
-
-_COMMANDS = {
-    "synth": _cmd_synth,
-    "train": _cmd_train,
-    "tag": _cmd_tag,
-    "stream": _cmd_stream,
-    "eval": _cmd_eval,
-    "bench": _cmd_bench,
-}
 
 
 # The longest `error:` line `main` prints. A message may echo a value in
@@ -274,7 +269,7 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except KeyboardInterrupt:  # words still in a stream buffer are not printed
         return 130
     except BrokenPipeError:  # Python's SIGPIPE recipe: flush to devnull at exit

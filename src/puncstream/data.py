@@ -369,6 +369,14 @@ def _late_question_utterance(rng):
     return TokenSequence(words, punct, ["O"] * len(words))
 
 
+def _splice(words, punct, disf, i, ins_words, ins_disf):
+    """The three rows with `ins_words`, tagged `ins_disf` and punct O,
+    inserted before position i."""
+    return (words[:i] + ins_words + words[i:],
+            punct[:i] + ["O"] * len(ins_words) + punct[i:],
+            disf[:i] + ins_disf + disf[i:])
+
+
 def _insert_repair(words, punct, disf, rng, cities):
     """Duplicate a clause-final "{prep} {city}" with a different city first.
 
@@ -380,17 +388,12 @@ def _insert_repair(words, punct, disf, rng, cities):
         return words, punct, disf
     i = rng.choice(spots)
     alt = rng.choice([c for c in cities if c != words[i + 1]])
-    ins_words = [words[i], alt]
-    ins_punct = ["O", "O"]
-    ins_disf = ["B-RM", "I-RM"]
+    ins_words, ins_disf = [words[i], alt], ["B-RM", "I-RM"]
     if rng.random() < 0.5:
         filler = rng.choice(_FILLERS)
-        ins_words += list(filler)
-        ins_punct += ["O"] * len(filler)
+        ins_words += filler
         ins_disf += ["B-IM"] + ["I-IM"] * (len(filler) - 1)
-    return (words[:i] + ins_words + words[i:],
-            punct[:i] + ins_punct + punct[i:],
-            disf[:i] + ins_disf + disf[i:])
+    return _splice(words, punct, disf, i, ins_words, ins_disf)
 
 
 def _insert_repetition(words, punct, disf, rng):
@@ -403,11 +406,8 @@ def _insert_repetition(words, punct, disf, rng):
     while (span < 3 and start + span < len(words)
            and disf[start + span] == "O" and rng.random() < 0.5):
         span += 1
-    copy = words[start:start + span]
-    rm = ["B-RM"] + ["I-RM"] * (span - 1)
-    return (words[:start] + copy + words[start:],
-            punct[:start] + ["O"] * span + punct[start:],
-            disf[:start] + rm + disf[start:])
+    return _splice(words, punct, disf, start, words[start:start + span],
+                   ["B-RM"] + ["I-RM"] * (span - 1))
 
 
 def _insert_filler(words, punct, disf, rng):
@@ -415,11 +415,8 @@ def _insert_filler(words, punct, disf, rng):
     # never split an existing B-/I- span
     spots = [i for i in range(len(words) + 1)
              if i == len(words) or not disf[i].startswith("I-")]
-    i = rng.choice(spots)
-    im = ["B-IM"] + ["I-IM"] * (len(filler) - 1)
-    return (words[:i] + list(filler) + words[i:],
-            punct[:i] + ["O"] * len(filler) + punct[i:],
-            disf[:i] + im + disf[i:])
+    return _splice(words, punct, disf, rng.choice(spots), list(filler),
+                   ["B-IM"] + ["I-IM"] * (len(filler) - 1))
 
 
 def synth_generate(seed, n_utterances, grammar=None):

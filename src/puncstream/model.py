@@ -81,9 +81,10 @@ class ModelParams:
     param_shapes(`config`) order (param_slots).
 
     `params[name]` is a read-only Tensor view of the parameter `name`, and
-    `embed` and `layers` (per layer its _LAYER_PARAMS arrays) are the
-    read-only arrays the forward runs on, all views of the vector, so what
-    is written to the vector is what the next forward reads.
+    `embed` and `layers` (per layer its arrays in the vector's order,
+    _LAYER_PARAMS) are the read-only arrays the forward runs on, all views
+    of the vector, so what is written to the vector is what the next
+    forward reads.
     `params[name] = t` copies the Tensor `t` into its slot; a name the
     config has no parameter of, or a tensor of another shape, raises
     ShapeMismatchError naming it. Without `vector` the parameters are
@@ -125,22 +126,25 @@ class ModelParams:
         return ModelParams(self.config, self.vector.copy())
 
 
+# Each layer's parameters with their shapes in d_model ("d", "3d" for
+# 3 * d_model) and d_ff ("ff"), in the one order: the one in which the
+# vector and a checkpoint store a layer, ModelParams.layers holds its
+# arrays and the forward and its backward unpack them.
+_LAYER_PARAMS = {"wqkv": ("d", "3d"), "wo": ("d", "d"), "ff.w1": ("d", "ff"),
+                 "ff.b1": ("ff",), "ff.w2": ("ff", "d"), "ff.b2": ("d",),
+                 "norm1.gain": ("d",), "norm1.bias": ("d",),
+                 "norm2.gain": ("d",), "norm2.bias": ("d",)}
+
+
 def param_shapes(config):
     """The full name -> shape map for a config, in the order in which a
     ModelParams vector and a checkpoint lay the parameters out."""
-    d, dff = config.d_model, config.d_ff
+    d = config.d_model
+    dims = {"d": d, "3d": 3 * d, "ff": config.d_ff}
     shapes = {"embed": (config.vocab_size, d)}
     for i in range(config.n_layers):
-        shapes[f"layer{i}.wqkv"] = (d, 3 * d)
-        shapes[f"layer{i}.wo"] = (d, d)
-        shapes[f"layer{i}.ff.w1"] = (d, dff)
-        shapes[f"layer{i}.ff.b1"] = (dff,)
-        shapes[f"layer{i}.ff.w2"] = (dff, d)
-        shapes[f"layer{i}.ff.b2"] = (d,)
-        shapes[f"layer{i}.norm1.gain"] = (d,)
-        shapes[f"layer{i}.norm1.bias"] = (d,)
-        shapes[f"layer{i}.norm2.gain"] = (d,)
-        shapes[f"layer{i}.norm2.bias"] = (d,)
+        shapes.update({f"layer{i}.{p}": tuple(dims[k] for k in shape)
+                       for p, shape in _LAYER_PARAMS.items()})
     shapes["punct.w"] = (d, config.punct_label_count)
     shapes["punct.b"] = (config.punct_label_count,)
     shapes["disf.w"] = (d, config.disf_label_count)
@@ -231,11 +235,6 @@ def _positions(n, d_model, max_positions):
     return _position_table(rows, d_model)[:n]
 
 
-# Each layer's parameters, in the order its four kernels take them.
-_LAYER_PARAMS = ("wqkv", "wo", "norm1.gain", "norm1.bias", "ff.w1", "ff.b1",
-                 "ff.w2", "ff.b2", "norm2.gain", "norm2.bias")
-
-
 @lru_cache(maxsize=16)
 def _layer_getters(n_layers):
     """Per layer, a getter of its _LAYER_PARAMS tensors from a name map."""
@@ -267,7 +266,7 @@ def _encode(ids, config, params, lengths, saved=None):
     and what its kernels return for their backwards (`loss_gradients`)."""
     x = nc._embedding_lookup(params.embed, ids, nc._stack(
         [_positions(n, config.d_model, config.max_positions) for n in lengths]))
-    for lookahead, (wqkv, wo, g1, b1, w1, fb1, w2, fb2, g2, b2) in zip(
+    for lookahead, (wqkv, wo, w1, fb1, w2, fb2, g1, b1, g2, b2) in zip(
             config.mask_spec.per_layer_lookahead, params.layers):
         masks = [build_ct_mask(n, lookahead) for n in lengths]
         y, attention = nc._attention(x, wqkv, wo, masks, config.n_heads)
@@ -368,8 +367,8 @@ def _pack_loss_gradients(encoded, config, params, rows):
         losses.append(float(punct_loss + disf_loss))
     layer_grads = [list(zip(*map(layer, rows)))
                    for layer in _layer_getters(config.n_layers)]
-    for (x, attention, x1, norm1, inner, norm2), (wqkv, wo, g1, _, w1, _, w2, _, g2, _), \
-            (gwqkv, gwo, gg1, gb1, gw1, gfb1, gw2, gfb2, gg2, gb2) in zip(
+    for (x, attention, x1, norm1, inner, norm2), (wqkv, wo, w1, _, w2, _, g1, _, g2, _), \
+            (gwqkv, gwo, gw1, gfb1, gw2, gfb2, gg1, gb1, gg2, gb2) in zip(
                 reversed(saved), reversed(params.layers), reversed(layer_grads)):
         g = nc._add_layer_norm_backward(g, g2, norm2, segments, gg2, gb2)
         nc._feed_forward_backward(g, x1, w1, w2, inner, segments, g, gw1, gfb1,

@@ -170,6 +170,26 @@ def test_bench_prints_histogram(tmp_path, capsys):
     assert "words_per_second\t" in out
 
 
+def test_bench_histogram_counts_revisions_by_distance(tmp_path, capsys):
+    """After its two timing lines, `bench` prints `distance<TAB>count` for
+    each distance, end - position, in the stream's revision log."""
+    corpus = tmp_path / "c.tsv"
+    run(["synth", "--seed", "10", "--count", "50", "--out", str(corpus)], capsys)
+    golden = os.path.join(os.path.dirname(__file__), "data", "tiny_ctt3.ctt")
+    code, out, _ = run(["bench", "--checkpoint", golden,
+                        "--corpus", str(corpus), "--runs", "1"], capsys)
+    assert code == 0
+    words = [w for seq in dt.parse_corpus(corpus) for w in seq.words]
+    config, params, vocab, scheme = mdl.load_model(golden)
+    _, state = dec.stream_decode(words, dec.ModelTagger(config, params, vocab, scheme),
+                                 dec.DecodePolicy())
+    counts = {}
+    for end, pos in state.revision_log:
+        counts[end - pos] = counts.get(end - pos, 0) + 1
+    assert len(counts) > 1
+    assert out.splitlines()[2:] == [f"{d}\t{counts[d]}" for d in sorted(counts)]
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

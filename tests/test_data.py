@@ -1,3 +1,5 @@
+import hashlib
+import io
 import random
 
 import pytest
@@ -184,6 +186,26 @@ def test_every_generated_sequence_passes_bio():
     grammar = dt.GrammarConfig(p_filler=0.4, p_repetition=0.4, p_repair=0.4)
     for seq in dt.synth_generate(5, 500, grammar):
         dt.validate_bio(seq.disf)
+
+
+# SHA-256 of write_corpus's UTF-8 output. The first two are the set-up
+# corpus and dev set perfbench and the acceptance tests train and score
+# on; the third inserts repairs too. The generator draws only from
+# Python's `random`, so these depend on no numpy or BLAS version.
+@pytest.mark.parametrize("seed, count, p_repair, digest", [
+    (7, 5000, 0.0,
+     "84c9c1099727d2abcd8641b33b736a4cb5f35c7b56b5e9d22290b66bb8f0ea03"),
+    (9, 100, 0.0,
+     "8304e3a0e1e5209df852fe09a5495cdb38e6cbfed3a9de9ba1739cab4cc982e6"),
+    (7, 500, 0.3,
+     "dc85426ec7bbb90020b78ed6d08b2d7d57e525b5748c7c89795923a258f29cbd"),
+])
+def test_synthetic_corpus_bytes_are_pinned(seed, count, p_repair, digest):
+    grammar = dt.GrammarConfig("travel", p_filler=0.15, p_repetition=0.10,
+                               p_repair=p_repair)
+    f = io.StringIO()
+    dt.write_corpus(f, dt.synth_generate(seed, count, grammar))
+    assert hashlib.sha256(f.getvalue().encode("utf-8")).hexdigest() == digest
 
 
 class FixedDraw(random.Random):

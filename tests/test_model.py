@@ -412,6 +412,23 @@ def test_model_params_are_one_vector_in_layout_order():
     assert params["punct.b"].data.tolist() == [0.0] * 4
 
 
+def test_model_params_layers_hold_each_layer_in_layout_order():
+    """ModelParams.layers[i] holds the views of layer i's parameters in
+    param_shapes order, the order of the vector and the checkpoint."""
+    config = small_config(n_layers=3, lookahead=(0, 1, 9))
+    size = mdl.ModelParams(config).vector.size
+    params = mdl.ModelParams(config, np.arange(float(size)))
+    shapes = mdl.param_shapes(config)
+    assert len(params.layers) == 3
+    for i, layer in enumerate(params.layers):
+        names = [n for n in shapes if n.startswith(f"layer{i}.")]
+        assert len(layer) == len(names) == 10
+        for j, (array, name) in enumerate(zip(layer, names)):
+            assert array.shape == shapes[name], (j, name)
+            assert np.shares_memory(array, params.vector)
+            assert np.array_equal(array, params[name].data), (j, name)
+
+
 def test_checkpoint_round_trip(tmp_path):
     from puncstream.data import LabelScheme, Vocabulary
     bundle = random_bundle(small_config(), seed=15)
